@@ -1,11 +1,12 @@
-// Serving a trained model with the inference engine: an InferenceSession
-// wrapping D2STGNN behind a micro-batching BatchingServer, driven by an
-// open-loop load generator — producers submit on a fixed schedule whether
-// or not earlier requests have finished, like real traffic does — then a
-// latency/throughput report (p50/p95/p99 via metrics::SummarizeLatencies).
+// Serving a trained model with the inference engine: InferenceSessions
+// wrapping D2STGNN behind the micro-batching serving core (FleetServer),
+// driven by the open-loop LoadGenerator — producers submit on a fixed
+// schedule whether or not earlier requests have finished, like real traffic
+// does — then a per-model report: p50/p99 latency from each request's
+// scheduled send, the generator's lag, typed rejects, and plan counters.
 //
 // The generator runs once per serving mode, each against a fresh session
-// around identically-initialized weights:
+// around identically-initialized weights (one tenant, "model"):
 //   eager — every forward runs the normal op dispatch path
 //   plan  — warmed-up batch shapes replay captured execution plans
 //           (DESIGN.md §10); the report adds the plan-cache counters
@@ -15,7 +16,8 @@
 //       [--reload-dir=DIR] [--reload-poll-ms=N]
 //       [--fleet] [--models=id:slo,...]
 //
-// Defaults: 200 req/s for 2 seconds from 2 producers, --mode=both.
+// Defaults: 200 req/s for 2 seconds from 2 producers per model,
+// --mode=both.
 //
 // Overload-resilience knobs (DESIGN.md §13):
 //   --qps=N         named override of the positional rate — push it past
@@ -30,12 +32,11 @@
 //   --reload-poll-ms=N  checkpoint watcher poll period (default 50)
 //
 // Fleet mode (DESIGN.md §14) — one process, many city models:
-//   --fleet         serve every tenant in --models from a single
-//                   FleetServer: per-model weights, plan caches, and SLO
-//                   classes behind one shared queue, with weighted-fair
-//                   arbitration once the queue is contended. Ends with a
-//                   per-model report table (per-reason rejects, tier,
-//                   session swaps). With --reload-dir, a twin checkpoint
+//   --fleet         serve every tenant in --models from the same core:
+//                   per-model weights, plan caches, and SLO classes behind
+//                   one shared queue, with weighted-fair arbitration once
+//                   the queue is contended; the rate is split evenly
+//                   across tenants. With --reload-dir, a twin checkpoint
 //                   is hot-reloaded into the *first* tenant mid-run — the
 //                   other lanes must not swap.
 //   --models=...    comma-separated "id" or "id:slo" tenants (SLO classes:
@@ -48,15 +49,11 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <chrono>
-#include <condition_variable>
-#include <deque>
 #include <filesystem>
-#include <future>
 #include <memory>
-#include <mutex>
+#include <sstream>
 #include <string>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/flags.h"
@@ -64,7 +61,7 @@
 #include "core/d2stgnn.h"
 #include "data/sliding_window.h"
 #include "data/synthetic_traffic.h"
-#include "infer/batching_server.h"
+#include "experiment/load_generator.h"
 #include "infer/fleet/fleet.h"
 #include "infer/fleet/fleet_server.h"
 #include "infer/hot_reload.h"
@@ -118,269 +115,24 @@ struct LoadConfig {
   const data::StandardScaler* scaler = nullptr;
 };
 
-// Drives the open-loop load against one session and prints its report.
-// Returns false on setup failure.
-bool RunLoad(infer::InferenceSession* session, const char* label,
-             const std::vector<infer::ForecastRequest>& ring, double rate_rps,
-             double seconds, int producers, const LoadConfig& load) {
-  infer::BatchingOptions batching;
-  batching.max_batch_size = 8;
-  batching.max_wait_us = 1000;
-  batching.max_queue_depth = 1024;
-  infer::BatchingServer server(session, batching);
-
-  // Hot-reload: watch --reload-dir and swap staged checkpoints in while
-  // the producers keep submitting. The demo seeds the directory itself: a
-  // twin model (different weights, same architecture) is checkpointed
-  // halfway through the run, so the swap happens under live traffic.
-  std::unique_ptr<infer::CheckpointReloader> reloader;
-  std::thread checkpoint_dropper;
-  std::string watch_dir;
-  if (!load.reload_dir.empty()) {
-    // Per-mode subdirectory so --mode=both does not replay the eager run's
-    // checkpoint into the plan run at t=0.
-    watch_dir = load.reload_dir + "/" + label;
-    std::filesystem::create_directories(watch_dir);
-    infer::HotReloadOptions reload_options;
-    reload_options.directory = watch_dir;
-    reload_options.poll_interval_ms = load.reload_poll_ms;
-    const data::SyntheticTraffic& traffic = *load.traffic;
-    reloader = std::make_unique<infer::CheckpointReloader>(
-        &server, [&traffic] { return BuildModel(traffic, 3); }, *load.scaler,
-        MakeSessionOptions(traffic, load.use_plans), reload_options);
-    reloader->Start();
-    checkpoint_dropper = std::thread([&traffic, &watch_dir, seconds] {
-      std::this_thread::sleep_for(
-          std::chrono::duration<double>(seconds / 2.0));
-      const std::unique_ptr<core::D2Stgnn> twin = BuildModel(traffic, 7);
-      const std::string path = train::CheckpointPathForStep(watch_dir, 1);
-      if (!train::SaveCheckpoint(*twin, path)) {
-        std::fprintf(stderr, "checkpoint drop failed: %s\n", path.c_str());
-      }
-    });
-  }
-
-  std::printf("\n[%s] open-loop load: %.0f req/s for %.1f s from %d "
-              "producer%s\n",
-              label, rate_rps, seconds, producers, producers == 1 ? "" : "s");
-
-  using clock = std::chrono::steady_clock;
-  struct InFlight {
-    clock::time_point submitted;
-    std::future<infer::Forecast> future;
-  };
-  // Each producer hands its in-flight requests to a harvester thread that
-  // waits on the futures in submission order, so latency is stamped when a
-  // forecast arrives, not when a post-run sweep gets around to it.
-  struct ProducerLane {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::deque<InFlight> pending;
-    bool done = false;
-    std::vector<double> latencies_ms;
-    int64_t shed = 0;
-    int64_t expired = 0;
-  };
-  std::vector<ProducerLane> lanes(static_cast<size_t>(producers));
-  const auto interval = std::chrono::duration_cast<clock::duration>(
-      std::chrono::duration<double>(static_cast<double>(producers) /
-                                    rate_rps));
-  const auto bench_start = clock::now();
-  const auto bench_end =
-      bench_start + std::chrono::duration_cast<clock::duration>(
-                        std::chrono::duration<double>(seconds));
-
-  std::vector<std::thread> workers;
-  for (int p = 0; p < producers; ++p) {
-    ProducerLane& lane = lanes[static_cast<size_t>(p)];
-    workers.emplace_back([&, p] {
-      auto next = bench_start + interval * p / producers;
-      size_t i = static_cast<size_t>(p);
-      while (next < bench_end) {
-        std::this_thread::sleep_until(next);
-        infer::ForecastRequest request = ring[i % ring.size()];
-        request.deadline_us = load.deadline_us;
-        InFlight entry{clock::now(), server.Submit(std::move(request))};
-        {
-          std::lock_guard<std::mutex> hold(lane.mu);
-          lane.pending.push_back(std::move(entry));
-        }
-        lane.cv.notify_one();
-        i += static_cast<size_t>(producers);
-        next += interval;  // open loop: the schedule never waits on results
-      }
-      {
-        std::lock_guard<std::mutex> hold(lane.mu);
-        lane.done = true;
-      }
-      lane.cv.notify_one();
-    });
-    workers.emplace_back([&lane] {
-      for (;;) {
-        std::unique_lock<std::mutex> hold(lane.mu);
-        lane.cv.wait(hold,
-                     [&lane] { return lane.done || !lane.pending.empty(); });
-        if (lane.pending.empty()) break;
-        InFlight entry = std::move(lane.pending.front());
-        lane.pending.pop_front();
-        hold.unlock();
-        const infer::Forecast forecast = entry.future.get();
-        if (forecast.ok) {
-          lane.latencies_ms.push_back(
-              std::chrono::duration<double, std::milli>(clock::now() -
-                                                        entry.submitted)
-                  .count());
-        } else if (forecast.reason ==
-                   infer::RejectReason::kDeadlineExceeded) {
-          ++lane.expired;  // went stale waiting in the queue
-        } else {
-          ++lane.shed;  // typed admission reject under overload
-        }
-      }
-    });
-  }
-  for (std::thread& t : workers) t.join();
-  const double elapsed =
-      std::chrono::duration<double>(clock::now() - bench_start).count();
-  if (checkpoint_dropper.joinable()) checkpoint_dropper.join();
-  reloader.reset();  // stop the watcher before the server drains
-  server.Shutdown();
-
-  std::vector<double> latencies_ms;
-  int64_t shed = 0;
-  int64_t expired = 0;
-  for (const ProducerLane& lane : lanes) {
-    latencies_ms.insert(latencies_ms.end(), lane.latencies_ms.begin(),
-                        lane.latencies_ms.end());
-    shed += lane.shed;
-    expired += lane.expired;
-  }
-
-  const metrics::LatencyStats stats =
-      metrics::SummarizeLatencies(latencies_ms);
-  const infer::BatchingServerStats server_stats = server.stats();
-  std::printf("[%s] served %lld requests in %.2f s (%.1f req/s), "
-              "%lld shed, %lld expired\n",
-              label, static_cast<long long>(stats.count), elapsed,
-              static_cast<double>(stats.count) / elapsed,
-              static_cast<long long>(shed), static_cast<long long>(expired));
-  std::printf("[%s] latency: p50 %.3f ms  p95 %.3f ms  p99 %.3f ms  "
-              "max %.3f ms\n",
-              label, stats.p50, stats.p95, stats.p99, stats.max);
-  std::printf("[%s] batches: %lld (%lld full, %lld by timer), mean %.2f "
-              "req/batch, peak queue %lld\n",
-              label, static_cast<long long>(server_stats.batches),
-              static_cast<long long>(server_stats.full_flushes),
-              static_cast<long long>(server_stats.timeout_flushes),
-              server_stats.batches > 0
-                  ? static_cast<double>(server_stats.completed) /
-                        static_cast<double>(server_stats.batches)
-                  : 0.0,
-              static_cast<long long>(server_stats.max_queue_depth_seen));
-  if (server_stats.rejected + server_stats.expired_deadlines > 0) {
-    std::printf("[%s] rejects: %lld queue-full, %lld rate-limited, "
-                "%lld overloaded, %lld low-priority, %lld deadline-expired "
-                "(tier %s)\n",
-                label, static_cast<long long>(server_stats.rejected_queue_full),
-                static_cast<long long>(server_stats.rejected_rate_limited),
-                static_cast<long long>(server_stats.rejected_overloaded),
-                static_cast<long long>(server_stats.rejected_low_priority),
-                static_cast<long long>(server_stats.expired_deadlines),
-                infer::OverloadTierName(server_stats.tier));
-  }
-  if (!watch_dir.empty()) {
-    std::printf("[%s] hot-reload: %lld session swap%s from %s\n", label,
-                static_cast<long long>(server_stats.session_swaps),
-                server_stats.session_swaps == 1 ? "" : "s",
-                watch_dir.c_str());
-  }
-  const infer::SessionStats session_stats = session->session_stats();
-  if (session_stats.plans_built > 0) {
-    std::printf("[%s] plans: %lld built, %lld replays (%lld padded), "
-                "%lld eager fallbacks\n",
-                label, static_cast<long long>(session_stats.plans_built),
-                static_cast<long long>(session_stats.plan_replays),
-                static_cast<long long>(session_stats.padded_replays),
-                static_cast<long long>(session_stats.eager_forwards));
-  }
-  return true;
-}
-
-// A session over deterministically-seeded weights. A real deployment would
-// InferenceSession::Load() a trained checkpoint instead of Wrap()-ing fresh
-// weights; the serving path is identical.
-std::unique_ptr<infer::InferenceSession> BuildSession(
-    const data::SyntheticTraffic& traffic, const data::StandardScaler& scaler,
-    bool use_plans) {
-  return infer::InferenceSession::Wrap(BuildModel(traffic, 3), scaler,
-                                       MakeSessionOptions(traffic, use_plans));
-}
-
-// One --models tenant: a routing id plus its serving tier.
-struct FleetPreset {
-  std::string id;
-  infer::SloClass slo;
-};
-
-// Parses "id" or "id:slo" entries from a comma-separated --models value.
-bool ParseFleetPresets(const std::string& models,
-                       std::vector<FleetPreset>* out) {
-  out->clear();
-  size_t pos = 0;
-  while (pos <= models.size()) {
-    const size_t comma = std::min(models.find(',', pos), models.size());
-    std::string entry = models.substr(pos, comma - pos);
-    pos = comma + 1;
-    // Trim surrounding spaces so "a:gold, b:silver" parses.
-    const size_t first = entry.find_first_not_of(" \t");
-    if (first == std::string::npos) continue;
-    entry = entry.substr(first, entry.find_last_not_of(" \t") - first + 1);
-    FleetPreset preset;
-    const size_t colon = entry.find(':');
-    preset.id = colon == std::string::npos ? entry : entry.substr(0, colon);
-    if (preset.id.empty()) {
-      std::fprintf(stderr, "--models entry '%s' has an empty model id\n",
-                   entry.c_str());
-      return false;
-    }
-    if (colon != std::string::npos &&
-        !infer::ResolveSloClass(entry.substr(colon + 1), &preset.slo)) {
-      std::fprintf(stderr,
-                   "--models entry '%s' names an unknown SLO class "
-                   "(known: gold, silver, bronze)\n",
-                   entry.c_str());
-      return false;
-    }
-    for (const FleetPreset& other : *out) {
-      if (other.id == preset.id) {
-        std::fprintf(stderr, "--models lists '%s' twice\n", preset.id.c_str());
-        return false;
-      }
-    }
-    out->push_back(std::move(preset));
-  }
-  if (out->empty()) {
-    std::fprintf(stderr, "--models lists no models\n");
-    return false;
-  }
-  return true;
-}
-
-// Fleet mode: every tenant behind one FleetServer, open-loop producers per
-// model, then a per-model report table. Returns false on setup failure.
-bool RunFleetLoad(const std::vector<FleetPreset>& presets,
-                  const std::vector<infer::ForecastRequest>& ring,
-                  double rate_rps, double seconds, const LoadConfig& load) {
+// Serves every preset from one FleetServer under the open-loop load and
+// prints a per-model report; the single-model modes are the one-tenant
+// case. With --reload-dir, a differently-seeded twin checkpoint is dropped
+// halfway through and hot-reloaded into the *first* tenant's lane — every
+// other lane must ride out the swap untouched. Returns the first tenant's
+// session (for the closing forecast), or null on setup failure.
+std::shared_ptr<infer::InferenceSession> RunServe(
+    const char* label, const std::vector<infer::TenantSpec>& presets,
+    const std::vector<infer::ForecastRequest>& ring, double rate_rps,
+    double seconds, int producers, const LoadConfig& load) {
   const data::SyntheticTraffic& traffic = *load.traffic;
   infer::ModelFleet fleet;
   for (size_t i = 0; i < presets.size(); ++i) {
-    // Distinct weights per tenant, spaced so the reload twin (seed + 1)
-    // cannot collide with another tenant's seed.
-    const uint64_t seed = 3 + 16 * (static_cast<uint64_t>(i) + 1);
+    // Distinct weights per tenant, none of them the reload twin's (seed 7).
     auto session = infer::InferenceSession::Wrap(
-        BuildModel(traffic, seed), *load.scaler,
-        MakeSessionOptions(traffic, /*use_plans=*/true));
-    if (session == nullptr) return false;
+        BuildModel(traffic, 3 + 16 * static_cast<uint64_t>(i)), *load.scaler,
+        MakeSessionOptions(traffic, load.use_plans));
+    if (session == nullptr) return nullptr;
     infer::FleetModelOptions model_options;
     model_options.model_id = presets[i].id;
     model_options.slo = presets[i].slo;
@@ -391,20 +143,19 @@ bool RunFleetLoad(const std::vector<FleetPreset>& presets,
                             session.release()),
                         model_options, &error)) {
       std::fprintf(stderr, "fleet setup failed: %s\n", error.c_str());
-      return false;
+      return nullptr;
     }
   }
   infer::FleetOptions fleet_options;
   fleet_options.max_queue_depth = 1024;
   infer::FleetServer server(&fleet, fleet_options);
 
-  // Hot reload in fleet mode: the watcher targets the *first* tenant's
-  // lane; every other lane must ride out the swap untouched.
-  const std::string reload_id = presets.front().id;
-  std::thread checkpoint_dropper;
+  const std::string& reload_id = presets.front().id;
   std::string watch_dir;
   if (!load.reload_dir.empty()) {
-    watch_dir = load.reload_dir + "/fleet-" + reload_id;
+    // Per-run subdirectory so --mode=both does not replay the eager run's
+    // checkpoint into the plan run at t=0.
+    watch_dir = load.reload_dir + "/" + label;
     std::filesystem::create_directories(watch_dir);
     infer::HotReloadOptions reload_options;
     reload_options.directory = watch_dir;
@@ -413,139 +164,101 @@ bool RunFleetLoad(const std::vector<FleetPreset>& presets,
     if (!fleet.AttachReloader(reload_id, server.host(reload_id),
                               [&traffic] { return BuildModel(traffic, 3); },
                               *load.scaler,
-                              MakeSessionOptions(traffic, /*use_plans=*/true),
+                              MakeSessionOptions(traffic, load.use_plans),
                               reload_options, &error)) {
-      std::fprintf(stderr, "fleet reloader failed: %s\n", error.c_str());
-      return false;
+      std::fprintf(stderr, "reloader setup failed: %s\n", error.c_str());
+      return nullptr;
     }
     fleet.StartReloaders();
-    checkpoint_dropper = std::thread([&traffic, &watch_dir, seconds] {
-      std::this_thread::sleep_for(
-          std::chrono::duration<double>(seconds / 2.0));
-      const std::unique_ptr<core::D2Stgnn> twin = BuildModel(traffic, 7);
-      const std::string path = train::CheckpointPathForStep(watch_dir, 1);
-      if (!train::SaveCheckpoint(*twin, path)) {
-        std::fprintf(stderr, "checkpoint drop failed: %s\n", path.c_str());
-      }
-    });
   }
 
-  std::printf("\n[fleet] open-loop load: %.0f req/s split across %zu "
-              "model%s for %.1f s\n",
-              rate_rps, presets.size(), presets.size() == 1 ? "" : "s",
-              seconds);
-
-  using clock = std::chrono::steady_clock;
-  struct TenantLane {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::deque<std::pair<clock::time_point, std::future<infer::Forecast>>>
-        pending;
-    bool done = false;
-    std::vector<double> latencies_ms;
+  std::printf("\n[%s] open-loop load: %.0f req/s split across %zu model%s "
+              "for %.1f s, %d producer%s per model\n",
+              label, rate_rps, presets.size(), presets.size() == 1 ? "" : "s",
+              seconds, producers, producers == 1 ? "" : "s");
+  experiment::OpenLoopOptions options;
+  options.lane_rps.assign(presets.size(),
+                          rate_rps / static_cast<double>(presets.size()));
+  options.producers_per_lane = producers;
+  options.seconds = seconds;
+  bool dropped = false;
+  const auto drop_twin = [&] {
+    if (watch_dir.empty() || dropped) return;
+    dropped = true;
+    const std::string path = train::CheckpointPathForStep(watch_dir, 1);
+    if (!train::SaveCheckpoint(*BuildModel(traffic, 7), path)) {
+      std::fprintf(stderr, "checkpoint drop failed: %s\n", path.c_str());
+    }
   };
-  std::vector<std::unique_ptr<TenantLane>> lanes;
-  for (size_t i = 0; i < presets.size(); ++i) {
-    lanes.push_back(std::make_unique<TenantLane>());
-  }
-  const double per_model_rps =
-      rate_rps / static_cast<double>(presets.size());
-  const auto interval = std::chrono::duration_cast<clock::duration>(
-      std::chrono::duration<double>(1.0 / per_model_rps));
-  const auto bench_start = clock::now();
-  const auto bench_end =
-      bench_start + std::chrono::duration_cast<clock::duration>(
-                        std::chrono::duration<double>(seconds));
-
-  std::vector<std::thread> workers;
-  for (size_t m = 0; m < presets.size(); ++m) {
-    TenantLane& lane = *lanes[m];
-    const std::string& id = presets[m].id;
-    workers.emplace_back([&, m] {
-      auto next = bench_start + interval * static_cast<int64_t>(m) /
-                                    static_cast<int64_t>(presets.size());
-      size_t i = m;
-      while (next < bench_end) {
-        std::this_thread::sleep_until(next);
-        infer::ForecastRequest request = ring[i % ring.size()];
+  options.on_tick = [&](double elapsed_s) {
+    if (elapsed_s >= seconds / 2.0) drop_twin();
+  };
+  const experiment::LoadResult result =
+      experiment::LoadGenerator([&](const experiment::LoadRequest& r) {
+        infer::ForecastRequest request =
+            ring[static_cast<size_t>(r.seq) % ring.size()];
         request.deadline_us = load.deadline_us;
-        auto future = server.Submit(id, std::move(request));
-        {
-          std::lock_guard<std::mutex> hold(lane.mu);
-          lane.pending.emplace_back(clock::now(), std::move(future));
-        }
-        lane.cv.notify_one();
-        i += presets.size();
-        next += interval;  // open loop: never waits on results
-      }
-      {
-        std::lock_guard<std::mutex> hold(lane.mu);
-        lane.done = true;
-      }
-      lane.cv.notify_one();
-    });
-    workers.emplace_back([&lane] {
-      for (;;) {
-        std::unique_lock<std::mutex> hold(lane.mu);
-        lane.cv.wait(hold,
-                     [&lane] { return lane.done || !lane.pending.empty(); });
-        if (lane.pending.empty()) break;
-        auto entry = std::move(lane.pending.front());
-        lane.pending.pop_front();
-        hold.unlock();
-        const infer::Forecast forecast = entry.second.get();
-        if (forecast.ok) {
-          lane.latencies_ms.push_back(
-              std::chrono::duration<double, std::milli>(clock::now() -
-                                                        entry.first)
-                  .count());
-        }
-        // Rejects are tallied from the server's typed per-model counters.
-      }
-    });
-  }
-  for (std::thread& t : workers) t.join();
-  const double elapsed =
-      std::chrono::duration<double>(clock::now() - bench_start).count();
-  if (checkpoint_dropper.joinable()) checkpoint_dropper.join();
-  fleet.StopReloaders();
+        return server.Submit(presets[static_cast<size_t>(r.lane)].id,
+                             std::move(request));
+      }).OpenLoop(options);
+  drop_twin();
+  fleet.StopReloaders();  // stop the watcher before the server drains
   server.Shutdown();
 
+  // Latency runs from each request's scheduled send; the generator's own
+  // lateness is reported apart as lag.
+  std::vector<double> lag_ms;
+  for (const experiment::LoadSample& sample : result.samples) {
+    lag_ms.push_back(sample.lag_ms);
+  }
   const infer::FleetStats stats = server.stats();
-  std::printf("[fleet] %lld served / %lld offered in %.2f s (tier %s, "
-              "%lld unknown-model rejects)\n",
-              static_cast<long long>(stats.completed),
-              static_cast<long long>(stats.submitted), elapsed,
+  std::printf("[%s] %lld served / %lld offered in %.2f s (tier %s, "
+              "generator lag p99 %.3f ms)\n",
+              label, static_cast<long long>(stats.completed),
+              static_cast<long long>(result.samples.size()), result.elapsed_s,
               infer::OverloadTierName(stats.tier),
-              static_cast<long long>(stats.rejected_unknown_model));
-  std::printf("  %-12s %-8s %9s %9s %9s %9s %28s %6s\n", "model", "slo",
-              "served", "p50 ms", "p99 ms", "shed",
-              "rejects (q/rate/over/low/quota)", "swaps");
+              metrics::SummarizeLatencies(lag_ms).p99);
+  std::printf("  %-12s %-8s %8s %8s %8s %8s %8s %26s %8s %5s\n", "model",
+              "slo", "served", "p50 ms", "p99 ms", "shed", "expired",
+              "rejects q/rate/over/low/quota", "batch", "swaps");
   for (size_t m = 0; m < presets.size(); ++m) {
     const infer::FleetModelStats& ms = stats.models.at(presets[m].id);
-    const metrics::LatencyStats lat =
-        metrics::SummarizeLatencies(lanes[m]->latencies_ms);
+    const metrics::LatencyStats lat = metrics::SummarizeLatencies(
+        result.OkLatenciesMs(static_cast<int64_t>(m)));
     char rejects[64];
-    std::snprintf(rejects, sizeof(rejects),
-                  "%lld/%lld/%lld/%lld/%lld",
+    std::snprintf(rejects, sizeof(rejects), "%lld/%lld/%lld/%lld/%lld",
                   static_cast<long long>(ms.rejected_queue_full),
                   static_cast<long long>(ms.rejected_rate_limited),
                   static_cast<long long>(ms.rejected_overloaded),
                   static_cast<long long>(ms.rejected_low_priority),
                   static_cast<long long>(ms.rejected_quota));
-    std::printf("  %-12s %-8s %9lld %9.3f %9.3f %9lld %28s %6lld\n",
+    std::printf("  %-12s %-8s %8lld %8.3f %8.3f %8lld %8lld %26s %8.2f %5lld\n",
                 presets[m].id.c_str(), presets[m].slo.name.c_str(),
                 static_cast<long long>(ms.completed), lat.p50, lat.p99,
-                static_cast<long long>(ms.rejected + ms.expired_deadlines),
-                rejects, static_cast<long long>(ms.session_swaps));
+                static_cast<long long>(ms.rejected),
+                static_cast<long long>(ms.expired_deadlines), rejects,
+                ms.batches > 0 ? static_cast<double>(ms.completed) /
+                                     static_cast<double>(ms.batches)
+                               : 0.0,
+                static_cast<long long>(ms.session_swaps));
+    const infer::SessionStats plans =
+        fleet.session(presets[m].id)->session_stats();
+    if (plans.plans_built > 0) {
+      std::printf("  %-12s plans: %lld built, %lld replays (%lld padded), "
+                  "%lld eager fallbacks\n",
+                  "", static_cast<long long>(plans.plans_built),
+                  static_cast<long long>(plans.plan_replays),
+                  static_cast<long long>(plans.padded_replays),
+                  static_cast<long long>(plans.eager_forwards));
+    }
   }
   if (!watch_dir.empty()) {
-    std::printf("[fleet] hot-reload: %lld swap%s on '%s' from %s\n",
+    std::printf("[%s] hot-reload: %lld swap%s on '%s' from %s\n", label,
                 static_cast<long long>(stats.session_swaps),
                 stats.session_swaps == 1 ? "" : "s", reload_id.c_str(),
                 watch_dir.c_str());
   }
-  return true;
+  return fleet.session(reload_id);
 }
 
 }  // namespace
@@ -563,13 +276,13 @@ int main(int argc, char** argv) {
   std::string models = "metr-la:gold,pems-bay:silver,city-syn:bronze";
   std::string backend;
   FlagParser flags("serve_forecasts",
-                   "open-loop serving demo against the BatchingServer");
+                   "open-loop serving demo against the serving core");
   flags.AddPositionalDouble("rate_rps", &rate_rps,
                             "aggregate request rate (default 200)");
   flags.AddPositionalDouble("seconds", &seconds,
                             "run duration per mode (default 2)");
   flags.AddPositionalInt("producers", &producer_count,
-                         "concurrent request producers (default 2)");
+                         "concurrent request producers per model (default 2)");
   flags.AddChoice("mode", &mode, {"eager", "plan", "both"},
                   "which dispatch mode(s) to serve");
   flags.AddDouble("qps", &qps,
@@ -656,34 +369,35 @@ int main(int argc, char** argv) {
   load.traffic = &traffic;
   load.scaler = &scaler;
 
+  // Single-model modes serve one tenant; fleet mode serves --models.
+  std::vector<infer::TenantSpec> presets = {{"model", infer::SloClass{}}};
+  std::vector<std::pair<const char*, bool>> runs;  // label, use_plans
   if (fleet_mode) {
-    std::vector<FleetPreset> presets;
-    if (!ParseFleetPresets(models, &presets)) return 1;
-    return RunFleetLoad(presets, ring, rate_rps, seconds, load) ? 0 : 1;
-  }
-
-  std::unique_ptr<infer::InferenceSession> last_session;
-  if (run_eager) {
-    auto session = BuildSession(traffic, scaler, /*use_plans=*/false);
-    if (session == nullptr) return 1;
-    load.use_plans = false;
-    if (!RunLoad(session.get(), "eager", ring, rate_rps, seconds, producers,
-                 load)) {
+    std::vector<std::string> entries;
+    std::istringstream in(models);
+    for (std::string entry; std::getline(in, entry, ',');) {
+      entry.erase(0, entry.find_first_not_of(" \t"));  // "a:gold, b:silver"
+      entry.erase(entry.find_last_not_of(" \t") + 1);
+      if (!entry.empty()) entries.push_back(entry);
+    }
+    std::string error;
+    if (!infer::ParseTenants(entries, &presets, &error)) {
+      std::fprintf(stderr, "%s: --models: %s\n", argv[0], error.c_str());
       return 1;
     }
-    last_session = std::move(session);
+    runs = {{"fleet", true}};
+  } else {
+    if (run_eager) runs.emplace_back("eager", false);
+    // Warm-up captures plans at sizes 1 and 8 when the server starts, so
+    // the plan run replays captured plans from its first request.
+    if (run_plan) runs.emplace_back("plan", true);
   }
-  if (run_plan) {
-    auto session = BuildSession(traffic, scaler, /*use_plans=*/true);
-    if (session == nullptr) return 1;
-    // The BatchingServer warms up sizes 1 and max_batch_size on
-    // construction, so the load runs against captured plans from the start.
-    load.use_plans = true;
-    if (!RunLoad(session.get(), "plan", ring, rate_rps, seconds, producers,
-                 load)) {
-      return 1;
-    }
-    last_session = std::move(session);
+  std::shared_ptr<infer::InferenceSession> last_session;
+  for (const auto& [label, use_plans] : runs) {
+    load.use_plans = use_plans;
+    last_session =
+        RunServe(label, presets, ring, rate_rps, seconds, producers, load);
+    if (last_session == nullptr) return 1;
   }
 
   // One forecast, end to end, for show: the model's 12-step speed forecast

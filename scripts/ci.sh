@@ -8,11 +8,12 @@
 #      green on SIMD hosts.
 #   2. ThreadSanitizer    — the execution-layer and tensor tests, to catch
 #      data races in the thread pool and parallel kernels.
-#   3. Inference suite    — the inference session and batching server under
-#      TSan (concurrent submitters), plus the overload/admission and
-#      checkpoint hot-reload suites, then the smoke serving spec through
-#      run_experiment, asserting the emitted JSON is schema-versioned and
-#      well-formed.
+#   3. Inference suite    — the inference session and the one serving core
+#      (FleetServer, and BatchingServer, its one-lane front door) under TSan
+#      (concurrent submitters), plus the overload/admission, checkpoint
+#      hot-reload and load-generator suites, then the smoke serving spec
+#      through run_experiment, asserting the emitted JSON is
+#      schema-versioned and well-formed.
 #   3b. Chaos smoke       — the overload scenario (specs/smoke_overload.spec)
 #      through the TSan run_experiment with all four serving fault points
 #      scripted (server.admit, server.deadline, server.degrade,
@@ -89,12 +90,12 @@ cmake --build build-tsan -j "$(nproc)" \
 ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \
   -R 'ThreadPool|ParallelDeterminism|Tensor' --no-tests=error
 
-echo "=== Inference suite: batching server under TSan + serving smoke ==="
+echo "=== Inference suite: serving core under TSan + serving smoke ==="
 cmake --build build-tsan -j "$(nproc)" \
   --target infer_server_test infer_session_test overload_test \
-  hot_reload_test fleet_test
+  hot_reload_test fleet_test load_generator_test
 ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \
-  -R 'InferServer|InferSession|RejectReason|Admission|Overload|Backoff|HotReload|Fleet' \
+  -R 'InferServer|InferSession|RejectReason|Admission|Overload|Backoff|HotReload|Fleet|LoadGenerator' \
   --no-tests=error
 cmake --build build -j "$(nproc)" --target run_experiment
 smoke_out="build/experiment-smoke"

@@ -204,7 +204,9 @@ const std::vector<ServingScenario>& ServingScenarios() {
        "InferenceSession::PredictRequests, eager dispatch, threads x batch"},
       {"session-plan",
        "InferenceSession::PredictRequests, plan replay, threads x batch"},
-      {"server", "BatchingServer under closed-loop concurrent producers"},
+      {"server",
+       "the serving core (a one-lane FleetServer behind BatchingServer) "
+       "under the LoadGenerator's closed-loop producers"},
       {"parity",
        "plan vs eager A/B on single requests with a bitwise-equality check"},
       {"overload",

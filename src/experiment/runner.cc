@@ -3,16 +3,11 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
 #include <filesystem>
-#include <future>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <utility>
 
@@ -22,6 +17,7 @@
 #include "common/thread_pool.h"
 #include "core/d2stgnn.h"
 #include "data/synthetic_traffic.h"
+#include "experiment/load_generator.h"
 #include "experiment/metrics_sink.h"
 #include "experiment/protocol.h"
 #include "experiment/registry.h"
@@ -196,12 +192,10 @@ ServingConfig ParseServingConfig(const Spec& spec) {
   return c;
 }
 
-// One tenant of the fleet scenario: a model id, its resolved SLO class,
+// One tenant of the fleet scenario: a model id and its resolved SLO class,
 // the seed its weights are drawn from (the hot-reload twin is seed + 1),
 // and its offered load as a multiple of the measured saturation rate.
-struct FleetTenant {
-  std::string id;
-  infer::SloClass slo;
+struct FleetTenant : infer::TenantSpec {
   uint64_t seed = 0;
   double factor = 0.0;
 };
@@ -211,40 +205,18 @@ struct FleetTenant {
 /// expansion time too, so --dry-run refuses a bad tenant list.
 bool ParseFleetTenants(const ServingConfig& c, std::vector<FleetTenant>* out,
                        std::string* error) {
+  std::vector<infer::TenantSpec> specs;
+  if (!infer::ParseTenants(c.fleet_models, &specs, error)) {
+    *error = "[fleet] models: " + *error;
+    return false;
+  }
   out->clear();
-  for (size_t i = 0; i < c.fleet_models.size(); ++i) {
-    const std::string& entry = c.fleet_models[i];
-    FleetTenant tenant;
-    const size_t colon = entry.find(':');
-    tenant.id = colon == std::string::npos ? entry : entry.substr(0, colon);
-    if (tenant.id.empty()) {
-      *error = "[fleet] models entry '" + entry + "' has an empty model id";
-      return false;
-    }
-    if (colon != std::string::npos) {
-      const std::string slo_name = entry.substr(colon + 1);
-      if (!infer::ResolveSloClass(slo_name, &tenant.slo)) {
-        *error = "[fleet] models entry '" + entry +
-                 "' names an unknown SLO class '" + slo_name +
-                 "' (known: gold, silver, bronze)";
-        return false;
-      }
-    }
-    for (const FleetTenant& other : *out) {
-      if (other.id == tenant.id) {
-        *error = "[fleet] models lists '" + tenant.id + "' twice";
-        return false;
-      }
-    }
+  for (size_t i = 0; i < specs.size(); ++i) {
     // Distinct weights per tenant, spaced so one tenant's hot-reload twin
     // (seed + 1) can never collide with another tenant's seed.
-    tenant.seed = c.model_seed + 16 * (static_cast<uint64_t>(i) + 1);
-    tenant.factor = c.fleet_healthy_factor;
-    out->push_back(tenant);
-  }
-  if (out->empty()) {
-    *error = "[fleet] models lists no models";
-    return false;
+    out->push_back({specs[i],
+                    c.model_seed + 16 * (static_cast<uint64_t>(i) + 1),
+                    c.fleet_healthy_factor});
   }
   const std::string hot =
       c.fleet_hot_model.empty() ? out->back().id : c.fleet_hot_model;
@@ -568,9 +540,10 @@ infer::SessionOptions ServingSessionOptions(const ServingWorkload& w,
 }
 
 std::unique_ptr<infer::InferenceSession> BuildServingSession(
-    const ServingWorkload& w, const ServingConfig& config, bool use_plans) {
+    const ServingWorkload& w, const ServingConfig& config, uint64_t seed,
+    bool use_plans) {
   return infer::InferenceSession::Wrap(
-      BuildServingModel(w, config, config.model_seed), w.scaler,
+      BuildServingModel(w, config, seed), w.scaler,
       ServingSessionOptions(w, config, use_plans));
 }
 
@@ -636,7 +609,7 @@ bool SweepSession(infer::InferenceSession* session, const ServingConfig& c,
   return true;
 }
 
-/// Closed-loop producers against the BatchingServer.
+/// Closed-loop producers against the single-model serving core.
 bool SweepServer(infer::InferenceSession* session, const ServingConfig& c,
                  const ServingWorkload& w, int64_t threads, MetricsSink* sink,
                  std::string* error) {
@@ -645,52 +618,27 @@ bool SweepServer(infer::InferenceSession* session, const ServingConfig& c,
   options.max_batch_size = c.max_batch_size;
   options.max_wait_us = c.max_wait_us;
   infer::BatchingServer server(session, options);
-
-  using clock = std::chrono::steady_clock;
-  const int producers = static_cast<int>(c.producers);
-  std::vector<std::vector<double>> latencies(static_cast<size_t>(producers));
-  std::vector<std::string> failures(static_cast<size_t>(producers));
-  const auto start = clock::now();
-  std::vector<std::thread> workers;
-  for (int p = 0; p < producers; ++p) {
-    workers.emplace_back([&, p] {
-      std::vector<double>& mine = latencies[static_cast<size_t>(p)];
-      mine.reserve(static_cast<size_t>(c.server_requests));
-      for (int64_t i = 0; i < c.server_requests; ++i) {
-        const infer::ForecastRequest& request =
-            w.ring[static_cast<size_t>(p * c.server_requests + i) %
-                   w.ring.size()];
-        const auto submit = clock::now();
-        infer::Forecast f = server.Submit(request).get();
-        if (!f.ok) {
-          failures[static_cast<size_t>(p)] = f.error;
-          return;
-        }
-        mine.push_back(
-            std::chrono::duration<double, std::milli>(clock::now() - submit)
-                .count());
-      }
-    });
-  }
-  for (std::thread& t : workers) t.join();
-  const double elapsed =
-      std::chrono::duration<double>(clock::now() - start).count();
+  const LoadResult load =
+      LoadGenerator([&](const LoadRequest& r) {
+        return server.Submit(w.ring[static_cast<size_t>(r.seq) % w.ring.size()]);
+      }).ClosedLoop(c.producers, c.server_requests);
   server.Shutdown();
-  for (const std::string& failure : failures) {
-    if (!failure.empty()) {
-      *error = "server request failed: " + failure;
+  for (const LoadSample& sample : load.samples) {
+    if (!sample.ok) {
+      *error = std::string("server request failed: ") +
+               infer::RejectReasonName(sample.reason);
       return false;
     }
   }
 
-  std::vector<double> all;
-  for (const std::vector<double>& chunk : latencies) {
-    all.insert(all.end(), chunk.begin(), chunk.end());
-  }
+  const std::vector<double> latencies = load.OkLatenciesMs();
   sink->AddRecord(ServingRecord(
       "server", "server", threads, c.max_batch_size,
-      static_cast<int64_t>(all.size()), metrics::SummarizeLatencies(all),
-      elapsed > 0.0 ? static_cast<double>(all.size()) / elapsed : 0.0));
+      static_cast<int64_t>(latencies.size()),
+      metrics::SummarizeLatencies(latencies),
+      load.elapsed_s > 0.0
+          ? static_cast<double>(latencies.size()) / load.elapsed_s
+          : 0.0));
   return true;
 }
 
@@ -770,6 +718,165 @@ int64_t ArmChaosFaults(const std::vector<std::string>& entries) {
   return armed;
 }
 
+/// Outcome counts of one trajectory window of an open-loop run.
+struct WindowAgg {
+  int64_t offered = 0, completed = 0, shed = 0, expired = 0;
+  std::vector<double> latencies_ms;  ///< of the completed requests
+};
+
+/// Buckets the samples of `lane` (-1: every lane) by window.
+std::vector<WindowAgg> AggregateWindows(const LoadResult& load,
+                                        int64_t windows, int64_t lane) {
+  std::vector<WindowAgg> aggs(static_cast<size_t>(windows));
+  for (const LoadSample& sample : load.samples) {
+    if (lane >= 0 && sample.lane != lane) continue;
+    WindowAgg& agg = aggs[static_cast<size_t>(sample.window)];
+    ++agg.offered;
+    if (sample.ok) {
+      ++agg.completed;
+      agg.latencies_ms.push_back(sample.latency_ms);
+    } else if (sample.reason == infer::RejectReason::kDeadlineExceeded) {
+      ++agg.expired;
+    } else {
+      ++agg.shed;
+    }
+  }
+  return aggs;
+}
+
+/// One window's trajectory record: latency, throughput, and shed /
+/// deadline-miss rates.
+json::Value WindowRecord(const std::string& scenario, int64_t threads,
+                         int64_t batch_size, int64_t window,
+                         const WindowAgg& agg, double window_s) {
+  const double denom = static_cast<double>(std::max<int64_t>(agg.offered, 1));
+  json::Value record = ServingRecord(
+      scenario, scenario, threads, batch_size, agg.offered,
+      metrics::SummarizeLatencies(agg.latencies_ms),
+      static_cast<double>(agg.completed) / std::max(window_s, 1e-9));
+  record.Set("window", json::Value::Int(window));
+  record.Set("completed", json::Value::Int(agg.completed));
+  record.Set("shed", json::Value::Int(agg.shed));
+  record.Set("expired", json::Value::Int(agg.expired));
+  record.Set("shed_rate",
+             json::Value::Number(static_cast<double>(agg.shed) / denom));
+  record.Set("deadline_miss_rate",
+             json::Value::Number(static_cast<double>(agg.expired) / denom));
+  return record;
+}
+
+/// What a standalone plan session over seed-`seed` weights forecasts for the
+/// first ring window: the bitwise reference a served lane must reproduce.
+bool StandaloneForecast(const ServingWorkload& w, const ServingConfig& c,
+                        uint64_t seed, std::vector<float>* values,
+                        std::string* error) {
+  const auto session = BuildServingSession(w, c, seed, /*use_plans=*/true);
+  const infer::Forecast forecast =
+      session != nullptr ? session->PredictOne(w.ring[0]) : infer::Forecast{};
+  if (!forecast.ok) {
+    *error = "standalone forward of seed " + std::to_string(seed) +
+             " failed: " + forecast.error;
+    return false;
+  }
+  *values = forecast.values;
+  return true;
+}
+
+/// A mid-run checkpoint hot swap of one lane: a CheckpointReloader
+/// watching a private directory, the twin weights (seed + 1) saved into it
+/// while traffic runs, and the forecast of the first ring window they must
+/// serve bitwise once swapped in. The reloader is stopped and the directory
+/// removed on destruction. An unstarted drill drops nothing.
+struct HotSwapDrill {
+  std::unique_ptr<train::ForecastingModel> twin;
+  std::vector<float> reference;
+  std::filesystem::path dir;
+  std::unique_ptr<infer::CheckpointReloader> reloader;
+  bool dropped = false;
+
+  HotSwapDrill() = default;
+  HotSwapDrill(const HotSwapDrill&) = delete;
+  HotSwapDrill& operator=(const HotSwapDrill&) = delete;
+  ~HotSwapDrill() {
+    reloader.reset();
+    std::error_code ec;
+    if (!dir.empty()) std::filesystem::remove_all(dir, ec);
+  }
+
+  /// Builds the twin of the seed-`seed` lane, its standalone forecast and a
+  /// fresh watch directory named after `tag` and `threads`, then starts a
+  /// reloader polling it every `poll_ms` that swaps into `host`.
+  bool Start(const ServingWorkload& w, const ServingConfig& c, uint64_t seed,
+             const std::string& tag, int64_t threads, int64_t poll_ms,
+             infer::SessionHost* host, std::string* error) {
+    if (!StandaloneForecast(w, c, seed + 1, &reference, error)) return false;
+    twin = BuildServingModel(w, c, seed + 1);
+    dir = std::filesystem::temp_directory_path() /
+          ("d2stgnn_" + tag + "_" + std::to_string(::getpid()) + "_t" +
+           std::to_string(threads));
+    std::error_code ec;
+    std::filesystem::remove_all(dir, ec);
+    std::filesystem::create_directories(dir, ec);
+    infer::HotReloadOptions options;
+    options.directory = dir.string();
+    options.poll_interval_ms = poll_ms;
+    reloader = std::make_unique<infer::CheckpointReloader>(
+        host, [&w, &c, seed] { return BuildServingModel(w, c, seed); },
+        w.scaler, ServingSessionOptions(w, c, /*use_plans=*/true), options);
+    reloader->Start();
+    return true;
+  }
+
+  /// Saves the twin as the step-1 checkpoint, once.
+  void Drop() {
+    if (twin == nullptr || dropped) return;
+    train::SaveCheckpoint(*twin, train::CheckpointPathForStep(dir.string(), 1));
+    dropped = true;
+  }
+};
+
+/// Waits up to a minute for `reloader`'s first swap (it retries through
+/// injected staging faults) and returns its swap count.
+int64_t AwaitFirstSwap(const infer::CheckpointReloader& reloader) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (reloader.stats().swaps == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return reloader.stats().swaps;
+}
+
+/// The summaries every open-loop drill (overload, fleet) reports besides its
+/// own, and the failures that void the run: nothing completed, or a
+/// configured (`hot_swap`) mid-run swap that never landed or whose forecast
+/// is not bitwise the twin's.
+bool ReportDrill(const std::string& scenario, int64_t completed,
+                 bool hot_swap, int64_t hot_swaps, int64_t post_swap_bitwise,
+                 int64_t faults_armed, int64_t faults_fired,
+                 infer::OverloadTier max_tier, int64_t degrade_transitions,
+                 MetricsSink* sink, std::string* error) {
+  sink->SetSummary("hot_swaps", json::Value::Int(hot_swaps));
+  sink->SetSummary("post_swap_bitwise", json::Value::Int(post_swap_bitwise));
+  sink->SetSummary("faults_armed", json::Value::Int(faults_armed));
+  sink->SetSummary("faults_fired", json::Value::Int(faults_fired));
+  sink->SetSummary("max_tier",
+                   json::Value::Str(infer::OverloadTierName(max_tier)));
+  sink->SetSummary("degrade_transitions",
+                   json::Value::Int(degrade_transitions));
+  if (completed == 0) {
+    *error = scenario + " run completed zero requests";
+  } else if (hot_swap && hot_swaps == 0) {
+    *error = scenario + " run never hot-swapped the staged checkpoint";
+  } else if (hot_swap && post_swap_bitwise != 1) {
+    *error = scenario + " run's post-swap forecast is not bitwise the staged "
+                        "twin";
+  } else {
+    return true;
+  }
+  return false;
+}
+
 /// Open-loop producers past saturation: the closed-loop overload scenario
 /// of DESIGN.md §13. Offered load is a multiple of the *measured* serving
 /// rate (self-calibrating, so the same spec saturates under a sanitizer
@@ -780,45 +887,25 @@ int64_t ArmChaosFaults(const std::vector<std::string>& entries) {
 bool SweepOverload(const ServingConfig& c, const ServingWorkload& w,
                    int64_t threads, MetricsSink* sink, std::string* error) {
   SetNumThreads(static_cast<int>(threads));
-  using clock = std::chrono::steady_clock;
 
   // The server takes shared ownership: a mid-run SwapSession retires this
   // session once the last in-flight batch lets go of it.
-  std::shared_ptr<infer::InferenceSession> session(
-      BuildServingSession(w, c, /*use_plans=*/true).release());
+  std::shared_ptr<infer::InferenceSession> session =
+      BuildServingSession(w, c, c.model_seed, /*use_plans=*/true);
   if (session == nullptr) {
     *error = "failed to build the overload inference session";
     return false;
   }
 
   // Calibrate: measure the saturated serving rate at the max batch size.
-  session->Warmup(c.max_batch_size, /*runs=*/2);
-  std::vector<infer::ForecastRequest> calibration_batch;
-  for (int64_t i = 0; i < c.max_batch_size; ++i) {
-    calibration_batch.push_back(w.ring[static_cast<size_t>(i) % w.ring.size()]);
+  Saturation saturation;
+  if (!CalibrateSaturation(session.get(), w.ring, c.max_batch_size,
+                           &saturation, error)) {
+    return false;
   }
-  constexpr int64_t kCalibrationIters = 5;
-  const auto calibration_start = clock::now();
-  for (int64_t i = 0; i < kCalibrationIters; ++i) {
-    for (const infer::Forecast& f : session->PredictRequests(calibration_batch)) {
-      if (!f.ok) {
-        *error = "overload calibration forward failed: " + f.error;
-        return false;
-      }
-    }
-  }
-  const double calibration_s =
-      std::chrono::duration<double>(clock::now() - calibration_start).count();
-  const double saturation_rps =
-      static_cast<double>(kCalibrationIters * c.max_batch_size) /
-      std::max(calibration_s, 1e-9);
   const double offered_rps =
-      std::max(1.0, saturation_rps * c.overload_factor);
-  const double batch_us = calibration_s * 1e6 / kCalibrationIters;
-  const int64_t deadline_us =
-      c.deadline_ms > 0 ? c.deadline_ms * 1000
-                        : std::max<int64_t>(5000,
-                                            static_cast<int64_t>(5 * batch_us));
+      std::max(1.0, saturation.rps * c.overload_factor);
+  const int64_t deadline_us = saturation.DeadlineUs(c.deadline_ms);
 
   const int64_t faults_armed = ArmChaosFaults(c.chaos_faults);
 
@@ -831,178 +918,48 @@ bool SweepOverload(const ServingConfig& c, const ServingWorkload& w,
   infer::BatchingServer server(session, options);
 
   // Hot-reload plumbing: twin weights (model_seed + 1) are checkpointed
-  // into a private watch directory one window into the run. The bitwise
-  // reference comes from an identically-seeded twin session.
-  std::unique_ptr<infer::CheckpointReloader> reloader;
-  std::unique_ptr<train::ForecastingModel> swap_model;
-  std::vector<float> swap_reference;
-  std::filesystem::path watch_dir;
-  if (c.hot_swap) {
-    const uint64_t swap_seed = c.model_seed + 1;
-    auto reference_session = infer::InferenceSession::Wrap(
-        BuildServingModel(w, c, swap_seed), w.scaler,
-        ServingSessionOptions(w, c, /*use_plans=*/true));
-    if (reference_session == nullptr) {
-      *error = "failed to build the hot-swap reference session";
-      return false;
-    }
-    const infer::Forecast reference = reference_session->PredictOne(w.ring[0]);
-    if (!reference.ok) {
-      *error = "hot-swap reference forward failed: " + reference.error;
-      return false;
-    }
-    swap_reference = reference.values;
-    swap_model = BuildServingModel(w, c, swap_seed);  // saved mid-run
-
-    watch_dir = std::filesystem::temp_directory_path() /
-                ("d2stgnn_overload_" + std::to_string(::getpid()) + "_t" +
-                 std::to_string(threads));
-    std::error_code ec;
-    std::filesystem::remove_all(watch_dir, ec);
-    std::filesystem::create_directories(watch_dir, ec);
-    infer::HotReloadOptions reload_options;
-    reload_options.directory = watch_dir.string();
-    reload_options.poll_interval_ms = std::max<int64_t>(10, c.window_ms / 10);
-    reloader = std::make_unique<infer::CheckpointReloader>(
-        &server, [&w, &c] { return BuildServingModel(w, c, c.model_seed); },
-        w.scaler, ServingSessionOptions(w, c, /*use_plans=*/true),
-        reload_options);
-    reloader->Start();
+  // into a private watch directory one window into the run.
+  HotSwapDrill drill;
+  if (c.hot_swap &&
+      !drill.Start(w, c, c.model_seed, "overload", threads,
+                   std::max<int64_t>(10, c.window_ms / 10), &server, error)) {
+    return false;
   }
 
-  // Open-loop producers: each submits on its own fixed cadence regardless
-  // of completions (that is what makes shedding observable), a paired
-  // harvester resolves the futures in FIFO order and timestamps them.
-  struct Outstanding {
-    std::future<infer::Forecast> future;
-    clock::time_point submitted;
-    int64_t window = 0;
+  // Open-loop producers sharing one lane at the offered rate. Every request
+  // carries the deadline, every Nth is low priority. Mid-run: the hot-swap
+  // checkpoint drops one window in, and the worst tier is tracked.
+  infer::OverloadTier max_tier = infer::OverloadTier::kNormal;
+  OpenLoopOptions load_options;
+  load_options.lane_rps = {offered_rps};
+  load_options.producers_per_lane = std::max<int64_t>(1, c.producers);
+  load_options.seconds =
+      static_cast<double>(c.overload_windows * c.window_ms) / 1000.0;
+  load_options.windows = c.overload_windows;
+  load_options.on_tick = [&](double elapsed_s) {
+    if (elapsed_s * 1000.0 >= static_cast<double>(c.window_ms)) drill.Drop();
+    max_tier = std::max(max_tier, server.stats().tier);
   };
-  struct Sample {
-    int64_t window = 0;
-    bool ok = false;
-    infer::RejectReason reason = infer::RejectReason::kNone;
-    double latency_ms = 0.0;
-  };
-  struct Channel {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::deque<Outstanding> pending;
-    bool done = false;
-    std::vector<Sample> samples;
-  };
-
-  const int64_t producers = std::max<int64_t>(1, c.producers);
-  const double period_s = static_cast<double>(producers) / offered_rps;
-  const auto run_start = clock::now();
-  const auto run_end =
-      run_start + std::chrono::milliseconds(c.overload_windows * c.window_ms);
-  std::vector<std::unique_ptr<Channel>> channels;
-  for (int64_t p = 0; p < producers; ++p) {
-    channels.push_back(std::make_unique<Channel>());
-  }
-  std::atomic<int64_t> sequence{0};
-
-  std::vector<std::thread> workers;
-  for (int64_t p = 0; p < producers; ++p) {
-    Channel* channel = channels[static_cast<size_t>(p)].get();
-    workers.emplace_back([&, p, channel] {
-      auto next = run_start + std::chrono::duration_cast<clock::duration>(
-                                  std::chrono::duration<double>(
-                                      period_s * static_cast<double>(p) /
-                                      static_cast<double>(producers)));
-      while (next < run_end) {
-        std::this_thread::sleep_until(next);
-        const auto now = clock::now();
-        if (now >= run_end) break;
-        const int64_t seq = sequence.fetch_add(1);
+  const LoadResult load =
+      LoadGenerator([&](const LoadRequest& r) {
         infer::ForecastRequest request =
-            w.ring[static_cast<size_t>(seq) % w.ring.size()];
+            w.ring[static_cast<size_t>(r.seq) % w.ring.size()];
         request.deadline_us = deadline_us;
         if (c.low_priority_every > 0 &&
-            seq % c.low_priority_every == c.low_priority_every - 1) {
+            r.seq % c.low_priority_every == c.low_priority_every - 1) {
           request.priority = infer::RequestPriority::kLow;
         }
-        Outstanding out;
-        out.submitted = now;
-        out.window = std::min<int64_t>(
-            c.overload_windows - 1,
-            std::chrono::duration_cast<std::chrono::milliseconds>(now -
-                                                                  run_start)
-                    .count() /
-                c.window_ms);
-        out.future = server.Submit(std::move(request));
-        {
-          std::lock_guard<std::mutex> lock(channel->mu);
-          channel->pending.push_back(std::move(out));
-        }
-        channel->cv.notify_one();
-        next += std::chrono::duration_cast<clock::duration>(
-            std::chrono::duration<double>(period_s));
-      }
-      {
-        std::lock_guard<std::mutex> lock(channel->mu);
-        channel->done = true;
-      }
-      channel->cv.notify_one();
-    });
-    workers.emplace_back([channel] {
-      for (;;) {
-        Outstanding out;
-        {
-          std::unique_lock<std::mutex> lock(channel->mu);
-          channel->cv.wait(lock, [channel] {
-            return channel->done || !channel->pending.empty();
-          });
-          if (channel->pending.empty()) return;  // done and drained
-          out = std::move(channel->pending.front());
-          channel->pending.pop_front();
-        }
-        const infer::Forecast forecast = out.future.get();
-        Sample sample;
-        sample.window = out.window;
-        sample.ok = forecast.ok;
-        sample.reason = forecast.reason;
-        sample.latency_ms = std::chrono::duration<double, std::milli>(
-                                clock::now() - out.submitted)
-                                .count();
-        std::lock_guard<std::mutex> lock(channel->mu);
-        channel->samples.push_back(sample);
-      }
-    });
-  }
-
-  // Main thread: drop the hot-swap checkpoint one window in, and track the
-  // worst degradation tier while the run progresses.
-  infer::OverloadTier max_tier = infer::OverloadTier::kNormal;
-  bool checkpoint_dropped = false;
-  while (clock::now() < run_end) {
-    if (!checkpoint_dropped && swap_model != nullptr &&
-        clock::now() >= run_start + std::chrono::milliseconds(c.window_ms)) {
-      train::SaveCheckpoint(
-          *swap_model, train::CheckpointPathForStep(watch_dir.string(), 1));
-      checkpoint_dropped = true;
-    }
-    max_tier = std::max(max_tier, server.stats().tier);
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  if (!checkpoint_dropped && swap_model != nullptr) {
-    train::SaveCheckpoint(
-        *swap_model, train::CheckpointPathForStep(watch_dir.string(), 1));
-  }
-  for (std::thread& t : workers) t.join();
+        return server.Submit(std::move(request));
+      }).OpenLoop(load_options);
+  drill.Drop();
   max_tier = std::max(max_tier, server.stats().tier);
 
-  // The swap must land (the reloader retries through injected faults) and
-  // the post-swap forecast must be bitwise the twin reference.
+  // The swap must land and the post-swap forecast must be bitwise the twin
+  // reference.
   int64_t hot_swaps = 0;
   int64_t post_swap_bitwise = -1;
-  if (reloader != nullptr) {
-    const auto swap_deadline = clock::now() + std::chrono::seconds(60);
-    while (reloader->stats().swaps == 0 && clock::now() < swap_deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    hot_swaps = reloader->stats().swaps;
+  if (drill.reloader != nullptr) {
+    hot_swaps = AwaitFirstSwap(*drill.reloader);
     if (hot_swaps > 0) {
       infer::RetryPolicy policy;
       policy.max_attempts = 16;
@@ -1011,43 +968,23 @@ bool SweepOverload(const ServingConfig& c, const ServingWorkload& w,
       const infer::RetryResult probe =
           infer::SubmitWithRetry(&server, w.ring[0], policy);
       post_swap_bitwise =
-          probe.forecast.ok && probe.forecast.values == swap_reference ? 1 : 0;
+          probe.forecast.ok && probe.forecast.values == drill.reference ? 1
+                                                                        : 0;
     } else {
       post_swap_bitwise = 0;
     }
-    reloader->Stop();
+    drill.reloader->Stop();
   }
   server.Shutdown();
   const infer::BatchingServerStats server_stats = server.stats();
   const int64_t faults_fired = fault::FaultFireCount();
   fault::DisarmAllFaultPoints();
-  if (reloader != nullptr) {
-    std::error_code ec;
-    std::filesystem::remove_all(watch_dir, ec);
-  }
 
   // Per-window trajectory records.
-  struct WindowAgg {
-    int64_t offered = 0, completed = 0, shed = 0, expired = 0;
-    std::vector<double> latencies_ms;
-  };
-  std::vector<WindowAgg> window_aggs(static_cast<size_t>(c.overload_windows));
+  const std::vector<WindowAgg> window_aggs =
+      AggregateWindows(load, c.overload_windows, /*lane=*/-1);
   int64_t total_offered = 0, total_completed = 0, total_shed = 0,
           total_expired = 0;
-  for (const std::unique_ptr<Channel>& channel : channels) {
-    for (const Sample& sample : channel->samples) {
-      WindowAgg& agg = window_aggs[static_cast<size_t>(sample.window)];
-      ++agg.offered;
-      if (sample.ok) {
-        ++agg.completed;
-        agg.latencies_ms.push_back(sample.latency_ms);
-      } else if (sample.reason == infer::RejectReason::kDeadlineExceeded) {
-        ++agg.expired;
-      } else {
-        ++agg.shed;
-      }
-    }
-  }
   const double window_s = static_cast<double>(c.window_ms) / 1000.0;
   double max_p99_ms = 0.0;
   for (int64_t i = 0; i < c.overload_windows; ++i) {
@@ -1056,28 +993,15 @@ bool SweepOverload(const ServingConfig& c, const ServingWorkload& w,
     total_completed += agg.completed;
     total_shed += agg.shed;
     total_expired += agg.expired;
-    const metrics::LatencyStats latency =
-        metrics::SummarizeLatencies(agg.latencies_ms);
-    max_p99_ms = std::max(max_p99_ms, latency.p99);
-    const double denom = static_cast<double>(std::max<int64_t>(agg.offered, 1));
-    json::Value record = ServingRecord(
-        "overload", "overload", threads, c.max_batch_size, agg.offered,
-        latency,
-        static_cast<double>(agg.completed) / std::max(window_s, 1e-9));
-    record.Set("window", json::Value::Int(i));
-    record.Set("completed", json::Value::Int(agg.completed));
-    record.Set("shed", json::Value::Int(agg.shed));
-    record.Set("expired", json::Value::Int(agg.expired));
-    record.Set("shed_rate",
-               json::Value::Number(static_cast<double>(agg.shed) / denom));
-    record.Set("deadline_miss_rate",
-               json::Value::Number(static_cast<double>(agg.expired) / denom));
-    sink->AddRecord(std::move(record));
+    max_p99_ms = std::max(max_p99_ms,
+                          metrics::SummarizeLatencies(agg.latencies_ms).p99);
+    sink->AddRecord(WindowRecord("overload", threads, c.max_batch_size, i,
+                                 agg, window_s));
   }
 
   const double total_denom =
       static_cast<double>(std::max<int64_t>(total_offered, 1));
-  sink->SetSummary("saturation_rps", json::Value::Number(saturation_rps));
+  sink->SetSummary("saturation_rps", json::Value::Number(saturation.rps));
   sink->SetSummary("offered_rps", json::Value::Number(offered_rps));
   sink->SetSummary("overload_shed_rate",
                    json::Value::Number(static_cast<double>(total_shed) /
@@ -1087,30 +1011,11 @@ bool SweepOverload(const ServingConfig& c, const ServingWorkload& w,
                                        total_denom));
   sink->SetSummary("overload_completed", json::Value::Int(total_completed));
   sink->SetSummary("overload_max_p99_ms", json::Value::Number(max_p99_ms));
-  sink->SetSummary("hot_swaps", json::Value::Int(hot_swaps));
-  sink->SetSummary("post_swap_bitwise", json::Value::Int(post_swap_bitwise));
-  sink->SetSummary("faults_armed", json::Value::Int(faults_armed));
-  sink->SetSummary("faults_fired", json::Value::Int(faults_fired));
-  sink->SetSummary("max_tier",
-                   json::Value::Str(infer::OverloadTierName(max_tier)));
-  sink->SetSummary("degrade_transitions",
-                   json::Value::Int(server_stats.degrade_transitions));
   sink->SetSummary("session_swaps",
                    json::Value::Int(server_stats.session_swaps));
-
-  if (total_completed == 0) {
-    *error = "overload run completed zero requests";
-    return false;
-  }
-  if (c.hot_swap && hot_swaps == 0) {
-    *error = "overload run never hot-swapped the staged checkpoint";
-    return false;
-  }
-  if (c.hot_swap && post_swap_bitwise != 1) {
-    *error = "post-swap forecast is not bitwise equal to the staged weights";
-    return false;
-  }
-  return true;
+  return ReportDrill("overload", total_completed, c.hot_swap, hot_swaps,
+                     post_swap_bitwise, faults_armed, faults_fired, max_tier,
+                     server_stats.degrade_transitions, sink, error);
 }
 
 /// The multi-city fleet scenario (DESIGN.md §14): one FleetServer hosts
@@ -1126,7 +1031,6 @@ bool SweepOverload(const ServingConfig& c, const ServingWorkload& w,
 bool SweepFleet(const ServingConfig& c, const ServingWorkload& w,
                 int64_t threads, MetricsSink* sink, std::string* error) {
   SetNumThreads(static_cast<int>(threads));
-  using clock = std::chrono::steady_clock;
 
   std::vector<FleetTenant> tenants;
   if (!ParseFleetTenants(c, &tenants, error)) return false;
@@ -1140,66 +1044,29 @@ bool SweepFleet(const ServingConfig& c, const ServingWorkload& w,
   infer::ModelFleet fleet;
   std::map<std::string, std::vector<float>> reference;
   for (const FleetTenant& tenant : tenants) {
-    std::shared_ptr<infer::InferenceSession> session(
-        infer::InferenceSession::Wrap(BuildServingModel(w, c, tenant.seed),
-                                      w.scaler,
-                                      ServingSessionOptions(w, c, true))
-            .release());
-    auto standalone = infer::InferenceSession::Wrap(
-        BuildServingModel(w, c, tenant.seed), w.scaler,
-        ServingSessionOptions(w, c, true));
-    if (session == nullptr || standalone == nullptr) {
-      *error = "failed to build fleet sessions for '" + tenant.id + "'";
+    if (!StandaloneForecast(w, c, tenant.seed, &reference[tenant.id],
+                            error)) {
       return false;
     }
-    const infer::Forecast ref = standalone->PredictOne(w.ring[0]);
-    if (!ref.ok) {
-      *error = "standalone reference forward failed for '" + tenant.id +
-               "': " + ref.error;
-      return false;
-    }
-    reference[tenant.id] = ref.values;
-
     infer::FleetModelOptions model_options;
     model_options.model_id = tenant.id;
     model_options.slo = tenant.slo;
     model_options.max_batch_size = c.max_batch_size;
     model_options.max_wait_us = c.max_wait_us;
-    if (!fleet.AddModel(std::move(session), model_options, error)) {
+    if (!fleet.AddModel(BuildServingSession(w, c, tenant.seed, true),
+                        model_options, error)) {
       return false;
     }
   }
 
   // Calibrate the saturated serving rate once — every tenant shares the
   // architecture, so one measurement sizes all the offered loads.
-  std::shared_ptr<infer::InferenceSession> calibration_session =
-      fleet.session(tenants.front().id);
-  calibration_session->Warmup(c.max_batch_size, /*runs=*/2);
-  std::vector<infer::ForecastRequest> calibration_batch;
-  for (int64_t i = 0; i < c.max_batch_size; ++i) {
-    calibration_batch.push_back(w.ring[static_cast<size_t>(i) % w.ring.size()]);
+  Saturation saturation;
+  if (!CalibrateSaturation(fleet.session(tenants.front().id).get(), w.ring,
+                           c.max_batch_size, &saturation, error)) {
+    return false;
   }
-  constexpr int64_t kCalibrationIters = 5;
-  const auto calibration_start = clock::now();
-  for (int64_t i = 0; i < kCalibrationIters; ++i) {
-    for (const infer::Forecast& f :
-         calibration_session->PredictRequests(calibration_batch)) {
-      if (!f.ok) {
-        *error = "fleet calibration forward failed: " + f.error;
-        return false;
-      }
-    }
-  }
-  const double calibration_s =
-      std::chrono::duration<double>(clock::now() - calibration_start).count();
-  const double saturation_rps =
-      static_cast<double>(kCalibrationIters * c.max_batch_size) /
-      std::max(calibration_s, 1e-9);
-  const double batch_us = calibration_s * 1e6 / kCalibrationIters;
-  const int64_t deadline_us =
-      c.fleet_deadline_ms > 0
-          ? c.fleet_deadline_ms * 1000
-          : std::max<int64_t>(5000, static_cast<int64_t>(5 * batch_us));
+  const int64_t deadline_us = saturation.DeadlineUs(c.fleet_deadline_ms);
 
   const int64_t faults_armed = ArmChaosFaults(c.chaos_faults);
 
@@ -1208,182 +1075,53 @@ bool SweepFleet(const ServingConfig& c, const ServingWorkload& w,
   infer::FleetServer server(&fleet, fleet_options);
 
   // Hot-reload plumbing for the one reloaded tenant: twin weights
-  // (seed + 1) land in a private watch directory one window into the run;
-  // the bitwise reference comes from an identically-seeded twin session.
-  std::unique_ptr<train::ForecastingModel> swap_model;
-  std::vector<float> swap_reference;
-  std::filesystem::path watch_dir;
-  uint64_t reload_seed = 0;
+  // (seed + 1) land in a private watch directory one window into the run.
+  HotSwapDrill drill;
   if (c.fleet_hot_swap) {
+    uint64_t reload_seed = 0;
     for (const FleetTenant& tenant : tenants) {
       if (tenant.id == reload_id) reload_seed = tenant.seed;
     }
-    auto twin_session = infer::InferenceSession::Wrap(
-        BuildServingModel(w, c, reload_seed + 1), w.scaler,
-        ServingSessionOptions(w, c, true));
-    if (twin_session == nullptr) {
-      *error = "failed to build the fleet hot-reload twin session";
+    if (!drill.Start(w, c, reload_seed, "fleet", threads,
+                     std::max<int64_t>(5, c.fleet_reload_poll_ms),
+                     server.host(reload_id), error)) {
       return false;
     }
-    const infer::Forecast twin = twin_session->PredictOne(w.ring[0]);
-    if (!twin.ok) {
-      *error = "fleet hot-reload twin forward failed: " + twin.error;
-      return false;
-    }
-    swap_reference = twin.values;
-    swap_model = BuildServingModel(w, c, reload_seed + 1);  // saved mid-run
-
-    watch_dir = std::filesystem::temp_directory_path() /
-                ("d2stgnn_fleet_" + std::to_string(::getpid()) + "_t" +
-                 std::to_string(threads));
-    std::error_code ec;
-    std::filesystem::remove_all(watch_dir, ec);
-    std::filesystem::create_directories(watch_dir, ec);
-    infer::HotReloadOptions reload_options;
-    reload_options.directory = watch_dir.string();
-    reload_options.poll_interval_ms = std::max<int64_t>(5, c.fleet_reload_poll_ms);
-    if (!fleet.AttachReloader(
-            reload_id, server.host(reload_id),
-            [&w, &c, reload_seed] { return BuildServingModel(w, c, reload_seed); },
-            w.scaler, ServingSessionOptions(w, c, true), reload_options,
-            error)) {
-      return false;
-    }
-    fleet.StartReloaders();
   }
 
-  // One open-loop producer + harvester pair per tenant, each on its own
-  // cadence: offered = saturation * tenant.factor, regardless of
-  // completions (that is what makes per-tenant shedding observable).
-  struct Outstanding {
-    std::future<infer::Forecast> future;
-    clock::time_point submitted;
-    int64_t window = 0;
-  };
-  struct Sample {
-    int64_t window = 0;
-    bool ok = false;
-    infer::RejectReason reason = infer::RejectReason::kNone;
-    double latency_ms = 0.0;
-  };
-  struct Channel {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::deque<Outstanding> pending;
-    bool done = false;
-    std::vector<Sample> samples;
-  };
-
-  const auto run_start = clock::now();
-  const auto run_end =
-      run_start +
-      std::chrono::milliseconds(c.fleet_windows * c.fleet_window_ms);
-  std::vector<std::unique_ptr<Channel>> channels;
-  for (size_t t = 0; t < tenants.size(); ++t) {
-    channels.push_back(std::make_unique<Channel>());
-  }
-
-  std::vector<std::thread> workers;
-  for (size_t t = 0; t < tenants.size(); ++t) {
-    const FleetTenant& tenant = tenants[t];
-    Channel* channel = channels[t].get();
-    const double rate_rps = std::max(1.0, saturation_rps * tenant.factor);
-    const double period_s = 1.0 / rate_rps;
-    workers.emplace_back([&, t, channel, period_s] {
-      int64_t seq = 0;
-      auto next = run_start + std::chrono::duration_cast<clock::duration>(
-                                  std::chrono::duration<double>(
-                                      period_s * static_cast<double>(t) /
-                                      static_cast<double>(tenants.size())));
-      while (next < run_end) {
-        std::this_thread::sleep_until(next);
-        const auto now = clock::now();
-        if (now >= run_end) break;
-        infer::ForecastRequest request =
-            w.ring[static_cast<size_t>(seq++) % w.ring.size()];
-        request.deadline_us = deadline_us;
-        Outstanding out;
-        out.submitted = now;
-        out.window = std::min<int64_t>(
-            c.fleet_windows - 1,
-            std::chrono::duration_cast<std::chrono::milliseconds>(now -
-                                                                  run_start)
-                    .count() /
-                c.fleet_window_ms);
-        out.future = server.Submit(tenants[t].id, std::move(request));
-        {
-          std::lock_guard<std::mutex> lock(channel->mu);
-          channel->pending.push_back(std::move(out));
-        }
-        channel->cv.notify_one();
-        next += std::chrono::duration_cast<clock::duration>(
-            std::chrono::duration<double>(period_s));
-      }
-      {
-        std::lock_guard<std::mutex> lock(channel->mu);
-        channel->done = true;
-      }
-      channel->cv.notify_one();
-    });
-    workers.emplace_back([channel] {
-      for (;;) {
-        Outstanding out;
-        {
-          std::unique_lock<std::mutex> lock(channel->mu);
-          channel->cv.wait(lock, [channel] {
-            return channel->done || !channel->pending.empty();
-          });
-          if (channel->pending.empty()) return;  // done and drained
-          out = std::move(channel->pending.front());
-          channel->pending.pop_front();
-        }
-        const infer::Forecast forecast = out.future.get();
-        Sample sample;
-        sample.window = out.window;
-        sample.ok = forecast.ok;
-        sample.reason = forecast.reason;
-        sample.latency_ms = std::chrono::duration<double, std::milli>(
-                                clock::now() - out.submitted)
-                                .count();
-        std::lock_guard<std::mutex> lock(channel->mu);
-        channel->samples.push_back(sample);
-      }
-    });
-  }
-
-  // Main thread: drop the reload tenant's twin checkpoint one window in,
-  // and track the worst degradation tier while the run progresses.
+  // One open-loop lane per tenant: offered = saturation * tenant.factor,
+  // regardless of completions (that is what makes per-tenant shedding
+  // observable). Mid-run: the reload tenant's twin checkpoint drops one
+  // window in, and the worst tier is tracked.
   infer::OverloadTier max_tier = infer::OverloadTier::kNormal;
-  bool checkpoint_dropped = false;
-  while (clock::now() < run_end) {
-    if (!checkpoint_dropped && swap_model != nullptr &&
-        clock::now() >=
-            run_start + std::chrono::milliseconds(c.fleet_window_ms)) {
-      train::SaveCheckpoint(
-          *swap_model, train::CheckpointPathForStep(watch_dir.string(), 1));
-      checkpoint_dropped = true;
+  OpenLoopOptions load_options;
+  for (const FleetTenant& tenant : tenants) {
+    load_options.lane_rps.push_back(
+        std::max(1.0, saturation.rps * tenant.factor));
+  }
+  load_options.seconds =
+      static_cast<double>(c.fleet_windows * c.fleet_window_ms) / 1000.0;
+  load_options.windows = c.fleet_windows;
+  load_options.on_tick = [&](double elapsed_s) {
+    if (elapsed_s * 1000.0 >= static_cast<double>(c.fleet_window_ms)) {
+      drill.Drop();
     }
     max_tier = std::max(max_tier, server.stats().tier);
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  if (!checkpoint_dropped && swap_model != nullptr) {
-    train::SaveCheckpoint(
-        *swap_model, train::CheckpointPathForStep(watch_dir.string(), 1));
-  }
-  for (std::thread& t : workers) t.join();
+  };
+  const LoadResult load =
+      LoadGenerator([&](const LoadRequest& r) {
+        infer::ForecastRequest request =
+            w.ring[static_cast<size_t>(r.seq) % w.ring.size()];
+        request.deadline_us = deadline_us;
+        return server.Submit(tenants[static_cast<size_t>(r.lane)].id,
+                             std::move(request));
+      }).OpenLoop(load_options);
+  drill.Drop();
   max_tier = std::max(max_tier, server.stats().tier);
 
-  // The reload must land before the probes (the reloader retries through
-  // any injected staging fault).
-  int64_t hot_swaps = 0;
-  if (c.fleet_hot_swap) {
-    infer::CheckpointReloader* reloader = fleet.reloader(reload_id);
-    const auto swap_deadline = clock::now() + std::chrono::seconds(60);
-    while (reloader->stats().swaps == 0 && clock::now() < swap_deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    hot_swaps = reloader->stats().swaps;
-  }
+  // The reload must land before the probes.
+  const int64_t hot_swaps =
+      c.fleet_hot_swap ? AwaitFirstSwap(*drill.reloader) : 0;
 
   // Bitwise probes, after the backlog drains: every tenant must serve
   // exactly what its standalone session serves — the reloaded tenant, what
@@ -1400,28 +1138,20 @@ bool SweepFleet(const ServingConfig& c, const ServingWorkload& w,
         infer::SubmitWithRetry(&server, tenant.id, w.ring[0], policy);
     const bool reloaded = c.fleet_hot_swap && tenant.id == reload_id;
     const std::vector<float>& expected =
-        reloaded && hot_swaps > 0 ? swap_reference : reference[tenant.id];
+        reloaded && hot_swaps > 0 ? drill.reference : reference[tenant.id];
     const bool bitwise = probe.forecast.ok && probe.forecast.values == expected;
     if (bitwise) ++bitwise_models;
     if (reloaded) post_swap_bitwise = bitwise && hot_swaps > 0 ? 1 : 0;
   }
 
-  fleet.StopReloaders();
+  if (drill.reloader != nullptr) drill.reloader->Stop();
   server.Shutdown();
   const infer::FleetStats fleet_stats = server.stats();
   const int64_t faults_fired = fault::FaultFireCount();
   fault::DisarmAllFaultPoints();
-  if (c.fleet_hot_swap) {
-    std::error_code ec;
-    std::filesystem::remove_all(watch_dir, ec);
-  }
 
   // Per-(model, window) trajectory records, plus per-tenant aggregates for
   // the isolation summaries.
-  struct WindowAgg {
-    int64_t offered = 0, completed = 0, shed = 0, expired = 0;
-    std::vector<double> latencies_ms;
-  };
   const double window_s = static_cast<double>(c.fleet_window_ms) / 1000.0;
   int64_t total_completed = 0;
   int64_t high_offered = 0, high_shed = 0, high_expired = 0;
@@ -1437,21 +1167,8 @@ bool SweepFleet(const ServingConfig& c, const ServingWorkload& w,
                         tenant.id == (c.fleet_hot_model.empty()
                                           ? tenants.back().id
                                           : c.fleet_hot_model);
-    std::vector<WindowAgg> aggs(static_cast<size_t>(c.fleet_windows));
-    std::vector<double> tenant_latencies;
-    for (const Sample& sample : channels[t]->samples) {
-      WindowAgg& agg = aggs[static_cast<size_t>(sample.window)];
-      ++agg.offered;
-      if (sample.ok) {
-        ++agg.completed;
-        agg.latencies_ms.push_back(sample.latency_ms);
-        tenant_latencies.push_back(sample.latency_ms);
-      } else if (sample.reason == infer::RejectReason::kDeadlineExceeded) {
-        ++agg.expired;
-      } else {
-        ++agg.shed;
-      }
-    }
+    const std::vector<WindowAgg> aggs = AggregateWindows(
+        load, c.fleet_windows, static_cast<int64_t>(t));
     for (int64_t i = 0; i < c.fleet_windows; ++i) {
       const WindowAgg& agg = aggs[static_cast<size_t>(i)];
       total_completed += agg.completed;
@@ -1464,29 +1181,19 @@ bool SweepFleet(const ServingConfig& c, const ServingWorkload& w,
         hot_offered += agg.offered;
         hot_shed += agg.shed;
       }
-      const double denom =
-          static_cast<double>(std::max<int64_t>(agg.offered, 1));
-      json::Value record = ServingRecord(
-          "fleet", "fleet", threads, c.max_batch_size, agg.offered,
-          metrics::SummarizeLatencies(agg.latencies_ms),
-          static_cast<double>(agg.completed) / std::max(window_s, 1e-9));
+      json::Value record =
+          WindowRecord("fleet", threads, c.max_batch_size, i, agg, window_s);
       record.Set("model", json::Value::Str(tenant.id));
       record.Set("slo", json::Value::Str(tenant.slo.name));
       record.Set("priority", json::Value::Int(tenant.slo.priority));
-      record.Set("window", json::Value::Int(i));
-      record.Set("completed", json::Value::Int(agg.completed));
-      record.Set("shed", json::Value::Int(agg.shed));
-      record.Set("expired", json::Value::Int(agg.expired));
-      record.Set("shed_rate",
-                 json::Value::Number(static_cast<double>(agg.shed) / denom));
-      record.Set("deadline_miss_rate",
-                 json::Value::Number(static_cast<double>(agg.expired) /
-                                     denom));
       sink->AddRecord(std::move(record));
     }
     if (tenant.slo.priority == best_priority && !is_hot) {
       high_p99_ms = std::max(
-          high_p99_ms, metrics::SummarizeLatencies(tenant_latencies).p99);
+          high_p99_ms,
+          metrics::SummarizeLatencies(load.OkLatenciesMs(
+                                          static_cast<int64_t>(t)))
+              .p99);
     }
   }
 
@@ -1505,7 +1212,7 @@ bool SweepFleet(const ServingConfig& c, const ServingWorkload& w,
       static_cast<double>(std::max<int64_t>(high_offered, 1));
   const double hot_denom =
       static_cast<double>(std::max<int64_t>(hot_offered, 1));
-  sink->SetSummary("saturation_rps", json::Value::Number(saturation_rps));
+  sink->SetSummary("saturation_rps", json::Value::Number(saturation.rps));
   sink->SetSummary("fleet_models",
                    json::Value::Int(static_cast<int64_t>(tenants.size())));
   sink->SetSummary("fleet_completed", json::Value::Int(total_completed));
@@ -1520,28 +1227,12 @@ bool SweepFleet(const ServingConfig& c, const ServingWorkload& w,
                    json::Value::Number(static_cast<double>(hot_shed) /
                                        hot_denom));
   sink->SetSummary("rejected_quota", json::Value::Int(rejected_quota));
-  sink->SetSummary("hot_swaps", json::Value::Int(hot_swaps));
-  sink->SetSummary("post_swap_bitwise", json::Value::Int(post_swap_bitwise));
   sink->SetSummary("bitwise_models", json::Value::Int(bitwise_models));
   sink->SetSummary("others_session_swaps",
                    json::Value::Int(others_session_swaps));
-  sink->SetSummary("faults_armed", json::Value::Int(faults_armed));
-  sink->SetSummary("faults_fired", json::Value::Int(faults_fired));
-  sink->SetSummary("max_tier",
-                   json::Value::Str(infer::OverloadTierName(max_tier)));
-  sink->SetSummary("degrade_transitions",
-                   json::Value::Int(fleet_stats.degrade_transitions));
-
-  if (total_completed == 0) {
-    *error = "fleet run completed zero requests";
-    return false;
-  }
-  if (c.fleet_hot_swap && hot_swaps == 0) {
-    *error = "fleet run never hot-swapped the staged checkpoint";
-    return false;
-  }
-  if (c.fleet_hot_swap && post_swap_bitwise != 1) {
-    *error = "post-swap fleet forecast is not bitwise the staged twin";
+  if (!ReportDrill("fleet", total_completed, c.fleet_hot_swap, hot_swaps,
+                   post_swap_bitwise, faults_armed, faults_fired, max_tier,
+                   fleet_stats.degrade_transitions, sink, error)) {
     return false;
   }
   if (bitwise_models != static_cast<int64_t>(tenants.size())) {
@@ -1581,7 +1272,8 @@ bool RunServing(const ServingConfig& config, MetricsSink* sink,
       std::printf("serving backend: %s\n", backend.c_str());
       std::fflush(stdout);
     }
-    auto plan_session = BuildServingSession(w, config, /*use_plans=*/true);
+    auto plan_session =
+        BuildServingSession(w, config, config.model_seed, /*use_plans=*/true);
     if (plan_session == nullptr) {
       *error = "failed to build the plan-serving inference session";
       ok = false;
@@ -1598,7 +1290,8 @@ bool RunServing(const ServingConfig& config, MetricsSink* sink,
       std::fflush(stdout);
       if (scenario == "session-eager" || scenario == "session-plan") {
         if (scenario == "session-eager" && eager_session == nullptr) {
-          eager_session = BuildServingSession(w, config, /*use_plans=*/false);
+          eager_session = BuildServingSession(w, config, config.model_seed,
+                                              /*use_plans=*/false);
           if (eager_session == nullptr) {
             *error = "failed to build the eager inference session";
             ok = false;
@@ -1618,31 +1311,25 @@ bool RunServing(const ServingConfig& config, MetricsSink* sink,
           }
           if (!ok) break;
         }
-      } else if (scenario == "server") {
-        for (const int64_t threads : config.threads) {
-          if (!SweepServer(plan_session.get(), config, w, threads, sink,
-                           error)) {
-            ok = false;
-            break;
+      } else if (scenario != "parity") {  // the serving-core scenarios
+        const auto sweep = [&](int64_t threads) {
+          if (scenario == "server") {
+            return SweepServer(plan_session.get(), config, w, threads, sink,
+                               error);
           }
-        }
-      } else if (scenario == "overload") {
-        for (const int64_t threads : config.threads) {
-          if (!SweepOverload(config, w, threads, sink, error)) {
-            ok = false;
-            break;
+          if (scenario == "overload") {
+            return SweepOverload(config, w, threads, sink, error);
           }
-        }
-      } else if (scenario == "fleet") {
+          return SweepFleet(config, w, threads, sink, error);
+        };
         for (const int64_t threads : config.threads) {
-          if (!SweepFleet(config, w, threads, sink, error)) {
-            ok = false;
-            break;
-          }
+          ok = sweep(threads);
+          if (!ok) break;
         }
-      } else {  // parity
+      } else {
         if (eager_session == nullptr) {
-          eager_session = BuildServingSession(w, config, /*use_plans=*/false);
+          eager_session = BuildServingSession(w, config, config.model_seed,
+                                              /*use_plans=*/false);
           if (eager_session == nullptr) {
             *error = "failed to build the eager inference session";
             ok = false;

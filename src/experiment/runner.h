@@ -8,10 +8,10 @@
 
 // The experiment runner: expands a declarative Spec into its matrix of
 // measurement cells and drives the existing stacks — Trainer + Evaluator for
-// `kind = training`, InferenceSession / BatchingServer for `kind = serving`,
-// the synthetic generator for `kind = dataset` — routing every result
-// through MetricsSink (table + BENCH_*.json) and, when a baseline is
-// configured, through the RegressionGate.
+// `kind = training`, InferenceSession, the serving core and the LoadGenerator
+// for `kind = serving`, the synthetic generator for `kind = dataset` —
+// routing every result through MetricsSink (table + BENCH_*.json) and, when
+// a baseline is configured, through the RegressionGate.
 
 namespace d2stgnn::experiment {
 

@@ -1,29 +1,38 @@
 #include "infer/batching_server.h"
 
-#include <algorithm>
-#include <sstream>
+#include <string>
 #include <utility>
 
 #include "common/check.h"
-#include "common/fault_injection.h"
 
 namespace d2stgnn::infer {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
+// The routing key of the one lane.
+constexpr char kModelId[] = "model";
 
-// A future that is already resolved with an error (rejections never touch
-// the queue or the dispatcher).
-std::future<Forecast> ResolvedRejection(RejectReason reason, std::string error,
-                                        int64_t retry_after_us) {
-  std::promise<Forecast> promise;
-  Forecast forecast;
-  forecast.error = std::move(error);
-  forecast.reason = reason;
-  forecast.retry_after_us = retry_after_us;
-  promise.set_value(std::move(forecast));
-  return promise.get_future();
+// Registers `session` as the only model of `fleet` and returns the fleet,
+// so the FleetServer member can be built from it in the initializer list.
+ModelFleet* RegisterOnlyModel(ModelFleet* fleet,
+                              std::shared_ptr<InferenceSession> session,
+                              const BatchingOptions& options) {
+  FleetModelOptions model;
+  model.model_id = kModelId;
+  model.max_batch_size = options.max_batch_size;
+  model.max_wait_us = options.max_wait_us;
+  model.warmup = options.warmup;
+  std::string error;
+  D2_CHECK(fleet->AddModel(std::move(session), model, &error)) << error;
+  return fleet;
+}
+
+FleetOptions OneLaneOptions(const BatchingOptions& options) {
+  FleetOptions fleet;
+  fleet.max_queue_depth = options.max_queue_depth;
+  fleet.admission = options.admission;
+  fleet.degrade = options.degrade;
+  return fleet;
 }
 
 }  // namespace
@@ -31,416 +40,34 @@ std::future<Forecast> ResolvedRejection(RejectReason reason, std::string error,
 BatchingServer::BatchingServer(std::shared_ptr<InferenceSession> session,
                                const BatchingOptions& options)
     : options_(options),
-      session_(std::move(session)),
-      admission_(options.admission),
-      governor_(options.degrade) {
-  D2_CHECK(session_ != nullptr);
-  D2_CHECK_GT(options_.max_batch_size, 0);
-  D2_CHECK_GE(options_.max_wait_us, 0);
-  D2_CHECK_GT(options_.degraded_wait_divisor, 0);
-  if (options_.warmup) {
-    plan_cap_ = WarmAndPlanCap(session_.get());
-  }
-  dispatcher_ = std::thread([this] { DispatcherLoop(); });
-}
+      server_(RegisterOnlyModel(&fleet_, std::move(session), options),
+              OneLaneOptions(options)) {}
 
 BatchingServer::BatchingServer(InferenceSession* session,
                                const BatchingOptions& options)
     : BatchingServer(
           std::shared_ptr<InferenceSession>(session,
                                             [](InferenceSession*) {}),
-          options) {
-  D2_CHECK(session != nullptr);
-}
-
-BatchingServer::~BatchingServer() { Shutdown(/*drain=*/true); }
-
-int64_t BatchingServer::WarmAndPlanCap(InferenceSession* session) const {
-  // A staged shadow session (CheckpointReloader) arrives pre-warmed: its
-  // plans are already captured and verified. Re-warming a planned size
-  // would burn a redundant forward per size on the swap path, so only
-  // sizes without a plan are warmed here. (With plans disabled `planned`
-  // is empty and both sizes warm the buffer pool, as before.)
-  std::vector<int64_t> planned = session->planned_batch_sizes();
-  const auto has_plan = [&planned](int64_t size) {
-    return std::binary_search(planned.begin(), planned.end(), size);
-  };
-  if (!has_plan(1)) session->Warmup(1);
-  if (options_.max_batch_size > 1 && !has_plan(options_.max_batch_size)) {
-    session->Warmup(options_.max_batch_size);
-  }
-  planned = session->planned_batch_sizes();
-  return planned.empty() ? 0 : planned.back();
-}
-
-std::future<Forecast> BatchingServer::Reject(RejectReason reason,
-                                             std::string error,
-                                             int64_t retry_after_us) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.rejected;
-    switch (reason) {
-      case RejectReason::kBadRequest: ++stats_.rejected_bad_request; break;
-      case RejectReason::kQueueFull: ++stats_.rejected_queue_full; break;
-      case RejectReason::kRateLimited: ++stats_.rejected_rate_limited; break;
-      case RejectReason::kOverloaded: ++stats_.rejected_overloaded; break;
-      case RejectReason::kShedLowPriority:
-        ++stats_.rejected_low_priority;
-        break;
-      case RejectReason::kShuttingDown: ++stats_.rejected_shutdown; break;
-      default: break;
-    }
-  }
-  return ResolvedRejection(reason, std::move(error), retry_after_us);
-}
+          options) {}
 
 std::future<Forecast> BatchingServer::Submit(ForecastRequest request) {
-  std::string error;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    error = session_->ValidateRequest(request);
-  }
-  if (!error.empty()) {
-    return Reject(RejectReason::kBadRequest, std::move(error), 0);
-  }
-
-  Pending pending;
-  pending.request = std::move(request);
-  pending.enqueued = Clock::now();
-  std::future<Forecast> future = pending.promise.get_future();
-  RejectReason reject = RejectReason::kNone;
-  std::string reject_error;
-  int64_t retry_after_us = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (shutdown_) {
-      ++stats_.rejected;
-      ++stats_.rejected_shutdown;
-      return ResolvedRejection(RejectReason::kShuttingDown, "shutting down",
-                               0);
-    }
-    const int64_t depth = static_cast<int64_t>(queue_.size());
-    const int64_t capacity = options_.max_queue_depth;
-
-    // Chaos seam "server.admit": a scripted errno-shaped fault stands in
-    // for an admission-path failure; callers see a typed, retryable
-    // rejection, never a crash or a hung future.
-    if (fault::ConsumeFault("server.admit")) {
-      reject = RejectReason::kOverloaded;
-      reject_error = "admission fault injected";
-      retry_after_us = 1000;
-    }
-
-    // Degradation tier from queue pressure (and the forced-degrade fault).
-    OverloadTier tier = governor_.Observe(depth, capacity);
-    stats_.tier = tier;
-    stats_.degrade_transitions = governor_.transitions();
-    if (reject == RejectReason::kNone && tier == OverloadTier::kShedding &&
-        pending.request.priority == RequestPriority::kLow) {
-      reject = RejectReason::kShedLowPriority;
-      std::ostringstream os;
-      os << "shed low-priority request (tier=" << OverloadTierName(tier)
-         << ", queue " << depth << "/" << capacity << ")";
-      reject_error = os.str();
-      retry_after_us = static_cast<int64_t>(
-          std::max(admission_.ewma_request_us(), 1000.0) *
-          static_cast<double>(std::max<int64_t>(depth, 1)));
-    }
-
-    if (reject == RejectReason::kNone) {
-      const AdmissionDecision decision = admission_.Admit(depth, capacity);
-      if (!decision.admitted) {
-        reject = decision.reason;
-        retry_after_us = decision.retry_after_us;
-        std::ostringstream os;
-        if (decision.reason == RejectReason::kQueueFull) {
-          os << "queue full (depth " << depth << "/" << capacity
-             << ", active batch "
-             << std::min<int64_t>(options_.max_batch_size,
-                                  plan_cap_ > 0 && tier >= OverloadTier::kCapped
-                                      ? plan_cap_
-                                      : options_.max_batch_size)
-             << ")";
-        } else if (decision.reason == RejectReason::kRateLimited) {
-          os << "rate limited (" << options_.admission.rate_rps
-             << " rps, retry in " << decision.retry_after_us << " us)";
-        } else {
-          os << "overloaded (ewma request latency "
-             << static_cast<int64_t>(admission_.ewma_request_us())
-             << " us > shed budget " << options_.admission.shed_latency_us
-             << " us)";
-        }
-        reject_error = os.str();
-      }
-    }
-
-    if (reject == RejectReason::kNone) {
-      if (pending.request.deadline_us > 0) {
-        pending.deadline = pending.enqueued +
-                           std::chrono::microseconds(
-                               pending.request.deadline_us);
-        // Chaos seam "server.deadline": a deadline storm — the budget is
-        // treated as already spent, so the request expires in-queue.
-        if (fault::ConsumeFault("server.deadline")) {
-          pending.deadline = pending.enqueued;
-        }
-        pending.has_deadline = true;
-      }
-      queue_.push_back(std::move(pending));
-      ++stats_.submitted;
-      stats_.max_queue_depth_seen = std::max(
-          stats_.max_queue_depth_seen, static_cast<int64_t>(queue_.size()));
-    } else {
-      ++stats_.rejected;
-      switch (reject) {
-        case RejectReason::kQueueFull: ++stats_.rejected_queue_full; break;
-        case RejectReason::kRateLimited:
-          ++stats_.rejected_rate_limited;
-          break;
-        case RejectReason::kOverloaded: ++stats_.rejected_overloaded; break;
-        case RejectReason::kShedLowPriority:
-          ++stats_.rejected_low_priority;
-          break;
-        default: break;
-      }
-    }
-  }
-  if (reject != RejectReason::kNone) {
-    return ResolvedRejection(reject, std::move(reject_error), retry_after_us);
-  }
-  cv_.notify_all();
-  return future;
-}
-
-std::deque<BatchingServer::Pending> BatchingServer::TakeExpiredLocked(
-    Clock::time_point now) {
-  std::deque<Pending> expired;
-  for (auto it = queue_.begin(); it != queue_.end();) {
-    if (it->has_deadline && it->deadline <= now) {
-      expired.push_back(std::move(*it));
-      it = queue_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  stats_.expired_deadlines += static_cast<int64_t>(expired.size());
-  return expired;
-}
-
-void BatchingServer::DispatcherLoop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    cv_.wait(lock, [this] { return shutdown_ || !queue_.empty(); });
-    if (shutdown_ && !drain_) break;  // leave the queue for cancellation
-
-    // Drop whatever has already expired — an expired request must never
-    // pad a batch, let alone be dispatched.
-    {
-      std::deque<Pending> expired = TakeExpiredLocked(Clock::now());
-      if (!expired.empty()) {
-        lock.unlock();
-        for (Pending& p : expired) {
-          Forecast miss;
-          miss.error = "deadline exceeded in queue";
-          miss.reason = RejectReason::kDeadlineExceeded;
-          p.promise.set_value(std::move(miss));
-        }
-        lock.lock();
-        continue;  // queue changed; re-evaluate from the top
-      }
-    }
-    if (queue_.empty()) {
-      if (shutdown_) break;
-      continue;
-    }
-
-    // Effective knobs for this flush, per the degradation tier: a degraded
-    // server flushes sooner (smaller queueing delay), a capped server also
-    // keeps batches at planned sizes so every dispatch replays a plan.
-    const OverloadTier tier = governor_.tier();
-    int64_t wait_us = options_.max_wait_us;
-    if (tier >= OverloadTier::kDegraded) {
-      wait_us /= options_.degraded_wait_divisor;
-    }
-    if (tier >= OverloadTier::kCapped) wait_us /= 2;
-    int64_t batch_cap = options_.max_batch_size;
-    if (tier >= OverloadTier::kCapped && plan_cap_ > 0) {
-      batch_cap = std::min(batch_cap, plan_cap_);
-    }
-
-    // Coalesce: hold the batch open until it fills, the oldest request's
-    // max-wait deadline passes, or shutdown asks for an immediate flush.
-    // The wait also wakes at the earliest request deadline, so an expiring
-    // request is dropped promptly instead of riding out the flush timer.
-    auto flush_at = queue_.front().enqueued + std::chrono::microseconds(wait_us);
-    bool timed_out = false;
-    while (!shutdown_ &&
-           static_cast<int64_t>(queue_.size()) < batch_cap) {
-      auto wake_at = flush_at;
-      for (const Pending& p : queue_) {
-        if (p.has_deadline && p.deadline < wake_at) wake_at = p.deadline;
-      }
-      if (cv_.wait_until(lock, wake_at) == std::cv_status::timeout) {
-        const auto now = Clock::now();
-        std::deque<Pending> expired = TakeExpiredLocked(now);
-        if (!expired.empty()) {
-          lock.unlock();
-          for (Pending& p : expired) {
-            Forecast miss;
-            miss.error = "deadline exceeded in queue";
-            miss.reason = RejectReason::kDeadlineExceeded;
-            p.promise.set_value(std::move(miss));
-          }
-          lock.lock();
-          if (queue_.empty()) break;  // everything expired; nothing to flush
-          // The oldest survivor re-anchors the flush timer.
-          flush_at =
-              queue_.front().enqueued + std::chrono::microseconds(wait_us);
-        }
-        if (now >= flush_at) {
-          timed_out = true;
-          break;
-        }
-      }
-    }
-    if (shutdown_ && !drain_) break;
-
-    // Last-chance expiry sweep: a request whose deadline passed while the
-    // batch was filling is dropped here, never dispatched as padding.
-    {
-      std::deque<Pending> expired = TakeExpiredLocked(Clock::now());
-      if (!expired.empty()) {
-        lock.unlock();
-        for (Pending& p : expired) {
-          Forecast miss;
-          miss.error = "deadline exceeded in queue";
-          miss.reason = RejectReason::kDeadlineExceeded;
-          p.promise.set_value(std::move(miss));
-        }
-        lock.lock();
-      }
-    }
-    if (queue_.empty()) {
-      if (shutdown_) break;
-      continue;
-    }
-
-    const int64_t take = std::min<int64_t>(
-        static_cast<int64_t>(queue_.size()), batch_cap);
-    std::vector<Pending> batch;
-    batch.reserve(static_cast<size_t>(take));
-    for (int64_t i = 0; i < take; ++i) {
-      batch.push_back(std::move(queue_.front()));
-      queue_.pop_front();
-    }
-    ++stats_.batches;
-    if (take >= batch_cap) {
-      ++stats_.full_flushes;
-    } else if (shutdown_) {
-      ++stats_.shutdown_flushes;  // drain flush: partial batch, no timer
-    } else {
-      ++stats_.timeout_flushes;
-      (void)timed_out;
-    }
-    // Draining the backlog is a calm observation for tier recovery.
-    governor_.Observe(static_cast<int64_t>(queue_.size()),
-                      options_.max_queue_depth);
-    stats_.tier = governor_.tier();
-    stats_.degrade_transitions = governor_.transitions();
-    // The batch pins its session: a concurrent SwapSession retires the old
-    // weights only after this forward finishes.
-    std::shared_ptr<InferenceSession> session = session_;
-    lock.unlock();
-
-    // Test seam: a slow consumer stalls here, *after* dequeuing — newly
-    // arriving requests must still be served by the next max-wait flush.
-    if (fault::ConsumeFault("infer.slow_consumer")) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-
-    std::vector<ForecastRequest> requests;
-    requests.reserve(batch.size());
-    for (Pending& p : batch) requests.push_back(std::move(p.request));
-    const auto batch_start = Clock::now();
-    std::vector<Forecast> results = session->PredictRequests(requests);
-    const int64_t batch_us =
-        std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                              batch_start)
-            .count();
-    D2_CHECK_EQ(results.size(), batch.size());
-
-    // Count the batch before resolving its futures, so a client that just
-    // saw its future become ready also sees itself in stats().completed.
-    lock.lock();
-    stats_.completed += static_cast<int64_t>(batch.size());
-    admission_.RecordBatch(batch_us, take);
-    stats_.ewma_request_us = admission_.ewma_request_us();
-    lock.unlock();
-    for (size_t i = 0; i < batch.size(); ++i) {
-      batch[i].promise.set_value(std::move(results[i]));
-    }
-
-    lock.lock();
-  }
-
-  // Cancel whatever remains (non-drain shutdown only; a drain leaves the
-  // queue empty). Promises are resolved outside the lock.
-  std::deque<Pending> leftover;
-  leftover.swap(queue_);
-  stats_.cancelled += static_cast<int64_t>(leftover.size());
-  lock.unlock();
-  for (Pending& p : leftover) {
-    Forecast cancelled;
-    cancelled.error = "cancelled";
-    cancelled.reason = RejectReason::kCancelled;
-    p.promise.set_value(std::move(cancelled));
-  }
+  return server_.Submit(kModelId, std::move(request));
 }
 
 void BatchingServer::SwapSession(std::shared_ptr<InferenceSession> next) {
-  D2_CHECK(next != nullptr);
-  // Warm the incoming session *before* it serves: plans captured (and
-  // verified, per its SessionOptions) while traffic still runs on the old
-  // weights.
-  int64_t cap = 0;
-  if (options_.warmup) cap = WarmAndPlanCap(next.get());
-  std::shared_ptr<InferenceSession> retired;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    retired = std::move(session_);
-    session_ = std::move(next);
-    plan_cap_ = cap;
-    ++stats_.session_swaps;
-  }
-  // `retired` drops here; an in-flight batch still holds its own reference
-  // and finishes on the old weights.
+  server_.SwapSession(kModelId, std::move(next));
 }
 
 std::shared_ptr<InferenceSession> BatchingServer::session() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return session_;
+  return server_.session(kModelId);
 }
 
-void BatchingServer::Shutdown(bool drain) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!shutdown_) {
-      shutdown_ = true;
-      drain_ = drain;
-    }
-  }
-  cv_.notify_all();
-  if (dispatcher_.joinable()) dispatcher_.join();
-}
+void BatchingServer::Shutdown(bool drain) { server_.Shutdown(drain); }
 
-int64_t BatchingServer::QueueDepth() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<int64_t>(queue_.size());
-}
+int64_t BatchingServer::QueueDepth() const { return server_.QueueDepth(); }
 
 BatchingServerStats BatchingServer::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  return server_.stats().models.at(kModelId);
 }
 
 }  // namespace d2stgnn::infer

@@ -1,55 +1,34 @@
 #ifndef D2STGNN_INFER_BATCHING_SERVER_H_
 #define D2STGNN_INFER_BATCHING_SERVER_H_
 
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <future>
 #include <memory>
-#include <mutex>
-#include <thread>
-#include <vector>
 
+#include "infer/fleet/fleet.h"
+#include "infer/fleet/fleet_server.h"
 #include "infer/overload.h"
 #include "infer/session.h"
 #include "infer/session_host.h"
 
-// Micro-batching request server (DESIGN.md §9, §13).
+// Single-model micro-batching server (DESIGN.md §9, §13).
 //
 // Concurrent producers Submit() single-window requests and get futures; a
 // dispatcher thread coalesces queued requests into batches and runs them
-// through one InferenceSession forward, amortizing the per-op dispatch cost
-// of the model across the batch — the standard pattern for serving a model
-// under heavy traffic. The coalescing policy is the classic two-knob one:
+// through one InferenceSession forward. It flushes as soon as
+// max_batch_size requests wait (full flush), or once the oldest request has
+// waited max_wait_us (timeout flush), so sparse traffic never stalls.
 //
-//   * flush as soon as max_batch_size requests are waiting (full flush), or
-//   * flush whatever is queued once the oldest request has waited
-//     max_wait_us (timeout flush), so sparse traffic is never stalled
-//     waiting for a batch that will not fill.
-//
-// Overload resilience (DESIGN.md §13):
-//
-//   * Admission — every Submit passes an AdmissionController (bounded
-//     queue, optional token bucket, optional EWMA-latency shed). Rejections
-//     are *typed*: the Forecast carries a RejectReason, a retry_after_us
-//     backoff hint, and an error string with the rejection context (queue
-//     depth, active batch size). See infer/retry.h for the client side.
-//   * Deadlines — a request's deadline_us budget is stamped at Submit;
-//     a request still queued past its budget is dropped before dispatch
-//     (kDeadlineExceeded) and never pads a batch.
-//   * Degradation — an OverloadGovernor maps queue pressure to tiers:
-//     kDegraded shrinks the flush timer, kCapped also caps batches at the
-//     largest planned size (every dispatch replays a plan), kShedding also
-//     refuses low-priority requests. Recovery is hysteretic.
-//   * Hot reload — SwapSession atomically replaces the served session;
-//     the in-flight batch finishes on the old weights (it holds its own
-//     reference), every later batch runs on the new ones. Driven by
-//     infer/hot_reload.h.
-//
-// Shutdown is graceful: every accepted request's future is resolved — with
-// its prediction when draining (the default), with ok=false / kCancelled
-// otherwise. Submit after shutdown resolves immediately as kShuttingDown.
+// A BatchingServer is a one-lane FleetServer (infer/fleet/fleet_server.h):
+// it registers its session as the only model of a private ModelFleet and
+// forwards every call. Admission (bounded queue, token bucket, EWMA shed),
+// deadlines, degrade tiers, hot swaps, shutdown and the stats are the
+// fleet's, so there is one dispatcher to reason about. Every future
+// resolves: with a prediction, or with ok=false and a typed RejectReason
+// whose error text carries its context (e.g. "queue full (depth 2/2,
+// active batch 1)"). Shutdown is graceful: drain serves everything
+// accepted, cancel resolves it as kCancelled, and Submit afterwards
+// resolves immediately as kShuttingDown.
 
 namespace d2stgnn::infer {
 
@@ -71,46 +50,16 @@ struct BatchingOptions {
   AdmissionOptions admission;
   /// Degradation-tier watermarks and hysteresis.
   DegradeOptions degrade;
-  /// max_wait_us divisor at tier kDegraded (and a further 2x at kCapped+).
-  int64_t degraded_wait_divisor = 4;
 };
 
-/// Counters describing server traffic (a consistent snapshot).
-struct BatchingServerStats {
-  int64_t submitted = 0;        ///< accepted into the queue
-  int64_t rejected = 0;         ///< refused at Submit (sum of rejected_*)
-  int64_t completed = 0;        ///< resolved with a session result
-  int64_t cancelled = 0;        ///< resolved kCancelled at shutdown
-  int64_t batches = 0;          ///< dispatched forwards
-  int64_t full_flushes = 0;     ///< batches flushed at the batch cap
-  int64_t timeout_flushes = 0;  ///< batches flushed by the max-wait timer
-  int64_t shutdown_flushes = 0; ///< batches flushed while draining
-  int64_t max_queue_depth_seen = 0;
+/// Counters describing server traffic: the one lane's FleetModelStats.
+using BatchingServerStats = FleetModelStats;
 
-  // Typed shed accounting (DESIGN.md §13). `rejected` is their sum.
-  int64_t rejected_bad_request = 0;
-  int64_t rejected_queue_full = 0;
-  int64_t rejected_rate_limited = 0;
-  int64_t rejected_overloaded = 0;    ///< EWMA shed + injected admit faults
-  int64_t rejected_low_priority = 0;  ///< kShedding tier refusals
-  int64_t rejected_shutdown = 0;
-  /// Accepted requests dropped in the queue when their deadline passed
-  /// (never dispatched; not part of `rejected`).
-  int64_t expired_deadlines = 0;
-
-  OverloadTier tier = OverloadTier::kNormal;  ///< current degrade tier
-  int64_t degrade_transitions = 0;            ///< tier changes so far
-  int64_t session_swaps = 0;                  ///< successful SwapSession calls
-  double ewma_request_us = 0.0;  ///< smoothed per-request service time
-};
-
-/// The dispatcher + admission gate + bounded queue around one (swappable)
-/// InferenceSession. Implements SessionHost so a CheckpointReloader can
-/// target it directly.
+/// The front door for serving one (swappable) InferenceSession. Implements
+/// SessionHost so a CheckpointReloader can target it directly.
 class BatchingServer : public SessionHost {
  public:
-  /// Borrows `session` (must outlive the server) and starts the dispatcher
-  /// thread.
+  /// Borrows `session` (must outlive the server) and starts the dispatcher.
   BatchingServer(InferenceSession* session, const BatchingOptions& options);
 
   /// Shares ownership of `session` — required when SwapSession will retire
@@ -118,35 +67,27 @@ class BatchingServer : public SessionHost {
   BatchingServer(std::shared_ptr<InferenceSession> session,
                  const BatchingOptions& options);
 
-  /// Graceful drain-and-join (Shutdown(true)).
-  ~BatchingServer() override;
+  /// Graceful drain-and-join (the FleetServer's destructor).
+  ~BatchingServer() override = default;
 
   BatchingServer(const BatchingServer&) = delete;
   BatchingServer& operator=(const BatchingServer&) = delete;
 
-  /// Enqueues one request. The future always becomes ready: with a
-  /// prediction, or with ok=false and a typed RejectReason (malformed
-  /// request, admission rejection, expired deadline, shutdown). Malformed
-  /// requests are rejected here, before queuing.
+  /// Enqueues one request. The future always becomes ready (see above).
   std::future<Forecast> Submit(ForecastRequest request);
 
   /// Atomically replaces the served session (checkpoint hot-reload). The
-  /// in-flight batch finishes on the old session — it holds a reference —
-  /// and every batch dispatched after this call runs on `next`. When
-  /// options().warmup is set, `next` is warmed (plans captured + verified)
-  /// *before* the swap, so the first post-swap batch replays a warm plan;
-  /// sizes the session already has plans for (a pre-warmed staged shadow)
-  /// are not warmed twice.
+  /// in-flight batch finishes on the old session; when options().warmup is
+  /// set, `next` is warmed before the swap (sizes it already has plans for
+  /// are not warmed twice).
   void SwapSession(std::shared_ptr<InferenceSession> next) override;
 
   /// The currently served session (callers may briefly outlive a swap).
   std::shared_ptr<InferenceSession> session() const;
 
   /// Stops accepting requests and joins the dispatcher. drain=true serves
-  /// everything already queued (in max_batch_size chunks, without waiting
-  /// on the flush timer; expired requests still miss their deadline);
-  /// drain=false resolves queued requests as kCancelled. Idempotent; the
-  /// first call's drain mode wins.
+  /// everything already queued; drain=false resolves it as kCancelled.
+  /// Idempotent; the first call's drain mode wins.
   void Shutdown(bool drain = true);
 
   /// Requests currently queued (waiting for a batch).
@@ -157,45 +98,9 @@ class BatchingServer : public SessionHost {
   int64_t max_batch_size() const override { return options_.max_batch_size; }
 
  private:
-  struct Pending {
-    ForecastRequest request;
-    std::promise<Forecast> promise;
-    std::chrono::steady_clock::time_point enqueued;
-    /// Absolute deadline (stamped at Submit); meaningful iff has_deadline.
-    std::chrono::steady_clock::time_point deadline;
-    bool has_deadline = false;
-  };
-
-  void DispatcherLoop();
-
-  /// Warms `session` at batch sizes 1 and max (skipping sizes that already
-  /// have captured plans), and returns its largest planned batch size (0
-  /// when plans are off / capture failed).
-  int64_t WarmAndPlanCap(InferenceSession* session) const;
-
-  /// Moves every expired entry out of the queue. Requires mu_ held; the
-  /// caller resolves the returned entries without the lock.
-  std::deque<Pending> TakeExpiredLocked(
-      std::chrono::steady_clock::time_point now);
-
-  /// Builds the rejected future and counts it under mu_ (taken inside).
-  std::future<Forecast> Reject(RejectReason reason, std::string error,
-                               int64_t retry_after_us);
-
   BatchingOptions options_;
-
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::shared_ptr<InferenceSession> session_;  ///< guarded by mu_
-  int64_t plan_cap_ = 0;  ///< largest planned batch size of session_
-  std::deque<Pending> queue_;
-  bool shutdown_ = false;
-  bool drain_ = true;
-  BatchingServerStats stats_;
-  AdmissionController admission_;
-  OverloadGovernor governor_;
-
-  std::thread dispatcher_;
+  ModelFleet fleet_;     ///< the one registered model
+  FleetServer server_;   ///< declared after fleet_: it snapshots the fleet
 };
 
 }  // namespace d2stgnn::infer

@@ -28,6 +28,38 @@ bool ResolveSloClass(const std::string& name, SloClass* slo) {
   return false;
 }
 
+bool ParseTenants(const std::vector<std::string>& entries,
+                  std::vector<TenantSpec>* out, std::string* error) {
+  out->clear();
+  for (const std::string& entry : entries) {
+    TenantSpec tenant;
+    const size_t colon = entry.find(':');
+    tenant.id = entry.substr(0, colon);
+    if (tenant.id.empty()) {
+      *error = "entry '" + entry + "' has an empty model id";
+      return false;
+    }
+    if (colon != std::string::npos &&
+        !ResolveSloClass(entry.substr(colon + 1), &tenant.slo)) {
+      *error = "entry '" + entry + "' names an unknown SLO class '" +
+               entry.substr(colon + 1) + "' (known: gold, silver, bronze)";
+      return false;
+    }
+    for (const TenantSpec& other : *out) {
+      if (other.id == tenant.id) {
+        *error = "'" + tenant.id + "' is listed twice";
+        return false;
+      }
+    }
+    out->push_back(std::move(tenant));
+  }
+  if (out->empty()) {
+    *error = "no models listed";
+    return false;
+  }
+  return true;
+}
+
 FleetArbiter::FleetArbiter(int64_t shared_capacity,
                            double arbitration_watermark)
     : shared_capacity_(shared_capacity), watermark_(arbitration_watermark) {
@@ -36,13 +68,12 @@ FleetArbiter::FleetArbiter(int64_t shared_capacity,
 }
 
 void FleetArbiter::AddLane(const std::string& model_id, int64_t priority,
-                           double weight, double queue_share) {
+                           double weight) {
   D2_CHECK_GT(weight, 0.0);
   D2_CHECK(lanes_.find(model_id) == lanes_.end());
   Lane lane;
   lane.priority = priority;
   lane.weight = weight;
-  lane.queue_share = queue_share;
   // A newcomer starts at the virtual floor: no retroactive credit for the
   // time before it existed.
   lane.virtual_time = virtual_floor_;
@@ -60,12 +91,7 @@ int64_t FleetArbiter::Quota(const std::string& model_id) const {
   if (shared_capacity_ <= 0) return std::numeric_limits<int64_t>::max();
   const auto it = lanes_.find(model_id);
   if (it == lanes_.end()) return 0;
-  const Lane& lane = it->second;
-  const double share = lane.queue_share > 0.0
-                           ? lane.queue_share
-                           : (total_weight_ > 0.0
-                                  ? lane.weight / total_weight_
-                                  : 0.0);
+  const double share = it->second.weight / total_weight_;
   const int64_t quota = static_cast<int64_t>(
       share * static_cast<double>(shared_capacity_));
   return std::max<int64_t>(quota, 1);
@@ -123,10 +149,6 @@ bool ModelFleet::AddModel(std::shared_ptr<InferenceSession> session,
   }
   if (options.slo.weight <= 0.0) {
     return fail("fleet: slo weight must be positive for model '" +
-                options.model_id + "'");
-  }
-  if (options.queue_share < 0.0 || options.queue_share > 1.0) {
-    return fail("fleet: queue_share must be in [0, 1] for model '" +
                 options.model_id + "'");
   }
   std::lock_guard<std::mutex> lock(mu_);

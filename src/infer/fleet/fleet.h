@@ -58,6 +58,18 @@ const std::vector<SloClass>& BuiltinSloClasses();
 /// unknown.
 bool ResolveSloClass(const std::string& name, SloClass* slo);
 
+/// A tenant as named in a spec or on a command line: "id" or "id:slo".
+struct TenantSpec {
+  std::string id;
+  SloClass slo;  ///< a built-in class; the default class when none is named
+};
+
+/// Parses "id" / "id:slo" entries, in order. False, with `*error` naming the
+/// entry, on an empty id, an unknown SLO class (the built-in ones listed), a
+/// repeated id, or no entries at all.
+bool ParseTenants(const std::vector<std::string>& entries,
+                  std::vector<TenantSpec>* out, std::string* error);
+
 /// Per-model serving configuration inside a fleet.
 struct FleetModelOptions {
   std::string model_id;  ///< routing key (must be unique in the fleet)
@@ -71,9 +83,6 @@ struct FleetModelOptions {
   /// Per-model admission gate (token bucket, EWMA shed). The *hard* queue
   /// bound is fleet-wide; this gate shapes one tenant's arrival rate.
   AdmissionOptions admission;
-  /// Explicit share of the shared queue for this model's quota, in (0, 1].
-  /// 0: derived from slo.weight relative to the whole fleet.
-  double queue_share = 0.0;
   /// Warm the session (capture plans) when the FleetServer starts.
   bool warmup = true;
 };
@@ -99,9 +108,8 @@ class FleetArbiter {
   /// shares to protect).
   FleetArbiter(int64_t shared_capacity, double arbitration_watermark);
 
-  /// Registers one model. `queue_share` as in FleetModelOptions.
-  void AddLane(const std::string& model_id, int64_t priority, double weight,
-               double queue_share = 0.0);
+  /// Registers one model; its quota is its weight's share of the total.
+  void AddLane(const std::string& model_id, int64_t priority, double weight);
 
   /// True once the shared queue is contended enough for quotas to apply.
   bool QuotaArmed(int64_t total_depth) const;
@@ -122,7 +130,6 @@ class FleetArbiter {
   struct Lane {
     int64_t priority = 1;
     double weight = 1.0;
-    double queue_share = 0.0;
     double virtual_time = 0.0;
   };
 

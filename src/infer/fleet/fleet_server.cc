@@ -13,6 +13,11 @@ namespace d2stgnn::infer {
 
 namespace {
 
+// Flush-timer divisor at tier kDegraded (kCapped halves it once more).
+constexpr int64_t kDegradedWaitDivisor = 4;
+// Fraction of max_queue_depth at which per-model quotas arm.
+constexpr double kArbitrationWatermark = 0.5;
+
 std::future<Forecast> ResolvedRejection(RejectReason reason, std::string error,
                                         int64_t retry_after_us) {
   std::promise<Forecast> promise;
@@ -22,6 +27,28 @@ std::future<Forecast> ResolvedRejection(RejectReason reason, std::string error,
   forecast.retry_after_us = retry_after_us;
   promise.set_value(std::move(forecast));
   return promise.get_future();
+}
+
+// The error text of an admission-gate rejection, carrying what a client or
+// operator needs to act on it: depth and active batch for a full queue, the
+// rate for a rate limit, the latency against its budget for a shed.
+std::string AdmissionRejectText(const AdmissionDecision& decision,
+                                const AdmissionOptions& options,
+                                double ewma_request_us, int64_t depth,
+                                int64_t capacity, int64_t active_batch) {
+  std::ostringstream os;
+  if (decision.reason == RejectReason::kQueueFull) {
+    os << "queue full (depth " << depth << "/" << capacity
+       << ", active batch " << active_batch << ")";
+  } else if (decision.reason == RejectReason::kRateLimited) {
+    os << "rate limited (" << options.rate_rps << " rps, retry in "
+       << decision.retry_after_us << " us)";
+  } else {
+    os << "overloaded (ewma request latency "
+       << static_cast<int64_t>(ewma_request_us) << " us > shed budget "
+       << options.shed_latency_us << " us)";
+  }
+  return os.str();
 }
 
 Forecast DeadlineMiss() {
@@ -37,12 +64,11 @@ FleetServer::FleetServer(ModelFleet* fleet, const FleetOptions& options)
     : options_(options),
       fleet_(fleet),
       clock_(ClockOrReal(options.clock)),
-      arbiter_(options.max_queue_depth, options.arbitration_watermark),
+      arbiter_(options.max_queue_depth, kArbitrationWatermark),
       shared_admission_(options.admission, options.clock),
       governor_(options.degrade) {
   D2_CHECK(fleet_ != nullptr);
   D2_CHECK_GT(fleet_->size(), 0u);
-  D2_CHECK_GT(options_.degraded_wait_divisor, 0);
 
   ids_ = fleet_->model_ids();
   int64_t min_priority = std::numeric_limits<int64_t>::max();
@@ -68,7 +94,7 @@ FleetServer::FleetServer(ModelFleet* fleet, const FleetOptions& options)
       lane->plan_cap = WarmLane(*lane, lane->session.get());
     }
     arbiter_.AddLane(id, model_options->slo.priority,
-                     model_options->slo.weight, model_options->queue_share);
+                     model_options->slo.weight);
     min_priority = std::min(min_priority, model_options->slo.priority);
     max_priority = std::max(max_priority, model_options->slo.priority);
     lanes_.emplace(id, std::move(lane));
@@ -108,7 +134,7 @@ int64_t FleetServer::EffectiveWaitUs(const Lane& lane,
                                      OverloadTier tier) const {
   int64_t wait_us = lane.base_wait_us;
   if (tier >= OverloadTier::kDegraded) {
-    wait_us /= options_.degraded_wait_divisor;
+    wait_us /= kDegradedWaitDivisor;
   }
   if (tier >= OverloadTier::kCapped) wait_us /= 2;
   return wait_us;
@@ -184,8 +210,8 @@ std::future<Forecast> FleetServer::Submit(const std::string& model_id,
     const int64_t capacity = options_.max_queue_depth;
     const int64_t lane_depth = static_cast<int64_t>(lane.queue.size());
 
-    // Chaos seam "server.admit", shared with the BatchingServer: scripted
-    // admission-path failures surface as typed, retryable rejections.
+    // Chaos seam "server.admit": scripted admission-path failures surface
+    // as typed, retryable rejections, never a crash or a hung future.
     if (fault::ConsumeFault("server.admit")) {
       reject = RejectReason::kOverloaded;
       reject_error = "admission fault injected";
@@ -206,9 +232,9 @@ std::future<Forecast> FleetServer::Submit(const std::string& model_id,
           lane.options.slo.priority == worst_slo_priority_))) {
       reject = RejectReason::kShedLowPriority;
       std::ostringstream os;
-      os << "shed (tier=" << OverloadTierName(tier) << ", slo="
-         << lane.options.slo.name << ", fleet queue " << total_depth << "/"
-         << capacity << ")";
+      os << "shed low-priority request (tier=" << OverloadTierName(tier)
+         << ", slo=" << lane.options.slo.name << ", queue " << total_depth
+         << "/" << capacity << ")";
       reject_error = os.str();
       retry_after_us = static_cast<int64_t>(
           std::max(shared_admission_.ewma_request_us(), 1000.0) *
@@ -223,10 +249,9 @@ std::future<Forecast> FleetServer::Submit(const std::string& model_id,
       if (!decision.admitted) {
         reject = decision.reason;
         retry_after_us = decision.retry_after_us;
-        std::ostringstream os;
-        os << RejectReasonName(decision.reason) << " (fleet queue "
-           << total_depth << "/" << capacity << ")";
-        reject_error = os.str();
+        reject_error = AdmissionRejectText(
+            decision, options_.admission, shared_admission_.ewma_request_us(),
+            total_depth, capacity, EffectiveBatchCap(lane, tier));
       }
     }
 
@@ -258,10 +283,11 @@ std::future<Forecast> FleetServer::Submit(const std::string& model_id,
       if (!decision.admitted) {
         reject = decision.reason;
         retry_after_us = decision.retry_after_us;
-        std::ostringstream os;
-        os << RejectReasonName(decision.reason) << " (model '" << model_id
-           << "')";
-        reject_error = os.str();
+        reject_error = AdmissionRejectText(
+                           decision, lane.options.admission,
+                           lane.admission->ewma_request_us(), lane_depth, 0,
+                           EffectiveBatchCap(lane, tier)) +
+                       " for model '" + model_id + "'";
       }
     }
 
@@ -397,7 +423,8 @@ void FleetServer::DispatcherLoop() {
     std::shared_ptr<InferenceSession> session = lane.session;
     lock.unlock();
 
-    // Test seam shared with the BatchingServer: a stalled consumer.
+    // Test seam: a slow consumer stalls here, *after* dequeuing — newly
+    // arriving requests must still be served by the next flush.
     if (fault::ConsumeFault("infer.slow_consumer")) {
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
@@ -497,8 +524,6 @@ int64_t FleetServer::QueueDepth() const {
   return TotalDepthLocked();
 }
 
-std::vector<std::string> FleetServer::model_ids() const { return ids_; }
-
 FleetStats FleetServer::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   FleetStats stats;
@@ -511,6 +536,8 @@ FleetStats FleetServer::stats() const {
     const Lane& lane = *lanes_.at(id);
     FleetModelStats model = lane.stats;
     model.queue_depth = static_cast<int64_t>(lane.queue.size());
+    model.tier = tier_;
+    model.degrade_transitions = degrade_transitions_;
     stats.models.emplace(id, model);
     stats.submitted += model.submitted;
     stats.rejected += model.rejected;

@@ -18,17 +18,20 @@
 #include "infer/session.h"
 #include "infer/session_host.h"
 
-// Fleet serving: one dispatcher, many models (DESIGN.md §14).
+// The serving core: one dispatcher, one or many models (DESIGN.md §9,
+// §13, §14).
 //
 // The FleetServer routes ForecastRequests by model id into per-model
 // micro-batch queues and dispatches them from a single thread, so dispatch
 // order is a real scheduling decision instead of an accident of N
 // independent servers racing for CPU. A batch never mixes models — plans
 // are shape- and weight-specialized — so each dispatch picks one model and
-// coalesces only that model's queue.
+// coalesces only that model's queue. Single-model serving is the one-lane
+// case: BatchingServer (infer/batching_server.h) is a front door that
+// registers one model and forwards here, so there is exactly one
+// dispatcher, one deadline sweep and one set of reject counters.
 //
-// The admission path layers fleet concerns on PR 8's single-model
-// machinery, every rejection typed with a retry hint:
+// Admission, every rejection typed with a retry hint:
 //
 //   shutdown → validation (kBadRequest) → shared OverloadGovernor tier
 //   (kShedding refuses low-priority requests and the lowest-priority SLO
@@ -42,15 +45,16 @@
 // "ready" when its batch is full or its oldest request has aged past the
 // (SLO-tightened, tier-shrunk) flush timer; the FleetArbiter picks among
 // ready lanes by strict SLO priority, then weighted-fair virtual time.
+// Degrade tiers act per lane: kDegraded divides the flush timer by 4,
+// kCapped halves it again and caps batches at the largest planned size.
 //
 // Hot reload: host(model_id) exposes a per-model SessionHost, so one
-// CheckpointReloader per model stages and swaps exactly as it would
-// against a standalone BatchingServer. A swap touches only its own lane;
+// CheckpointReloader per model stages and swaps into exactly one lane;
 // in-flight batches pin the session they started with.
 //
-// The chaos fault points "server.admit" and "server.deadline" fire here
-// exactly as in the BatchingServer, so the overload chaos scripts drive
-// fleets too.
+// Chaos fault points: "server.admit" (a typed, retryable admission
+// failure), "server.deadline" (a request's budget counts as spent) and
+// "infer.slow_consumer" (a 20 ms stall after dequeuing a batch).
 
 namespace d2stgnn::infer {
 
@@ -64,39 +68,42 @@ struct FleetOptions {
   AdmissionOptions admission;
   /// Degradation-tier watermarks on total queue pressure.
   DegradeOptions degrade;
-  /// max_wait_us divisor at tier kDegraded (and a further 2x at kCapped+).
-  int64_t degraded_wait_divisor = 4;
-  /// Fraction of max_queue_depth at which per-model quotas arm.
-  double arbitration_watermark = 0.5;
   /// Injected time source (null: RealClock()).
   Clock* clock = nullptr;
 };
 
-/// Per-model traffic counters (a consistent snapshot; the same shape as
-/// BatchingServerStats plus the fleet-only quota reason).
+/// Per-model traffic counters (a consistent snapshot). The one per-lane
+/// stats type: BatchingServerStats is an alias of it.
 struct FleetModelStats {
-  int64_t submitted = 0;
-  int64_t rejected = 0;  ///< sum of the rejected_* reasons below
-  int64_t completed = 0;
-  int64_t cancelled = 0;
-  int64_t batches = 0;
-  int64_t full_flushes = 0;
-  int64_t timeout_flushes = 0;
-  int64_t shutdown_flushes = 0;
+  int64_t submitted = 0;        ///< accepted into the queue
+  int64_t rejected = 0;         ///< refused at Submit (sum of rejected_*)
+  int64_t completed = 0;        ///< resolved with a session result
+  int64_t cancelled = 0;        ///< resolved kCancelled at shutdown
+  int64_t batches = 0;          ///< dispatched forwards
+  int64_t full_flushes = 0;     ///< batches flushed at the batch cap
+  int64_t timeout_flushes = 0;  ///< batches flushed by the max-wait timer
+  int64_t shutdown_flushes = 0; ///< batches flushed while draining
   int64_t max_queue_depth_seen = 0;
 
+  // Typed shed accounting (DESIGN.md §13). `rejected` is their sum.
   int64_t rejected_bad_request = 0;
   int64_t rejected_queue_full = 0;
   int64_t rejected_rate_limited = 0;
-  int64_t rejected_overloaded = 0;
-  int64_t rejected_low_priority = 0;
-  int64_t rejected_quota = 0;  ///< kQuotaExceeded (fleet arbitration)
+  int64_t rejected_overloaded = 0;    ///< EWMA shed + injected admit faults
+  int64_t rejected_low_priority = 0;  ///< kShedding tier refusals
+  int64_t rejected_quota = 0;         ///< kQuotaExceeded (fleet arbitration)
   int64_t rejected_shutdown = 0;
-  int64_t expired_deadlines = 0;  ///< accepted, then dropped in-queue
+  /// Accepted requests dropped in the queue when their deadline passed
+  /// (never dispatched; not part of `rejected`).
+  int64_t expired_deadlines = 0;
 
-  int64_t session_swaps = 0;
-  int64_t queue_depth = 0;       ///< at snapshot time
-  double ewma_request_us = 0.0;  ///< per-model admission EWMA
+  int64_t session_swaps = 0;      ///< successful SwapSession calls
+  int64_t queue_depth = 0;        ///< at snapshot time
+  double ewma_request_us = 0.0;   ///< smoothed per-request service time
+
+  // Copied from the fleet snapshot: the tier is shared by every lane.
+  OverloadTier tier = OverloadTier::kNormal;  ///< current degrade tier
+  int64_t degrade_transitions = 0;            ///< tier changes so far
 };
 
 /// Fleet-wide snapshot. The totals are sums over `models` (computed at
@@ -161,8 +168,6 @@ class FleetServer {
   int64_t QueueDepth() const;
 
   FleetStats stats() const;
-  const FleetOptions& options() const { return options_; }
-  std::vector<std::string> model_ids() const;
 
  private:
   struct Pending {

@@ -8,10 +8,12 @@
 #include "common/clock.h"
 #include "common/rng.h"
 #include "infer/batching_server.h"
+#include "infer/fleet/fleet_server.h"
 
 // Client-side retry with jittered exponential backoff (DESIGN.md §13).
 //
-// The server's typed rejections split into two classes: permanent
+// The serving core's typed rejections (FleetServer, and BatchingServer, its
+// one-model front door) split into two classes: permanent
 // (kBadRequest, kDeadlineExceeded, kShuttingDown — retrying cannot help)
 // and transient (IsRetryableReject — the server asked the client to back
 // off). SubmitWithRetry handles the second class the way a well-behaved
@@ -56,8 +58,6 @@ struct RetryResult {
 RetryResult SubmitWithRetry(BatchingServer* server,
                             const ForecastRequest& request,
                             const RetryPolicy& policy = RetryPolicy());
-
-class FleetServer;  // infer/fleet/fleet_server.h
 
 /// The fleet flavor: submits to `model_id` on a FleetServer, with the same
 /// transient-vs-permanent split (quota rejections are transient).

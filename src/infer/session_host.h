@@ -8,10 +8,10 @@
 
 namespace d2stgnn::infer {
 
-/// Anything that serves one (swappable) InferenceSession. CheckpointReloader
-/// stages shadow sessions against this interface, so the same reloader
-/// drives a standalone BatchingServer and a single model inside a
-/// FleetServer — the fleet hands out one SessionHost per model.
+/// Anything that serves one (swappable) InferenceSession: one model lane of
+/// the serving core. CheckpointReloader stages shadow sessions against this
+/// interface. FleetServer::host(model_id) hands out one per lane, and a
+/// BatchingServer — a one-lane FleetServer — is one itself.
 class SessionHost {
  public:
   virtual ~SessionHost() = default;

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -23,6 +24,7 @@
 #include "common/fault_injection.h"
 #include "data/sliding_window.h"
 #include "data/synthetic_traffic.h"
+#include "infer/batching_server.h"
 #include "infer/fleet/fleet_server.h"
 #include "infer/retry.h"
 #include "nn/linear.h"
@@ -54,14 +56,6 @@ TEST(FleetArbiterTest, QuotaIsWeightedShareAndArmsAtWatermark) {
   EXPECT_EQ(arbiter.Quota("unknown"), 0);
 }
 
-TEST(FleetArbiterTest, ExplicitQueueShareOverridesWeight) {
-  infer::FleetArbiter arbiter(64, 0.5);
-  arbiter.AddLane("a", 0, /*weight=*/1.0, /*queue_share=*/0.25);
-  arbiter.AddLane("b", 0, /*weight=*/1.0);
-  EXPECT_EQ(arbiter.Quota("a"), 16);  // 0.25 * 64, not the weight share
-  EXPECT_EQ(arbiter.Quota("b"), 32);  // weight 1 of 2
-}
-
 TEST(FleetArbiterTest, UnboundedCapacityDisablesQuotas) {
   infer::FleetArbiter arbiter(/*shared_capacity=*/0, 0.5);
   arbiter.AddLane("a", 0, 1.0);
@@ -69,7 +63,8 @@ TEST(FleetArbiterTest, UnboundedCapacityDisablesQuotas) {
   EXPECT_GT(arbiter.Quota("a"), int64_t{1} << 60);
   // A tiny share still admits at least one request.
   infer::FleetArbiter small(/*shared_capacity=*/4, 0.5);
-  small.AddLane("sliver", 0, 1.0, /*queue_share=*/0.01);
+  small.AddLane("sliver", 0, /*weight=*/1.0);
+  small.AddLane("bulk", 0, /*weight=*/99.0);  // sliver's share: 0.01
   EXPECT_EQ(small.Quota("sliver"), 1);
 }
 
@@ -270,11 +265,6 @@ TEST_F(FleetServerTest, RegistryValidatesModels) {
   EXPECT_NE(error.find("max_batch_size"), std::string::npos);
 
   options.max_batch_size = 4;
-  options.queue_share = 1.5;
-  EXPECT_FALSE(fleet.AddModel(NewSession(5), options, &error));
-  EXPECT_NE(error.find("queue_share"), std::string::npos);
-
-  options.queue_share = 0.0;
   ASSERT_TRUE(fleet.AddModel(NewSession(5), options, &error)) << error;
   EXPECT_FALSE(fleet.AddModel(NewSession(7), options, &error));
   EXPECT_NE(error.find("duplicate"), std::string::npos);
@@ -472,50 +462,76 @@ TEST_F(FleetServerTest, TwoModelsHotReloadConcurrentlyUnderTraffic) {
 }
 
 TEST_F(FleetServerTest, StatsStayConsistentUnderRacingSubmitters) {
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 50;
+  // Races kThreads submitters through `submit(thread, i)`; every future
+  // must be served.
+  const auto race = [](const std::function<std::future<infer::Forecast>(
+                           int, int)>& submit) {
+    std::vector<std::thread> submitters;
+    for (int t = 0; t < kThreads; ++t) {
+      submitters.emplace_back([&, t] {
+        for (int i = 0; i < kPerThread; ++i) {
+          infer::Forecast f = submit(t, i).get();
+          ASSERT_TRUE(f.ok) << f.error;
+        }
+      });
+    }
+    for (std::thread& t : submitters) t.join();
+  };
+  // Every accepted request is accounted exactly once (served, cancelled,
+  // expired, or still queued), every reject under exactly one reason, and
+  // every batch flush under exactly one cause.
+  const auto expect_consistent = [](const infer::FleetModelStats& model,
+                                    const std::string& id) {
+    EXPECT_EQ(model.submitted, model.completed + model.cancelled +
+                                   model.expired_deadlines + model.queue_depth)
+        << id;
+    EXPECT_EQ(model.rejected,
+              model.rejected_bad_request + model.rejected_queue_full +
+                  model.rejected_rate_limited + model.rejected_overloaded +
+                  model.rejected_low_priority + model.rejected_quota +
+                  model.rejected_shutdown)
+        << id;
+    EXPECT_EQ(model.batches, model.full_flushes + model.timeout_flushes +
+                                 model.shutdown_flushes)
+        << id;
+    EXPECT_EQ(model.queue_depth, 0) << id;
+  };
+
   infer::ModelFleet fleet;
   AddModel(&fleet, "a", 5, 0, 4.0);
   AddModel(&fleet, "b", 11, 2, 1.0);
   infer::FleetServer server(&fleet, infer::FleetOptions{});
-
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 50;
-  std::vector<std::thread> submitters;
-  std::atomic<int64_t> completed{0};
-  for (int t = 0; t < kThreads; ++t) {
-    submitters.emplace_back([&, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        const std::string id = (t + i) % 2 == 0 ? "a" : "b";
-        infer::Forecast f = server.Submit(id, MakeRequest(i % 16)).get();
-        ASSERT_TRUE(f.ok) << f.error;
-        completed.fetch_add(1);
-      }
-    });
-  }
-  for (std::thread& t : submitters) t.join();
+  race([&](int t, int i) {
+    return server.Submit((t + i) % 2 == 0 ? "a" : "b", MakeRequest(i % 16));
+  });
   server.Shutdown(/*drain=*/true);
 
   const infer::FleetStats stats = server.stats();
-  EXPECT_EQ(completed.load(), kThreads * kPerThread);
   EXPECT_EQ(stats.submitted, kThreads * kPerThread);
   EXPECT_EQ(stats.completed, kThreads * kPerThread);
   EXPECT_EQ(stats.rejected, 0);
   EXPECT_EQ(stats.cancelled, 0);
   int64_t batches = 0;
   for (const auto& [id, model] : stats.models) {
-    // Every accepted request is accounted exactly once.
-    EXPECT_EQ(model.submitted, model.completed + model.rejected +
-                                   model.cancelled + model.expired_deadlines)
-        << id;
-    // Every batch flush has exactly one recorded cause.
-    EXPECT_EQ(model.batches, model.full_flushes + model.timeout_flushes +
-                                 model.shutdown_flushes)
-        << id;
-    EXPECT_EQ(model.queue_depth, 0) << id;
+    expect_consistent(model, id);
     batches += model.batches;
   }
   EXPECT_EQ(stats.batches, batches);
   EXPECT_EQ(stats.models.at("a").submitted + stats.models.at("b").submitted,
             kThreads * kPerThread);
+
+  // The same race against the single-model front door (a one-lane fleet).
+  infer::BatchingOptions options;
+  options.max_batch_size = 4;
+  options.max_wait_us = 500;
+  infer::BatchingServer single(NewSession(5), options);
+  race([&](int, int i) { return single.Submit(MakeRequest(i % 16)); });
+  single.Shutdown(/*drain=*/true);
+  const infer::BatchingServerStats lane = single.stats();
+  EXPECT_EQ(lane.completed, kThreads * kPerThread);
+  expect_consistent(lane, "batching server");
 }
 
 TEST_F(FleetServerTest, SubmitWithRetryRidesOutQuotaRejection) {
