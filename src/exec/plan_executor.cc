@@ -9,8 +9,7 @@
 
 namespace d2stgnn::exec {
 
-PlanExecutor::PlanExecutor(std::shared_ptr<const ExecutionPlan> plan,
-                           int64_t min_fan_out_floats)
+PlanExecutor::PlanExecutor(std::shared_ptr<const ExecutionPlan> plan)
     : plan_(std::move(plan)) {
   D2_CHECK(plan_ != nullptr);
   slab_.assign(static_cast<size_t>(plan_->slab_floats()), 0.0f);
@@ -20,9 +19,6 @@ PlanExecutor::PlanExecutor(std::shared_ptr<const ExecutionPlan> plan,
   pointer_pool_.assign(pool_size, nullptr);
   states_.resize(plan_->steps().size());
 
-  // Floats each step touches (inputs read plus output written): the work
-  // estimate that decides which levels are worth a pool dispatch.
-  std::vector<int64_t> step_floats(plan_->steps().size(), 0);
   size_t pool_pos = 0;
   for (size_t s = 0; s < plan_->steps().size(); ++s) {
     const PlanStep& step = plan_->steps()[s];
@@ -32,26 +28,23 @@ PlanExecutor::PlanExecutor(std::shared_ptr<const ExecutionPlan> plan,
         plan_->slots()[static_cast<size_t>(step.output_slot)];
     state.output = slab_.data() + out_slot.offset;
     state.output_numel = out_slot.numel;
-    step_floats[s] = out_slot.numel;
     for (const ValueRef& in : step.inputs) {
-      const size_t index = static_cast<size_t>(in.index);
       switch (in.kind) {
         case ValueRef::Kind::kSlot:
           pointer_pool_[pool_pos] =
-              slab_.data() + plan_->slots()[index].offset;
-          step_floats[s] += plan_->slots()[index].numel;
+              slab_.data() +
+              plan_->slots()[static_cast<size_t>(in.index)].offset;
           break;
         case ValueRef::Kind::kConstant:
           // ConstantsValid() (checked every Run) guarantees the constant
           // still lives at its captured address, so resolving once here is
           // safe; in-place mutation of the same buffer is picked up for
           // free because this is a pointer, not a snapshot.
-          pointer_pool_[pool_pos] = plan_->constants()[index].captured_data;
-          step_floats[s] += plan_->constants()[index].tensor.numel();
+          pointer_pool_[pool_pos] =
+              plan_->constants()[static_cast<size_t>(in.index)].captured_data;
           break;
         case ValueRef::Kind::kInput:
           input_patches_.push_back(InputPatch{pool_pos, in.index});
-          step_floats[s] += plan_->inputs()[index].numel;
           break;
       }
       ++pool_pos;
@@ -61,15 +54,6 @@ PlanExecutor::PlanExecutor(std::shared_ptr<const ExecutionPlan> plan,
     } else if (!step.baked_indices.empty()) {
       state.indices = &step.baked_indices;
     }
-  }
-
-  for (const auto& [begin, end] : plan_->levels()) {
-    int64_t level_floats = 0;
-    for (int32_t s = begin; s < end; ++s) {
-      level_floats += step_floats[static_cast<size_t>(s)];
-    }
-    fan_out_.push_back(end - begin > 1 &&
-                       level_floats >= min_fan_out_floats);
   }
 }
 
@@ -137,9 +121,8 @@ ReplayStatus PlanExecutor::Run(
         index_inputs[static_cast<size_t>(patch.index_id)];
   }
 
-  for (size_t level = 0; level < fan_out_.size(); ++level) {
-    const auto [begin, end] = plan_->levels()[level];
-    if (mode == ReplayMode::kLevelParallel && fan_out_[level]) {
+  for (const auto& [begin, end] : plan_->levels()) {
+    if (mode == ReplayMode::kLevelParallel && end - begin > 1) {
       // Steps of one level write disjoint slots, so any interleaving is
       // race-free. Their inner kernels run serially (nested ParallelFor),
       // but chunk boundaries — hence results — are unchanged.
@@ -147,10 +130,9 @@ ReplayStatus PlanExecutor::Run(
         for (int64_t s = lo; s < hi; ++s) RunStep(static_cast<size_t>(s));
       });
     } else {
-      // Single-step and light levels bypass ParallelFor: the steps' own
-      // kernels can still parallelize (ParallelFor marks even its serial
-      // path as a parallel region, which would force nested calls serial),
-      // and a light level costs less than waking the pool.
+      // Single-step levels bypass ParallelFor so the step's own kernel can
+      // still parallelize (ParallelFor marks even its serial path as a
+      // parallel region, which would force nested calls serial).
       for (int32_t s = begin; s < end; ++s) RunStep(static_cast<size_t>(s));
     }
   }

@@ -1,7 +1,6 @@
 #ifndef D2STGNN_EXEC_PLAN_EXECUTOR_H_
 #define D2STGNN_EXEC_PLAN_EXECUTOR_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -22,20 +21,11 @@ namespace d2stgnn::exec {
 enum class ReplayMode {
   /// Steps run one after another in plan order.
   kSerial,
-  /// Steps of one level run concurrently on the shared thread pool, for
-  /// levels whose steps together touch at least the executor's fan-out
-  /// floor of floats; lighter levels run serially, since waking the pool
-  /// costs more than they do. Bitwise-identical to kSerial: same-level
-  /// steps write disjoint slots and every kernel is
-  /// thread-count-deterministic.
+  /// Steps of one level run concurrently on the shared thread pool.
+  /// Bitwise-identical to kSerial: same-level steps write disjoint slots
+  /// and every kernel is thread-count-deterministic.
   kLevelParallel,
 };
-
-/// Default fan-out floor: the floats (inputs read plus output written) a
-/// level's steps must touch together before kLevelParallel dispatches the
-/// level to the pool. Same value as kernels::kEwiseGrain, the floor below
-/// which a kernel runs its loop as a single chunk.
-inline constexpr int64_t kMinFanOutFloats = 1 << 14;
 
 /// Outcome of PlanExecutor::Run.
 enum class ReplayStatus {
@@ -66,11 +56,8 @@ class PlanExecutor {
   /// Allocates the slab and resolves every static pointer (slots and
   /// constants). The plan is shared and immutable; one executor instance
   /// owns mutable replay state and is NOT thread-safe — callers serialize
-  /// Run() (InferenceSession holds its session mutex). Under
-  /// kLevelParallel, only multi-step levels touching at least
-  /// `min_fan_out_floats` floats go to the pool (0 fans out every one).
-  explicit PlanExecutor(std::shared_ptr<const ExecutionPlan> plan,
-                        int64_t min_fan_out_floats = kMinFanOutFloats);
+  /// Run() (InferenceSession holds its session mutex).
+  explicit PlanExecutor(std::shared_ptr<const ExecutionPlan> plan);
 
   /// Replays the plan. `inputs` matches plan->inputs() by position,
   /// `index_inputs` matches plan->index_inputs() by position. On kOk the
@@ -85,11 +72,6 @@ class PlanExecutor {
   const float* output() const { return output_; }
 
   const ExecutionPlan& plan() const { return *plan_; }
-
-  /// Number of levels kLevelParallel dispatches to the pool.
-  int64_t fan_out_levels() const {
-    return std::count(fan_out_.begin(), fan_out_.end(), true);
-  }
 
  private:
   void RunStep(size_t step_index) const;
@@ -118,8 +100,6 @@ class PlanExecutor {
     int32_t index_id = 0;
   };
   std::vector<IndexPatch> index_patches_;
-  /// Per level of plan_->levels(): true when kLevelParallel fans it out.
-  std::vector<bool> fan_out_;
   const float* output_ = nullptr;
 };
 

@@ -191,10 +191,7 @@ class ZooCaptureTest : public ::testing::Test {
 TEST_F(ZooCaptureTest, ReplayMatchesEagerBitwiseOnFreshInputs) {
   auto plan = CapturePlan();
   ASSERT_NE(plan, nullptr);
-  // A zero fan-out floor sends every multi-step level to the pool, so
-  // kLevelParallel really runs steps concurrently on this tiny graph.
-  exec::PlanExecutor executor(plan, /*min_fan_out_floats=*/0);
-  ASSERT_GT(executor.fan_out_levels(), 0);
+  exec::PlanExecutor executor(plan);
 
   Rng rng(23);
   for (int trial = 0; trial < 3; ++trial) {
@@ -212,35 +209,6 @@ TEST_F(ZooCaptureTest, ReplayMatchesEagerBitwiseOnFreshInputs) {
         ASSERT_EQ(executor.output()[i], reference[i])
             << "trial " << trial << " element " << i;
       }
-    }
-  }
-}
-
-// kLevelParallel fans a level out only when its steps touch enough floats
-// to pay for waking the pool: the zoo's levels are all lighter than the
-// default floor, while a zero floor fans out every multi-step level.
-// Results do not depend on the floor.
-TEST_F(ZooCaptureTest, LightLevelsStaySerialUnderLevelParallel) {
-  auto plan = CapturePlan();
-  ASSERT_NE(plan, nullptr);
-  int64_t multi_step_levels = 0;
-  for (const auto& [begin, end] : plan->levels()) {
-    if (end - begin > 1) ++multi_step_levels;
-  }
-  ASSERT_GT(multi_step_levels, 0);
-
-  exec::PlanExecutor light(plan);
-  exec::PlanExecutor every(plan, /*min_fan_out_floats=*/0);
-  EXPECT_EQ(light.fan_out_levels(), 0);
-  EXPECT_EQ(every.fan_out_levels(), multi_step_levels);
-
-  const std::vector<float> reference = EagerZoo(x_, idx_);
-  for (exec::PlanExecutor* executor : {&light, &every}) {
-    ASSERT_EQ(executor->Run({{x_.Data().data(), x_.numel()}}, {&idx_},
-                            exec::ReplayMode::kLevelParallel),
-              exec::ReplayStatus::kOk);
-    for (size_t i = 0; i < reference.size(); ++i) {
-      ASSERT_EQ(executor->output()[i], reference[i]) << "element " << i;
     }
   }
 }
@@ -343,7 +311,7 @@ TEST_F(ZooCaptureTest, MismatchedBindingsAreRejectedWithoutRunning) {
 TEST_F(ZooCaptureTest, ReplayPerformsZeroArenaTraffic) {
   auto plan = CapturePlan();
   ASSERT_NE(plan, nullptr);
-  exec::PlanExecutor executor(plan, /*min_fan_out_floats=*/0);
+  exec::PlanExecutor executor(plan);
 
   auto arena = std::make_shared<BufferArena>();
   {
