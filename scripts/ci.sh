@@ -35,7 +35,10 @@
 #      on bench/baselines/serving.json), `run_experiment specs/fleet.spec`
 #      (BENCH_fleet.json, gated on the tenant-isolation bounds in
 #      bench/baselines/fleet.json), and bench_micro_kernels
-#      (BENCH_kernels.json), all shape-validated.
+#      (BENCH_kernels.json), all shape-validated. After the fleet run,
+#      the Release run of the full overload drill (specs/overload.spec,
+#      gated on bench/baselines/overload.json) writes to a scratch
+#      directory, build/overload-run.
 #   5. Experiments        — the declarative harness end to end: the smoke
 #      training spec runs gated against its checked-in baseline, --list
 #      enumerates the registry, and a run against an impossible baseline
@@ -207,6 +210,16 @@ build/tools/run_experiment specs/serving_sweep.spec > /dev/null
 # offered 2x saturation, sheds land as typed quota rejections, every model
 # is bitwise vs a standalone session, the reload touches one lane).
 build/tools/run_experiment specs/fleet.spec > /dev/null
+# Full-scale overload run: the one-tenant drill at 2x saturation with all
+# four chaos seams scripted, gated on bench/baselines/overload.json (every
+# window completes work, sheds stay inside (0, 1), the swap lands bitwise,
+# the governor degrades, every fault fires). Not a canonical artifact, so
+# it writes to a scratch directory.
+overload_out="build/overload-run"
+rm -rf "$overload_out"
+mkdir -p "$overload_out"
+build/tools/run_experiment --out-dir "$overload_out" specs/overload.spec \
+  > /dev/null
 cmake --build build -j "$(nproc)" --target bench_micro_kernels
 # Skip the google-benchmark section (nothing matches); the hand-timed sweep
 # that feeds BENCH_kernels.json still runs.

@@ -210,8 +210,9 @@ const std::vector<ServingScenario>& ServingScenarios() {
       {"parity",
        "plan vs eager A/B on single requests with a bitwise-equality check"},
       {"overload",
-       "open-loop producers past saturation: deadlines, admission control, "
-       "degrade tiers, checkpoint hot-swap, scripted chaos faults"},
+       "the one-tenant fleet drill: open-loop producers past saturation, "
+       "deadlines, degrade tiers, checkpoint hot-swap, scripted chaos "
+       "faults"},
       {"fleet",
        "multi-model FleetServer under skewed per-tenant load: SLO classes, "
        "weighted-fair arbitration, per-model quotas, mid-run hot reload"},

@@ -107,8 +107,6 @@ struct ServingConfig {
   int64_t window_ms = 250;
   int64_t deadline_ms = 0;        ///< 0: auto (5x the measured batch latency)
   int64_t low_priority_every = 4; ///< every Nth request is shed class kLow
-  double overload_rate_rps = 0.0; ///< token-bucket limit (0: off)
-  int64_t shed_latency_ms = 0;    ///< EWMA shed budget (0: off)
   bool hot_swap = true;           ///< stage + swap a checkpoint mid-run
   // [fleet] — the multi-model mixed-tenant scenario (DESIGN.md §14).
   std::vector<std::string> fleet_models;  ///< "id:slo" tenants, in order
@@ -164,10 +162,6 @@ ServingConfig ParseServingConfig(const Spec& spec) {
   c.deadline_ms = spec.GetInt("overload", "deadline_ms", c.deadline_ms);
   c.low_priority_every =
       spec.GetInt("overload", "low_priority_every", c.low_priority_every);
-  c.overload_rate_rps =
-      spec.GetDouble("overload", "rate_rps", c.overload_rate_rps);
-  c.shed_latency_ms =
-      spec.GetInt("overload", "shed_latency_ms", c.shed_latency_ms);
   c.hot_swap = spec.GetInt("overload", "hot_swap", c.hot_swap ? 1 : 0) != 0;
   c.fleet_models = spec.GetList("fleet", "models");
   if (c.fleet_models.empty()) {
@@ -192,7 +186,7 @@ ServingConfig ParseServingConfig(const Spec& spec) {
   return c;
 }
 
-// One tenant of the fleet scenario: a model id and its resolved SLO class,
+// One tenant of an open-loop drill: a model id and its resolved SLO class,
 // the seed its weights are drawn from (the hot-reload twin is seed + 1),
 // and its offered load as a multiple of the measured saturation rate.
 struct FleetTenant : infer::TenantSpec {
@@ -200,51 +194,84 @@ struct FleetTenant : infer::TenantSpec {
   double factor = 0.0;
 };
 
-/// Parses the [fleet] models list ("id" or "id:slo" entries; SLO names are
-/// the built-in gold/silver/bronze tiers) and marks the hot tenant. Runs at
-/// expansion time too, so --dry-run refuses a bad tenant list.
-bool ParseFleetTenants(const ServingConfig& c, std::vector<FleetTenant>* out,
-                       std::string* error) {
+/// One open-loop drill: the tenants one FleetServer hosts, the load each
+/// lane is offered, and the tenant hot-reloaded mid-run. The overload
+/// scenario is its one-tenant case, the fleet scenario the N-tenant one.
+struct DrillConfig {
+  std::string scenario;  ///< "overload" or "fleet": record and summary name
+  std::vector<FleetTenant> tenants;
+  std::string hot_id;     ///< the past-saturation tenant
+  std::string reload_id;  ///< hot-reloaded mid-run ("": no reload)
+  int64_t windows = 0;    ///< trajectory resolution
+  int64_t window_ms = 0;
+  int64_t deadline_ms = 0;  ///< 0: auto (5x the measured batch latency)
+  int64_t reload_poll_ms = 0;
+  int64_t producers_per_lane = 1;
+  int64_t low_priority_every = 0;  ///< every Nth request is kLow (0: none)
+};
+
+/// The overload scenario's drill: one tenant with the served model's
+/// weights, offered [overload] factor x saturation by [serving] producers.
+DrillConfig OverloadDrill(const ServingConfig& c) {
+  DrillConfig d;
+  d.scenario = "overload";
+  FleetTenant tenant;
+  tenant.id = "model";
+  tenant.seed = c.model_seed;
+  tenant.factor = c.overload_factor;
+  d.tenants = {tenant};
+  d.hot_id = tenant.id;
+  if (c.hot_swap) d.reload_id = tenant.id;
+  d.windows = c.overload_windows;
+  d.window_ms = c.window_ms;
+  d.deadline_ms = c.deadline_ms;
+  d.reload_poll_ms = std::max<int64_t>(10, c.window_ms / 10);
+  d.producers_per_lane = std::max<int64_t>(1, c.producers);
+  d.low_priority_every = c.low_priority_every;
+  return d;
+}
+
+/// The fleet scenario's drill, from the [fleet] models list ("id" or
+/// "id:slo" entries; SLO names are the built-in gold/silver/bronze tiers):
+/// one producer per lane and no low-priority marking. Runs at expansion
+/// time too, so --dry-run refuses a bad tenant list.
+bool FleetDrill(const ServingConfig& c, DrillConfig* d, std::string* error) {
   std::vector<infer::TenantSpec> specs;
   if (!infer::ParseTenants(c.fleet_models, &specs, error)) {
     *error = "[fleet] models: " + *error;
     return false;
   }
-  out->clear();
+  d->scenario = "fleet";
+  d->hot_id = c.fleet_hot_model.empty() ? specs.back().id : c.fleet_hot_model;
+  if (c.fleet_hot_swap) {
+    d->reload_id = c.fleet_reload_model.empty() ? specs.front().id
+                                                : c.fleet_reload_model;
+  }
+  bool hot_found = false;
+  bool reload_found = d->reload_id.empty();
   for (size_t i = 0; i < specs.size(); ++i) {
+    const bool hot = specs[i].id == d->hot_id;
+    hot_found = hot_found || hot;
+    reload_found = reload_found || specs[i].id == d->reload_id;
     // Distinct weights per tenant, spaced so one tenant's hot-reload twin
     // (seed + 1) can never collide with another tenant's seed.
-    out->push_back({specs[i],
-                    c.model_seed + 16 * (static_cast<uint64_t>(i) + 1),
-                    c.fleet_healthy_factor});
-  }
-  const std::string hot =
-      c.fleet_hot_model.empty() ? out->back().id : c.fleet_hot_model;
-  bool hot_found = false;
-  for (FleetTenant& tenant : *out) {
-    if (tenant.id == hot) {
-      tenant.factor = c.fleet_hot_factor;
-      hot_found = true;
-    }
+    d->tenants.push_back({specs[i],
+                          c.model_seed + 16 * (static_cast<uint64_t>(i) + 1),
+                          hot ? c.fleet_hot_factor : c.fleet_healthy_factor});
   }
   if (!hot_found) {
-    *error = "[fleet] hot_model '" + hot + "' is not in the models list";
+    *error = "[fleet] hot_model '" + d->hot_id + "' is not in the models list";
     return false;
   }
-  if (c.fleet_hot_swap) {
-    const std::string reload = c.fleet_reload_model.empty()
-                                   ? out->front().id
-                                   : c.fleet_reload_model;
-    bool reload_found = false;
-    for (const FleetTenant& tenant : *out) {
-      reload_found = reload_found || tenant.id == reload;
-    }
-    if (!reload_found) {
-      *error = "[fleet] reload_model '" + reload +
-               "' is not in the models list";
-      return false;
-    }
+  if (!reload_found) {
+    *error = "[fleet] reload_model '" + d->reload_id +
+             "' is not in the models list";
+    return false;
   }
+  d->windows = c.fleet_windows;
+  d->window_ms = c.fleet_window_ms;
+  d->deadline_ms = c.fleet_deadline_ms;
+  d->reload_poll_ms = std::max<int64_t>(5, c.fleet_reload_poll_ms);
   return true;
 }
 
@@ -312,6 +339,25 @@ bool ExpandServing(const ServingConfig& config,
     *error = "[serving] scenarios lists no scenarios";
     return false;
   }
+  // Every request window must lie inside the generated series.
+  const int64_t max_requests = config.num_steps - config.input_len + 1;
+  if (config.ring_size < 1 || config.ring_size > max_requests) {
+    *error = "[workload] requests = " + std::to_string(config.ring_size) +
+             " must be in [1, " + std::to_string(max_requests) +
+             "] (num_steps - input_len + 1)";
+    return false;
+  }
+  for (const auto& [key, value] :
+       {std::pair{"[overload] windows", config.overload_windows},
+        {"[overload] window_ms", config.window_ms},
+        {"[fleet] windows", config.fleet_windows},
+        {"[fleet] window_ms", config.fleet_window_ms}}) {
+    if (value < 1) {
+      *error = std::string(key) + " = " + std::to_string(value) +
+               " must be >= 1";
+      return false;
+    }
+  }
   std::vector<std::string> backends;
   if (!ResolveServingBackends(config, &backends, error)) return false;
   // A single backend keeps the historical cell text; only a real sweep
@@ -329,11 +375,11 @@ bool ExpandServing(const ServingConfig& config,
                              " batch_size=" + std::to_string(batch));
           }
         } else if (scenario == "fleet") {
-          std::vector<FleetTenant> tenants;
-          if (!ParseFleetTenants(config, &tenants, error)) return false;
+          DrillConfig drill;
+          if (!FleetDrill(config, &drill, error)) return false;
           cells->push_back(prefix + "scenario=fleet threads=" +
                            std::to_string(threads) +
-                           " models=" + std::to_string(tenants.size()));
+                           " models=" + std::to_string(drill.tenants.size()));
         } else {
           cells->push_back(prefix + "scenario=" + scenario +
                            " threads=" + std::to_string(threads));
@@ -724,12 +770,12 @@ struct WindowAgg {
   std::vector<double> latencies_ms;  ///< of the completed requests
 };
 
-/// Buckets the samples of `lane` (-1: every lane) by window.
+/// Buckets the samples of `lane` by window.
 std::vector<WindowAgg> AggregateWindows(const LoadResult& load,
                                         int64_t windows, int64_t lane) {
   std::vector<WindowAgg> aggs(static_cast<size_t>(windows));
   for (const LoadSample& sample : load.samples) {
-    if (lane >= 0 && sample.lane != lane) continue;
+    if (sample.lane != lane) continue;
     WindowAgg& agg = aggs[static_cast<size_t>(sample.window)];
     ++agg.offered;
     if (sample.ok) {
@@ -847,195 +893,23 @@ int64_t AwaitFirstSwap(const infer::CheckpointReloader& reloader) {
   return reloader.stats().swaps;
 }
 
-/// The summaries every open-loop drill (overload, fleet) reports besides its
-/// own, and the failures that void the run: nothing completed, or a
-/// configured (`hot_swap`) mid-run swap that never landed or whose forecast
-/// is not bitwise the twin's.
-bool ReportDrill(const std::string& scenario, int64_t completed,
-                 bool hot_swap, int64_t hot_swaps, int64_t post_swap_bitwise,
-                 int64_t faults_armed, int64_t faults_fired,
-                 infer::OverloadTier max_tier, int64_t degrade_transitions,
-                 MetricsSink* sink, std::string* error) {
-  sink->SetSummary("hot_swaps", json::Value::Int(hot_swaps));
-  sink->SetSummary("post_swap_bitwise", json::Value::Int(post_swap_bitwise));
-  sink->SetSummary("faults_armed", json::Value::Int(faults_armed));
-  sink->SetSummary("faults_fired", json::Value::Int(faults_fired));
-  sink->SetSummary("max_tier",
-                   json::Value::Str(infer::OverloadTierName(max_tier)));
-  sink->SetSummary("degrade_transitions",
-                   json::Value::Int(degrade_transitions));
-  if (completed == 0) {
-    *error = scenario + " run completed zero requests";
-  } else if (hot_swap && hot_swaps == 0) {
-    *error = scenario + " run never hot-swapped the staged checkpoint";
-  } else if (hot_swap && post_swap_bitwise != 1) {
-    *error = scenario + " run's post-swap forecast is not bitwise the staged "
-                        "twin";
-  } else {
-    return true;
-  }
-  return false;
-}
-
-/// Open-loop producers past saturation: the closed-loop overload scenario
-/// of DESIGN.md §13. Offered load is a multiple of the *measured* serving
-/// rate (self-calibrating, so the same spec saturates under a sanitizer
-/// too), every request carries a deadline, every Nth is low priority, the
-/// scripted chaos faults fire mid-run, and a checkpoint hot-swap lands
-/// while the server is shedding. Emits one record per time window — the
-/// shed-rate / deadline-miss / p99 trajectory — plus run-level summaries.
-bool SweepOverload(const ServingConfig& c, const ServingWorkload& w,
-                   int64_t threads, MetricsSink* sink, std::string* error) {
+/// Runs an open-loop drill (DESIGN.md §13, §14): one FleetServer hosts
+/// every tenant, each with its own weights, plan cache, and SLO class.
+/// Each lane's offered load is a multiple of the *measured* serving rate
+/// (self-calibrating, so the same spec saturates under a sanitizer too),
+/// regardless of completions; every request carries a deadline, the
+/// scripted chaos faults fire mid-run, and one tenant's checkpoint hot-swap
+/// lands while the hot tenant sheds. Emits one record per (tenant, window)
+/// — the shed-rate / deadline-miss / p99 / throughput trajectory — plus
+/// run-level summaries. The run fails when nothing completed, when the
+/// configured swap never landed, when a tenant does not serve bitwise what
+/// a standalone session over its weights (the reloaded one: the staged
+/// twin's) serves, or when the reload swapped any other lane.
+bool RunDrill(const DrillConfig& d, const ServingConfig& c,
+              const ServingWorkload& w, int64_t threads, MetricsSink* sink,
+              std::string* error) {
   SetNumThreads(static_cast<int>(threads));
-
-  // The server takes shared ownership: a mid-run SwapSession retires this
-  // session once the last in-flight batch lets go of it.
-  std::shared_ptr<infer::InferenceSession> session =
-      BuildServingSession(w, c, c.model_seed, /*use_plans=*/true);
-  if (session == nullptr) {
-    *error = "failed to build the overload inference session";
-    return false;
-  }
-
-  // Calibrate: measure the saturated serving rate at the max batch size.
-  Saturation saturation;
-  if (!CalibrateSaturation(session.get(), w.ring, c.max_batch_size,
-                           &saturation, error)) {
-    return false;
-  }
-  const double offered_rps =
-      std::max(1.0, saturation.rps * c.overload_factor);
-  const int64_t deadline_us = saturation.DeadlineUs(c.deadline_ms);
-
-  const int64_t faults_armed = ArmChaosFaults(c.chaos_faults);
-
-  infer::BatchingOptions options;
-  options.max_batch_size = c.max_batch_size;
-  options.max_wait_us = c.max_wait_us;
-  options.max_queue_depth = c.max_queue_depth;
-  options.admission.rate_rps = c.overload_rate_rps;
-  options.admission.shed_latency_us = c.shed_latency_ms * 1000;
-  infer::BatchingServer server(session, options);
-
-  // Hot-reload plumbing: twin weights (model_seed + 1) are checkpointed
-  // into a private watch directory one window into the run.
-  HotSwapDrill drill;
-  if (c.hot_swap &&
-      !drill.Start(w, c, c.model_seed, "overload", threads,
-                   std::max<int64_t>(10, c.window_ms / 10), &server, error)) {
-    return false;
-  }
-
-  // Open-loop producers sharing one lane at the offered rate. Every request
-  // carries the deadline, every Nth is low priority. Mid-run: the hot-swap
-  // checkpoint drops one window in, and the worst tier is tracked.
-  infer::OverloadTier max_tier = infer::OverloadTier::kNormal;
-  OpenLoopOptions load_options;
-  load_options.lane_rps = {offered_rps};
-  load_options.producers_per_lane = std::max<int64_t>(1, c.producers);
-  load_options.seconds =
-      static_cast<double>(c.overload_windows * c.window_ms) / 1000.0;
-  load_options.windows = c.overload_windows;
-  load_options.on_tick = [&](double elapsed_s) {
-    if (elapsed_s * 1000.0 >= static_cast<double>(c.window_ms)) drill.Drop();
-    max_tier = std::max(max_tier, server.stats().tier);
-  };
-  const LoadResult load =
-      LoadGenerator([&](const LoadRequest& r) {
-        infer::ForecastRequest request =
-            w.ring[static_cast<size_t>(r.seq) % w.ring.size()];
-        request.deadline_us = deadline_us;
-        if (c.low_priority_every > 0 &&
-            r.seq % c.low_priority_every == c.low_priority_every - 1) {
-          request.priority = infer::RequestPriority::kLow;
-        }
-        return server.Submit(std::move(request));
-      }).OpenLoop(load_options);
-  drill.Drop();
-  max_tier = std::max(max_tier, server.stats().tier);
-
-  // The swap must land and the post-swap forecast must be bitwise the twin
-  // reference.
-  int64_t hot_swaps = 0;
-  int64_t post_swap_bitwise = -1;
-  if (drill.reloader != nullptr) {
-    hot_swaps = AwaitFirstSwap(*drill.reloader);
-    if (hot_swaps > 0) {
-      infer::RetryPolicy policy;
-      policy.max_attempts = 16;
-      policy.initial_backoff_us = 5000;
-      policy.jitter_seed = c.workload_seed;
-      const infer::RetryResult probe =
-          infer::SubmitWithRetry(&server, w.ring[0], policy);
-      post_swap_bitwise =
-          probe.forecast.ok && probe.forecast.values == drill.reference ? 1
-                                                                        : 0;
-    } else {
-      post_swap_bitwise = 0;
-    }
-    drill.reloader->Stop();
-  }
-  server.Shutdown();
-  const infer::BatchingServerStats server_stats = server.stats();
-  const int64_t faults_fired = fault::FaultFireCount();
-  fault::DisarmAllFaultPoints();
-
-  // Per-window trajectory records.
-  const std::vector<WindowAgg> window_aggs =
-      AggregateWindows(load, c.overload_windows, /*lane=*/-1);
-  int64_t total_offered = 0, total_completed = 0, total_shed = 0,
-          total_expired = 0;
-  const double window_s = static_cast<double>(c.window_ms) / 1000.0;
-  double max_p99_ms = 0.0;
-  for (int64_t i = 0; i < c.overload_windows; ++i) {
-    const WindowAgg& agg = window_aggs[static_cast<size_t>(i)];
-    total_offered += agg.offered;
-    total_completed += agg.completed;
-    total_shed += agg.shed;
-    total_expired += agg.expired;
-    max_p99_ms = std::max(max_p99_ms,
-                          metrics::SummarizeLatencies(agg.latencies_ms).p99);
-    sink->AddRecord(WindowRecord("overload", threads, c.max_batch_size, i,
-                                 agg, window_s));
-  }
-
-  const double total_denom =
-      static_cast<double>(std::max<int64_t>(total_offered, 1));
-  sink->SetSummary("saturation_rps", json::Value::Number(saturation.rps));
-  sink->SetSummary("offered_rps", json::Value::Number(offered_rps));
-  sink->SetSummary("overload_shed_rate",
-                   json::Value::Number(static_cast<double>(total_shed) /
-                                       total_denom));
-  sink->SetSummary("overload_deadline_miss_rate",
-                   json::Value::Number(static_cast<double>(total_expired) /
-                                       total_denom));
-  sink->SetSummary("overload_completed", json::Value::Int(total_completed));
-  sink->SetSummary("overload_max_p99_ms", json::Value::Number(max_p99_ms));
-  sink->SetSummary("session_swaps",
-                   json::Value::Int(server_stats.session_swaps));
-  return ReportDrill("overload", total_completed, c.hot_swap, hot_swaps,
-                     post_swap_bitwise, faults_armed, faults_fired, max_tier,
-                     server_stats.degrade_transitions, sink, error);
-}
-
-/// The multi-city fleet scenario (DESIGN.md §14): one FleetServer hosts
-/// every configured tenant, each with its own weights, plan cache, and SLO
-/// class. Open-loop producers offer a skewed mix — every healthy tenant
-/// well under saturation, one low-priority tenant past 2x — while a
-/// CheckpointReloader hot-reloads one model mid-run. Emits one record per
-/// (model, window) — the per-tenant shed-rate / p99 / throughput
-/// trajectory — plus the isolation summaries the baseline gates: the
-/// high-priority tenants must ride out the hot tenant's overload, every
-/// model must stay bitwise identical to a standalone single-model session,
-/// and the reload must not perturb any other lane.
-bool SweepFleet(const ServingConfig& c, const ServingWorkload& w,
-                int64_t threads, MetricsSink* sink, std::string* error) {
-  SetNumThreads(static_cast<int>(threads));
-
-  std::vector<FleetTenant> tenants;
-  if (!ParseFleetTenants(c, &tenants, error)) return false;
-  const std::string reload_id =
-      c.fleet_reload_model.empty() ? tenants.front().id : c.fleet_reload_model;
+  const std::string& scenario = d.scenario;
 
   // Register every tenant, and record the bitwise reference each lane must
   // reproduce: the same weights served by a standalone single-model
@@ -1043,11 +917,13 @@ bool SweepFleet(const ServingConfig& c, const ServingWorkload& w,
   // computes.
   infer::ModelFleet fleet;
   std::map<std::string, std::vector<float>> reference;
-  for (const FleetTenant& tenant : tenants) {
+  uint64_t reload_seed = 0;
+  for (const FleetTenant& tenant : d.tenants) {
     if (!StandaloneForecast(w, c, tenant.seed, &reference[tenant.id],
                             error)) {
       return false;
     }
+    if (tenant.id == d.reload_id) reload_seed = tenant.seed;
     infer::FleetModelOptions model_options;
     model_options.model_id = tenant.id;
     model_options.slo = tenant.slo;
@@ -1062,11 +938,11 @@ bool SweepFleet(const ServingConfig& c, const ServingWorkload& w,
   // Calibrate the saturated serving rate once — every tenant shares the
   // architecture, so one measurement sizes all the offered loads.
   Saturation saturation;
-  if (!CalibrateSaturation(fleet.session(tenants.front().id).get(), w.ring,
+  if (!CalibrateSaturation(fleet.session(d.tenants.front().id).get(), w.ring,
                            c.max_batch_size, &saturation, error)) {
     return false;
   }
-  const int64_t deadline_us = saturation.DeadlineUs(c.fleet_deadline_ms);
+  const int64_t deadline_us = saturation.DeadlineUs(d.deadline_ms);
 
   const int64_t faults_armed = ArmChaosFaults(c.chaos_faults);
 
@@ -1074,61 +950,60 @@ bool SweepFleet(const ServingConfig& c, const ServingWorkload& w,
   fleet_options.max_queue_depth = c.max_queue_depth;
   infer::FleetServer server(&fleet, fleet_options);
 
-  // Hot-reload plumbing for the one reloaded tenant: twin weights
-  // (seed + 1) land in a private watch directory one window into the run.
+  // Hot-reload plumbing for the reloaded tenant: twin weights (seed + 1)
+  // land in a private watch directory one window into the run.
+  const bool hot_swap = !d.reload_id.empty();
   HotSwapDrill drill;
-  if (c.fleet_hot_swap) {
-    uint64_t reload_seed = 0;
-    for (const FleetTenant& tenant : tenants) {
-      if (tenant.id == reload_id) reload_seed = tenant.seed;
-    }
-    if (!drill.Start(w, c, reload_seed, "fleet", threads,
-                     std::max<int64_t>(5, c.fleet_reload_poll_ms),
-                     server.host(reload_id), error)) {
-      return false;
-    }
+  if (hot_swap && !drill.Start(w, c, reload_seed, scenario, threads,
+                               d.reload_poll_ms, server.host(d.reload_id),
+                               error)) {
+    return false;
   }
 
-  // One open-loop lane per tenant: offered = saturation * tenant.factor,
-  // regardless of completions (that is what makes per-tenant shedding
-  // observable). Mid-run: the reload tenant's twin checkpoint drops one
-  // window in, and the worst tier is tracked.
+  // One open-loop lane per tenant at saturation * tenant.factor (that is
+  // what makes per-tenant shedding observable), split across
+  // producers_per_lane threads. Every request carries the deadline, every
+  // Nth is low priority. Mid-run: the twin checkpoint drops one window in,
+  // and the worst tier is tracked.
   infer::OverloadTier max_tier = infer::OverloadTier::kNormal;
   OpenLoopOptions load_options;
-  for (const FleetTenant& tenant : tenants) {
+  double offered_rps = 0.0;
+  for (const FleetTenant& tenant : d.tenants) {
     load_options.lane_rps.push_back(
         std::max(1.0, saturation.rps * tenant.factor));
+    offered_rps += load_options.lane_rps.back();
   }
-  load_options.seconds =
-      static_cast<double>(c.fleet_windows * c.fleet_window_ms) / 1000.0;
-  load_options.windows = c.fleet_windows;
+  load_options.producers_per_lane = d.producers_per_lane;
+  load_options.seconds = static_cast<double>(d.windows * d.window_ms) / 1000.0;
+  load_options.windows = d.windows;
   load_options.on_tick = [&](double elapsed_s) {
-    if (elapsed_s * 1000.0 >= static_cast<double>(c.fleet_window_ms)) {
-      drill.Drop();
-    }
+    if (elapsed_s * 1000.0 >= static_cast<double>(d.window_ms)) drill.Drop();
     max_tier = std::max(max_tier, server.stats().tier);
   };
+  const int64_t every = d.low_priority_every;
   const LoadResult load =
       LoadGenerator([&](const LoadRequest& r) {
         infer::ForecastRequest request =
             w.ring[static_cast<size_t>(r.seq) % w.ring.size()];
         request.deadline_us = deadline_us;
-        return server.Submit(tenants[static_cast<size_t>(r.lane)].id,
+        if (every > 0 && r.seq % every == every - 1) {
+          request.priority = infer::RequestPriority::kLow;
+        }
+        return server.Submit(d.tenants[static_cast<size_t>(r.lane)].id,
                              std::move(request));
       }).OpenLoop(load_options);
   drill.Drop();
   max_tier = std::max(max_tier, server.stats().tier);
 
   // The reload must land before the probes.
-  const int64_t hot_swaps =
-      c.fleet_hot_swap ? AwaitFirstSwap(*drill.reloader) : 0;
+  const int64_t hot_swaps = hot_swap ? AwaitFirstSwap(*drill.reloader) : 0;
 
   // Bitwise probes, after the backlog drains: every tenant must serve
   // exactly what its standalone session serves — the reloaded tenant, what
   // the staged twin serves. Generous retries ride out tier recovery.
   int64_t bitwise_models = 0;
-  int64_t post_swap_bitwise = c.fleet_hot_swap ? 0 : -1;
-  for (const FleetTenant& tenant : tenants) {
+  int64_t post_swap_bitwise = hot_swap ? 0 : -1;
+  for (const FleetTenant& tenant : d.tenants) {
     infer::RetryPolicy policy;
     policy.max_attempts = 64;
     policy.initial_backoff_us = 2000;
@@ -1136,7 +1011,7 @@ bool SweepFleet(const ServingConfig& c, const ServingWorkload& w,
     policy.jitter_seed = c.workload_seed;
     const infer::RetryResult probe =
         infer::SubmitWithRetry(&server, tenant.id, w.ring[0], policy);
-    const bool reloaded = c.fleet_hot_swap && tenant.id == reload_id;
+    const bool reloaded = tenant.id == d.reload_id;
     const std::vector<float>& expected =
         reloaded && hot_swaps > 0 ? drill.reference : reference[tenant.id];
     const bool bitwise = probe.forecast.ok && probe.forecast.values == expected;
@@ -1150,29 +1025,33 @@ bool SweepFleet(const ServingConfig& c, const ServingWorkload& w,
   const int64_t faults_fired = fault::FaultFireCount();
   fault::DisarmAllFaultPoints();
 
-  // Per-(model, window) trajectory records, plus per-tenant aggregates for
-  // the isolation summaries.
-  const double window_s = static_cast<double>(c.fleet_window_ms) / 1000.0;
-  int64_t total_completed = 0;
+  // Per-(tenant, window) trajectory records, plus the run totals and, with
+  // more than one tenant, the isolation aggregates: "high" covers the
+  // healthy best-priority tenants, "hot" the past-saturation one.
+  const double window_s = static_cast<double>(d.window_ms) / 1000.0;
+  int64_t offered = 0, completed = 0, shed = 0, expired = 0;
   int64_t high_offered = 0, high_shed = 0, high_expired = 0;
   int64_t hot_offered = 0, hot_shed = 0;
-  double high_p99_ms = 0.0;
-  int64_t best_priority = tenants.front().slo.priority;
-  for (const FleetTenant& tenant : tenants) {
+  double max_p99_ms = 0.0, high_p99_ms = 0.0;
+  int64_t best_priority = d.tenants.front().slo.priority;
+  for (const FleetTenant& tenant : d.tenants) {
     best_priority = std::min(best_priority, tenant.slo.priority);
   }
-  for (size_t t = 0; t < tenants.size(); ++t) {
-    const FleetTenant& tenant = tenants[t];
-    const bool is_hot = tenant.factor == c.fleet_hot_factor &&
-                        tenant.id == (c.fleet_hot_model.empty()
-                                          ? tenants.back().id
-                                          : c.fleet_hot_model);
-    const std::vector<WindowAgg> aggs = AggregateWindows(
-        load, c.fleet_windows, static_cast<int64_t>(t));
-    for (int64_t i = 0; i < c.fleet_windows; ++i) {
+  for (size_t t = 0; t < d.tenants.size(); ++t) {
+    const FleetTenant& tenant = d.tenants[t];
+    const bool is_hot = tenant.id == d.hot_id;
+    const bool is_high = !is_hot && tenant.slo.priority == best_priority;
+    const std::vector<WindowAgg> aggs =
+        AggregateWindows(load, d.windows, static_cast<int64_t>(t));
+    for (int64_t i = 0; i < d.windows; ++i) {
       const WindowAgg& agg = aggs[static_cast<size_t>(i)];
-      total_completed += agg.completed;
-      if (tenant.slo.priority == best_priority && !is_hot) {
+      offered += agg.offered;
+      completed += agg.completed;
+      shed += agg.shed;
+      expired += agg.expired;
+      max_p99_ms = std::max(max_p99_ms,
+                            metrics::SummarizeLatencies(agg.latencies_ms).p99);
+      if (is_high) {
         high_offered += agg.offered;
         high_shed += agg.shed;
         high_expired += agg.expired;
@@ -1182,13 +1061,13 @@ bool SweepFleet(const ServingConfig& c, const ServingWorkload& w,
         hot_shed += agg.shed;
       }
       json::Value record =
-          WindowRecord("fleet", threads, c.max_batch_size, i, agg, window_s);
+          WindowRecord(scenario, threads, c.max_batch_size, i, agg, window_s);
       record.Set("model", json::Value::Str(tenant.id));
       record.Set("slo", json::Value::Str(tenant.slo.name));
       record.Set("priority", json::Value::Int(tenant.slo.priority));
       sink->AddRecord(std::move(record));
     }
-    if (tenant.slo.priority == best_priority && !is_hot) {
+    if (is_high) {
       high_p99_ms = std::max(
           high_p99_ms,
           metrics::SummarizeLatencies(load.OkLatenciesMs(
@@ -1197,56 +1076,70 @@ bool SweepFleet(const ServingConfig& c, const ServingWorkload& w,
     }
   }
 
-  // Isolation summaries. "high" covers the healthy best-priority tenants;
-  // "hot" is the past-saturation one. The reload must touch exactly one
-  // lane: every other model's session_swaps stays zero.
+  // The reload must touch exactly one lane: every other model's
+  // session_swaps stays zero.
+  int64_t session_swaps = 0;
   int64_t others_session_swaps = 0;
   int64_t rejected_quota = 0;
   for (const auto& [id, model_stats] : fleet_stats.models) {
     rejected_quota += model_stats.rejected_quota;
-    if (!(c.fleet_hot_swap && id == reload_id)) {
-      others_session_swaps += model_stats.session_swaps;
-    }
+    session_swaps += model_stats.session_swaps;
+    if (id != d.reload_id) others_session_swaps += model_stats.session_swaps;
   }
-  const double high_denom =
-      static_cast<double>(std::max<int64_t>(high_offered, 1));
-  const double hot_denom =
-      static_cast<double>(std::max<int64_t>(hot_offered, 1));
+  const auto rate = [](int64_t part, int64_t whole) {
+    return json::Value::Number(
+        static_cast<double>(part) /
+        static_cast<double>(std::max<int64_t>(whole, 1)));
+  };
   sink->SetSummary("saturation_rps", json::Value::Number(saturation.rps));
-  sink->SetSummary("fleet_models",
-                   json::Value::Int(static_cast<int64_t>(tenants.size())));
-  sink->SetSummary("fleet_completed", json::Value::Int(total_completed));
-  sink->SetSummary("fleet_high_shed_rate",
-                   json::Value::Number(static_cast<double>(high_shed) /
-                                       high_denom));
-  sink->SetSummary("fleet_high_deadline_miss_rate",
-                   json::Value::Number(static_cast<double>(high_expired) /
-                                       high_denom));
-  sink->SetSummary("fleet_high_p99_ms", json::Value::Number(high_p99_ms));
-  sink->SetSummary("fleet_hot_shed_rate",
-                   json::Value::Number(static_cast<double>(hot_shed) /
-                                       hot_denom));
+  sink->SetSummary("offered_rps", json::Value::Number(offered_rps));
+  sink->SetSummary(scenario + "_models",
+                   json::Value::Int(static_cast<int64_t>(d.tenants.size())));
+  sink->SetSummary(scenario + "_completed", json::Value::Int(completed));
+  sink->SetSummary(scenario + "_shed_rate", rate(shed, offered));
+  sink->SetSummary(scenario + "_deadline_miss_rate", rate(expired, offered));
+  sink->SetSummary(scenario + "_max_p99_ms", json::Value::Number(max_p99_ms));
+  if (d.tenants.size() > 1) {
+    sink->SetSummary(scenario + "_high_shed_rate",
+                     rate(high_shed, high_offered));
+    sink->SetSummary(scenario + "_high_deadline_miss_rate",
+                     rate(high_expired, high_offered));
+    sink->SetSummary(scenario + "_high_p99_ms",
+                     json::Value::Number(high_p99_ms));
+    sink->SetSummary(scenario + "_hot_shed_rate", rate(hot_shed, hot_offered));
+  }
   sink->SetSummary("rejected_quota", json::Value::Int(rejected_quota));
   sink->SetSummary("bitwise_models", json::Value::Int(bitwise_models));
+  sink->SetSummary("session_swaps", json::Value::Int(session_swaps));
   sink->SetSummary("others_session_swaps",
                    json::Value::Int(others_session_swaps));
-  if (!ReportDrill("fleet", total_completed, c.fleet_hot_swap, hot_swaps,
-                   post_swap_bitwise, faults_armed, faults_fired, max_tier,
-                   fleet_stats.degrade_transitions, sink, error)) {
-    return false;
-  }
-  if (bitwise_models != static_cast<int64_t>(tenants.size())) {
-    *error = "fleet forecasts diverge from the standalone sessions (" +
+  sink->SetSummary("hot_swaps", json::Value::Int(hot_swaps));
+  sink->SetSummary("post_swap_bitwise", json::Value::Int(post_swap_bitwise));
+  sink->SetSummary("faults_armed", json::Value::Int(faults_armed));
+  sink->SetSummary("faults_fired", json::Value::Int(faults_fired));
+  sink->SetSummary("max_tier",
+                   json::Value::Str(infer::OverloadTierName(max_tier)));
+  sink->SetSummary("degrade_transitions",
+                   json::Value::Int(fleet_stats.degrade_transitions));
+
+  if (completed == 0) {
+    *error = scenario + " run completed zero requests";
+  } else if (hot_swap && hot_swaps == 0) {
+    *error = scenario + " run never hot-swapped the staged checkpoint";
+  } else if (hot_swap && post_swap_bitwise != 1) {
+    *error = scenario +
+             " run's post-swap forecast is not bitwise the staged twin";
+  } else if (bitwise_models != static_cast<int64_t>(d.tenants.size())) {
+    *error = scenario + " forecasts diverge from the standalone sessions (" +
              std::to_string(bitwise_models) + "/" +
-             std::to_string(tenants.size()) + " bitwise)";
-    return false;
-  }
-  if (others_session_swaps != 0) {
+             std::to_string(d.tenants.size()) + " bitwise)";
+  } else if (others_session_swaps != 0) {
     *error = "hot reload perturbed other models' sessions (" +
              std::to_string(others_session_swaps) + " unexpected swaps)";
-    return false;
+  } else {
+    return true;
   }
-  return true;
+  return false;
 }
 
 bool RunServing(const ServingConfig& config, MetricsSink* sink,
@@ -1318,9 +1211,12 @@ bool RunServing(const ServingConfig& config, MetricsSink* sink,
                                error);
           }
           if (scenario == "overload") {
-            return SweepOverload(config, w, threads, sink, error);
+            return RunDrill(OverloadDrill(config), config, w, threads, sink,
+                            error);
           }
-          return SweepFleet(config, w, threads, sink, error);
+          DrillConfig drill;
+          return FleetDrill(config, &drill, error) &&
+                 RunDrill(drill, config, w, threads, sink, error);
         };
         for (const int64_t threads : config.threads) {
           ok = sweep(threads);

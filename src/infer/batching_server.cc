@@ -31,7 +31,6 @@ FleetOptions OneLaneOptions(const BatchingOptions& options) {
   FleetOptions fleet;
   fleet.max_queue_depth = options.max_queue_depth;
   fleet.admission = options.admission;
-  fleet.degrade = options.degrade;
   return fleet;
 }
 

@@ -37,7 +37,7 @@ struct BatchingOptions {
   /// Largest batch one forward serves (also the warm-up size).
   int64_t max_batch_size = 8;
   /// Longest a queued request may wait for its batch to fill before a
-  /// partial batch is flushed (shrunk under degradation, see `degrade`).
+  /// partial batch is flushed (shrunk under degradation tiers).
   int64_t max_wait_us = 2000;
   /// Submit rejects once this many requests are queued (<= 0: unbounded;
   /// this also disables the queue-pressure degrade tiers).
@@ -48,8 +48,6 @@ struct BatchingOptions {
   bool warmup = true;
   /// Admission gate in front of the queue (rate limit, latency shed).
   AdmissionOptions admission;
-  /// Degradation-tier watermarks and hysteresis.
-  DegradeOptions degrade;
 };
 
 /// Counters describing server traffic: the one lane's FleetModelStats.

@@ -65,8 +65,7 @@ FleetServer::FleetServer(ModelFleet* fleet, const FleetOptions& options)
       fleet_(fleet),
       clock_(ClockOrReal(options.clock)),
       arbiter_(options.max_queue_depth, kArbitrationWatermark),
-      shared_admission_(options.admission, options.clock),
-      governor_(options.degrade) {
+      shared_admission_(options.admission, options.clock) {
   D2_CHECK(fleet_ != nullptr);
   D2_CHECK_GT(fleet_->size(), 0u);
 

@@ -66,8 +66,6 @@ struct FleetOptions {
   /// Shared admission gate across all models (the hard bound above plus an
   /// optional fleet-wide rate limit / EWMA shed).
   AdmissionOptions admission;
-  /// Degradation-tier watermarks on total queue pressure.
-  DegradeOptions degrade;
   /// Injected time source (null: RealClock()).
   Clock* clock = nullptr;
 };

@@ -8,7 +8,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "common/clock.h"
 #include "data/scaler.h"
@@ -40,18 +39,14 @@ namespace d2stgnn::infer {
 using ModelFactory =
     std::function<std::unique_ptr<train::ForecastingModel>()>;
 
+/// Staging always warms the shadow session at batch sizes 1 and the host's
+/// max_batch_size() and, when it uses plans, requires each of those sizes
+/// to have a captured, verifier-clean plan before the swap.
 struct HotReloadOptions {
   std::string directory;          ///< watched checkpoint directory
   /// Watcher thread poll period. Configurable end to end: the fleet spec's
   /// [fleet] reload_poll_ms and serve_forecasts --reload-poll-ms land here.
   int64_t poll_interval_ms = 200;
-  /// Batch sizes warmed (and planned) on the shadow session before a swap.
-  /// Deduplicated before use; empty: sizes 1 and the host's
-  /// max_batch_size().
-  std::vector<int64_t> warmup_batch_sizes;
-  /// Require every warmed batch size to have a captured, verifier-clean
-  /// plan before the swap (only meaningful when the session uses plans).
-  bool verify_plans = true;
   /// Injected time source for staging-duration accounting (null:
   /// RealClock()).
   Clock* clock = nullptr;

@@ -2,10 +2,16 @@
 
 #include <algorithm>
 
-#include "common/check.h"
 #include "common/fault_injection.h"
 
 namespace d2stgnn::infer {
+
+namespace {
+
+// EWMA smoothing factor: the weight of the newest batch.
+constexpr double kEwmaAlpha = 0.2;
+
+}  // namespace
 
 const char* RejectReasonName(RejectReason reason) {
   switch (reason) {
@@ -38,15 +44,10 @@ bool IsRetryableReject(RejectReason reason) {
 
 AdmissionController::AdmissionController(const AdmissionOptions& options,
                                          Clock* clock)
-    : options_(options), clock_(ClockOrReal(clock)) {
-  D2_CHECK_GT(options_.ewma_alpha, 0.0);
-  D2_CHECK_LE(options_.ewma_alpha, 1.0);
-  if (options_.rate_rps > 0.0) {
-    burst_ = options_.burst > 0.0 ? options_.burst
-                                  : std::max(options_.rate_rps, 1.0);
-    tokens_ = burst_;  // a bucket starts full: bursts up to `burst_` pass
-  }
-}
+    : options_(options),
+      clock_(ClockOrReal(clock)),
+      // A bucket starts full: bursts up to its capacity pass.
+      tokens_(std::max(options.rate_rps, 1.0)) {}
 
 AdmissionDecision AdmissionController::Admit(int64_t queue_depth,
                                              int64_t queue_capacity) {
@@ -78,7 +79,8 @@ AdmissionDecision AdmissionController::Admit(int64_t queue_depth,
     const double elapsed_s =
         std::chrono::duration<double>(now - last_refill_).count();
     if (elapsed_s > 0.0) {
-      tokens_ = std::min(burst_, tokens_ + elapsed_s * options_.rate_rps);
+      tokens_ = std::min(std::max(options_.rate_rps, 1.0),
+                         tokens_ + elapsed_s * options_.rate_rps);
       last_refill_ = now;
     }
     if (tokens_ < 1.0) {
@@ -114,8 +116,8 @@ void AdmissionController::RecordBatch(int64_t batch_latency_us,
   if (ewma_request_us_ <= 0.0) {
     ewma_request_us_ = per_request;  // seed with the first observation
   } else {
-    ewma_request_us_ = options_.ewma_alpha * per_request +
-                       (1.0 - options_.ewma_alpha) * ewma_request_us_;
+    ewma_request_us_ =
+        kEwmaAlpha * per_request + (1.0 - kEwmaAlpha) * ewma_request_us_;
   }
 }
 
@@ -127,14 +129,6 @@ const char* OverloadTierName(OverloadTier tier) {
     case OverloadTier::kShedding: return "shedding";
   }
   return "unknown";
-}
-
-OverloadGovernor::OverloadGovernor(const DegradeOptions& options)
-    : options_(options) {
-  D2_CHECK_GT(options_.recover_ticks, 0);
-  D2_CHECK_LE(options_.recover_watermark, options_.degrade_watermark);
-  D2_CHECK_LE(options_.degrade_watermark, options_.cap_watermark);
-  D2_CHECK_LE(options_.cap_watermark, options_.shed_watermark);
 }
 
 void OverloadGovernor::SetTier(OverloadTier next) {
@@ -157,21 +151,21 @@ OverloadTier OverloadGovernor::Observe(int64_t queue_depth,
   const double fraction = static_cast<double>(queue_depth) /
                           static_cast<double>(queue_capacity);
   OverloadTier target = OverloadTier::kNormal;
-  if (fraction >= options_.shed_watermark) {
+  if (fraction >= kShedWatermark) {
     target = OverloadTier::kShedding;
-  } else if (fraction >= options_.cap_watermark) {
+  } else if (fraction >= kCapWatermark) {
     target = OverloadTier::kCapped;
-  } else if (fraction >= options_.degrade_watermark) {
+  } else if (fraction >= kDegradeWatermark) {
     target = OverloadTier::kDegraded;
   }
 
   if (target > tier_) {
     SetTier(target);  // escalation is immediate
   } else if (tier_ > OverloadTier::kNormal) {
-    // Recovery is hysteretic: `recover_ticks` consecutive calm
+    // Recovery is hysteretic: kRecoverTicks consecutive calm
     // observations step the tier down by one.
-    if (fraction <= options_.recover_watermark) {
-      if (++calm_ticks_ >= options_.recover_ticks) {
+    if (fraction <= kRecoverWatermark) {
+      if (++calm_ticks_ >= kRecoverTicks) {
         SetTier(static_cast<OverloadTier>(static_cast<int>(tier_) - 1));
       }
     } else {

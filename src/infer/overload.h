@@ -23,7 +23,7 @@
 //   * OverloadGovernor — graceful-degradation tiers driven by queue
 //     pressure. Escalation is immediate (one hot observation bumps the
 //     tier); recovery is hysteretic (the queue must stay below a low
-//     watermark for `recover_ticks` consecutive observations, and tiers
+//     watermark for kRecoverTicks consecutive observations, and tiers
 //     step down one at a time), so a server hovering at a threshold does
 //     not flap between policies. What each tier *does* — shrink the batch
 //     timer, cap batches to planned sizes, shed low-priority work — lives
@@ -68,14 +68,11 @@ enum class RequestPriority { kHigh = 0, kLow = 1 };
 /// default-constructed controller only enforces the queue bound.
 struct AdmissionOptions {
   /// Token-bucket refill rate in requests/second (<= 0: no rate limit).
+  /// The bucket holds max(rate_rps, 1) tokens.
   double rate_rps = 0.0;
-  /// Bucket capacity; <= 0 defaults to max(rate_rps, 1).
-  double burst = 0.0;
-  /// Shed new arrivals once the EWMA per-request service time exceeds this
-  /// (<= 0: no latency shed).
+  /// Shed new arrivals once the EWMA per-request service time (alpha 0.2)
+  /// exceeds this (<= 0: no latency shed).
   int64_t shed_latency_us = 0;
-  /// EWMA smoothing factor in (0, 1]; the weight of the newest batch.
-  double ewma_alpha = 0.2;
 };
 
 /// The outcome of one admission check.
@@ -110,7 +107,6 @@ class AdmissionController {
  private:
   AdmissionOptions options_;
   Clock* clock_;
-  double burst_ = 0.0;
   double tokens_ = 0.0;
   SteadyTime last_refill_{};
   bool bucket_primed_ = false;
@@ -131,23 +127,19 @@ enum class OverloadTier {
 /// Stable lowercase name ("normal", "degraded", "capped", "shedding").
 const char* OverloadTierName(OverloadTier tier);
 
-/// Watermarks are fractions of the queue capacity; see OverloadGovernor.
-struct DegradeOptions {
-  double degrade_watermark = 0.50;  ///< depth fraction => >= kDegraded
-  double cap_watermark = 0.75;      ///< depth fraction => >= kCapped
-  double shed_watermark = 0.90;     ///< depth fraction => kShedding
-  /// Hysteresis: recovery requires depth below this fraction...
-  double recover_watermark = 0.25;
-  /// ...for this many consecutive observations, and steps down one tier at
-  /// a time.
-  int64_t recover_ticks = 8;
-};
-
 /// Decides the degradation tier from queue pressure. Externally
 /// synchronized (called under the server mutex on every Submit and flush).
 class OverloadGovernor {
  public:
-  explicit OverloadGovernor(const DegradeOptions& options);
+  // Watermarks are fractions of the queue capacity.
+  static constexpr double kDegradeWatermark = 0.50;  ///< => >= kDegraded
+  static constexpr double kCapWatermark = 0.75;      ///< => >= kCapped
+  static constexpr double kShedWatermark = 0.90;     ///< => kShedding
+  /// Hysteresis: recovery requires depth at or below this fraction...
+  static constexpr double kRecoverWatermark = 0.25;
+  /// ...for this many consecutive observations, and steps down one tier at
+  /// a time.
+  static constexpr int64_t kRecoverTicks = 8;
 
   /// Feeds one queue observation and returns the (possibly changed) tier.
   /// With an unbounded queue (capacity <= 0) pressure is undefined and the
@@ -162,7 +154,6 @@ class OverloadGovernor {
  private:
   void SetTier(OverloadTier next);
 
-  DegradeOptions options_;
   OverloadTier tier_ = OverloadTier::kNormal;
   int64_t calm_ticks_ = 0;
   int64_t transitions_ = 0;

@@ -174,10 +174,8 @@ const float* InferenceSession::TryReplayLocked(const data::Batch& batch) {
   const std::vector<const std::vector<int64_t>*> index_inputs = {
       &batch.time_of_day, &batch.day_of_week};
   std::string error;
-  const exec::ReplayMode mode = options_.plan_parallel
-                                    ? exec::ReplayMode::kLevelParallel
-                                    : exec::ReplayMode::kSerial;
-  switch (executor.Run(inputs, index_inputs, mode, &error)) {
+  switch (executor.Run(inputs, index_inputs, exec::ReplayMode::kLevelParallel,
+                       &error)) {
     case exec::ReplayStatus::kOk:
       ++stats_.plan_replays;
       return executor.output();
@@ -321,10 +319,7 @@ std::vector<Forecast> InferenceSession::PredictRequests(
   if (options_.use_plans) {
     const BackendPlans& shard = ShardLocked();
     const auto it = shard.plans.lower_bound(num_valid);
-    if (it != shard.plans.end() &&
-        (it->first == num_valid || options_.pad_to_plan)) {
-      plan_size = it->first;
-    }
+    if (it != shard.plans.end()) plan_size = it->first;
   }
   if (plan_size > num_valid) {
     batch_requests.resize(static_cast<size_t>(plan_size), BlankRequest());

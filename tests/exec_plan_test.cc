@@ -556,7 +556,8 @@ class ExecSessionParityTest : public ExecSessionTest,
 // The tentpole contract on the full D2STGNN forward (diffusion block,
 // inherent block, estimation gate, dynamic graph — every core block):
 // plan-served forecasts are bitwise identical to eager ones, at 1 and 4
-// threads, in both serial and level-parallel replay modes.
+// threads, and serial replay of the captured plan is bitwise identical to
+// the level-parallel replay sessions serve with.
 TEST_P(ExecSessionParityTest, PlanReplayMatchesEagerBitwise) {
   SetNumThreads(GetParam());
 
@@ -570,36 +571,68 @@ TEST_P(ExecSessionParityTest, PlanReplayMatchesEagerBitwise) {
       eager->PredictRequests(requests);
   EXPECT_EQ(eager->session_stats().plans_built, 0);
 
-  for (const bool parallel : {false, true}) {
-    infer::SessionOptions plan_options = Options();
-    plan_options.plan_parallel = parallel;
-    // Every plan this test replays must first be accepted by the static
-    // verifier: the bitwise-parity assertions below are then exercised only
-    // on verifier-accepted plans, at 1 and 4 threads.
-    plan_options.verify_plans = true;
-    auto planned = infer::InferenceSession::Wrap(NewModel(7), scaler_,
-                                                 plan_options);
-    ASSERT_NE(planned, nullptr);
-    planned->Warmup(/*batch_size=*/4, /*runs=*/2);
-    ASSERT_EQ(planned->planned_batch_sizes(), std::vector<int64_t>{4});
+  infer::SessionOptions plan_options = Options();
+  // Every plan this test replays must first be accepted by the static
+  // verifier: the bitwise-parity assertions below are then exercised only
+  // on verifier-accepted plans, at 1 and 4 threads.
+  plan_options.verify_plans = true;
+  auto planned = infer::InferenceSession::Wrap(NewModel(7), scaler_,
+                                               plan_options);
+  ASSERT_NE(planned, nullptr);
+  planned->Warmup(/*batch_size=*/4, /*runs=*/2);
+  ASSERT_EQ(planned->planned_batch_sizes(), std::vector<int64_t>{4});
 
-    const auto reports = planned->verifier_reports();
-    ASSERT_EQ(reports.size(), 1u);
-    EXPECT_TRUE(reports.at(4).ok()) << reports.at(4).ToString();
+  const auto reports = planned->verifier_reports();
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_TRUE(reports.at(4).ok()) << reports.at(4).ToString();
 
-    const infer::SessionStats before = planned->session_stats();
-    EXPECT_EQ(before.plans_built, 1);
-    EXPECT_EQ(before.plans_verified, 1);
-    EXPECT_EQ(before.plan_verifier_errors, 0);
-    EXPECT_GT(before.plan_replays, 0) << "warmup runs must replay";
+  const infer::SessionStats before = planned->session_stats();
+  EXPECT_EQ(before.plans_built, 1);
+  EXPECT_EQ(before.plans_verified, 1);
+  EXPECT_EQ(before.plan_verifier_errors, 0);
+  EXPECT_GT(before.plan_replays, 0) << "warmup runs must replay";
 
-    const std::vector<infer::Forecast> served =
-        planned->PredictRequests(requests);
-    ExpectForecastsEqual(served, reference);
+  const std::vector<infer::Forecast> served =
+      planned->PredictRequests(requests);
+  ExpectForecastsEqual(served, reference);
 
-    const infer::SessionStats after = planned->session_stats();
-    EXPECT_EQ(after.plan_replays, before.plan_replays + 1);
-    EXPECT_EQ(after.eager_forwards, before.eager_forwards);
+  const infer::SessionStats after = planned->session_stats();
+  EXPECT_EQ(after.plan_replays, before.plan_replays + 1);
+  EXPECT_EQ(after.eager_forwards, before.eager_forwards);
+
+  // Both replay modes on the same captured full-model plan: each must
+  // reproduce the eager forecasts bitwise, request after request.
+  const data::Batch batch = eager->AssembleBatch(requests);
+  std::shared_ptr<const exec::ExecutionPlan> plan;
+  {
+    exec::GraphCapture capture;
+    capture.BindInput("x", batch.x);
+    capture.BindIndexInput("tod", batch.time_of_day);
+    capture.BindIndexInput("dow", batch.day_of_week);
+    const Tensor out = eager->Predict(batch);
+    plan = capture.Finish(out);
+    ASSERT_NE(plan, nullptr) << capture.error();
+  }
+  const exec::VerifierReport report = exec::VerifyPlan(*plan);
+  ASSERT_TRUE(report.ok()) << report.ToString();
+  std::vector<float> expected;
+  for (const infer::Forecast& forecast : reference) {
+    expected.insert(expected.end(), forecast.values.begin(),
+                    forecast.values.end());
+  }
+  exec::PlanExecutor executor(plan);
+  for (const exec::ReplayMode mode :
+       {exec::ReplayMode::kSerial, exec::ReplayMode::kLevelParallel}) {
+    std::string error;
+    ASSERT_EQ(executor.Run({{batch.x.Data().data(), batch.x.numel()}},
+                           {&batch.time_of_day, &batch.day_of_week}, mode,
+                           &error),
+              exec::ReplayStatus::kOk)
+        << error;
+    const std::vector<float> replayed(executor.output(),
+                                      executor.output() + expected.size());
+    EXPECT_EQ(replayed, expected)
+        << (mode == exec::ReplayMode::kSerial ? "serial" : "level-parallel");
   }
 }
 
@@ -653,17 +686,6 @@ TEST_F(ExecSessionTest, UndersizedBatchIsPaddedIntoThePlan) {
   EXPECT_EQ(after.plan_replays, before.plan_replays + 1);
   EXPECT_EQ(after.padded_replays, before.padded_replays + 1);
   EXPECT_EQ(after.eager_forwards, before.eager_forwards);
-
-  // With padding off the same undersized batch runs eager instead.
-  infer::SessionOptions no_pad = Options();
-  no_pad.pad_to_plan = false;
-  auto strict = infer::InferenceSession::Wrap(NewModel(7), scaler_, no_pad);
-  ASSERT_NE(strict, nullptr);
-  strict->Warmup(/*batch_size=*/4);
-  const int64_t eager_before = strict->session_stats().eager_forwards;
-  ExpectForecastsEqual(strict->PredictRequests(requests),
-                       eager->PredictRequests(requests));
-  EXPECT_EQ(strict->session_stats().eager_forwards, eager_before + 1);
 }
 
 // In-place parameter mutation (what optimizers and checkpoint loads do)

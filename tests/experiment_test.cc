@@ -3,11 +3,13 @@
 // ill-typed keys), the JSON value type beneath the sinks and gates, the
 // registry of named axes (every listed model must resolve and build), the
 // MetricsSink schema, the RegressionGate's pass/fail/diff behavior, matrix
-// expansion counts, and a small end-to-end RunSpec.
+// expansion counts and value checks, a dry run of every checked-in spec,
+// and a small end-to-end RunSpec.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -21,6 +23,10 @@
 #include "experiment/runner.h"
 #include "experiment/spec.h"
 #include "train/trainer.h"
+
+#ifndef D2STGNN_SOURCE_DIR
+#error "tests/CMakeLists.txt must define D2STGNN_SOURCE_DIR"
+#endif
 
 namespace d2stgnn::experiment {
 namespace {
@@ -472,8 +478,7 @@ TEST(RunnerTest, OverloadAndChaosKeysAreConsumedByDryRun) {
       "[serving]\nscenarios = overload\nthreads = 1\n"
       "max_queue_depth = 16\n"
       "[overload]\nfactor = 2.0\nwindows = 3\nwindow_ms = 100\n"
-      "deadline_ms = 5\nlow_priority_every = 4\nrate_rps = 0\n"
-      "shed_latency_ms = 0\nhot_swap = 1\n"
+      "deadline_ms = 5\nlow_priority_every = 4\nhot_swap = 1\n"
       "[chaos]\nfaults = server.admit@2, infer.hot_reload@0\n");
   RunOptions options;
   options.dry_run = true;
@@ -489,6 +494,71 @@ TEST(RunnerTest, OverloadAndChaosKeysAreConsumedByDryRun) {
   const RunResult bad = RunSpec(typo, options);
   EXPECT_FALSE(bad.ok);
   EXPECT_NE(bad.error.find("factar"), std::string::npos) << bad.error;
+}
+
+// Values that expand but cannot run (a series too short for the request
+// ring, an empty or negative trajectory) are refused at expansion, so
+// --dry-run names the key instead of the run crashing.
+TEST(RunnerTest, DryRunRefusesServingValuesThatCannotRun) {
+  struct Case {
+    const char* sections;  ///< appended to a valid overload + fleet spec
+    const char* key;       ///< what the error must name ("": accepted)
+  };
+  const Case cases[] = {
+      {"[workload]\nrequests = 0\n", "[workload] requests"},
+      {"[workload]\nrequests = -3\n", "[workload] requests"},
+      // 100 steps hold 100 - 12 + 1 = 89 input windows.
+      {"[workload]\nnum_steps = 100\nrequests = 90\n", "[workload] requests"},
+      {"[workload]\nnum_steps = 100\nrequests = 89\n", ""},
+      {"[model]\ninput_len = 24\n[workload]\nnum_steps = 100\n"
+       "requests = 78\n",
+       "[workload] requests"},
+      {"[overload]\nwindows = -1\n", "[overload] windows"},
+      {"[overload]\nwindows = 0\n", "[overload] windows"},
+      {"[overload]\nwindow_ms = 0\n", "[overload] window_ms"},
+      {"[fleet]\nwindows = 0\n", "[fleet] windows"},
+      {"[fleet]\nwindow_ms = -250\n", "[fleet] window_ms"},
+      {"[overload]\nwindows = 1\nwindow_ms = 1\n"
+       "[fleet]\nwindows = 1\nwindow_ms = 1\n",
+       ""},
+  };
+  RunOptions options;
+  options.dry_run = true;
+  for (const Case& c : cases) {
+    const RunResult result = RunSpec(
+        ParseSpec(std::string("[experiment]\nname = t\nkind = serving\n"
+                              "[serving]\nscenarios = overload, fleet\n"
+                              "threads = 1\n") +
+                  c.sections),
+        options);
+    if (std::string(c.key).empty()) {
+      EXPECT_TRUE(result.ok) << c.sections << result.error;
+    } else {
+      EXPECT_FALSE(result.ok) << c.sections;
+      EXPECT_NE(result.error.find(c.key), std::string::npos)
+          << c.sections << result.error;
+    }
+  }
+}
+
+// Every checked-in spec expands, and consumes every key it sets.
+TEST(RunnerTest, EveryCheckedInSpecDryRuns) {
+  RunOptions options;
+  options.dry_run = true;
+  int64_t specs = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::filesystem::path(D2STGNN_SOURCE_DIR) / "specs")) {
+    if (entry.path().extension() != ".spec") continue;
+    ++specs;
+    const std::string path = entry.path().string();
+    Spec spec;
+    std::string error;
+    ASSERT_TRUE(Spec::ParseFile(path, &spec, &error)) << path << ": " << error;
+    const RunResult result = RunSpec(spec, options);
+    EXPECT_TRUE(result.ok) << path << ": " << result.error;
+    EXPECT_GT(result.cells, 0) << path;
+  }
+  EXPECT_GT(specs, 0) << "no specs/*.spec found";
 }
 
 TEST(RunnerTest, ExpansionFailsOnUnknownAxisNames) {

@@ -482,15 +482,16 @@ TEST_F(InferServerTest, InjectedDeadlineFaultExpiresTheRequest) {
   EXPECT_EQ(server.stats().expired_deadlines, 1);
 }
 
-// Token bucket: burst_ admits pass immediately, the next is rate limited
-// with a refill-shaped retry hint.
+// Token bucket: a bucket's worth of admits (max(rate_rps, 1)) pass
+// immediately, the next is rate limited with a refill-shaped retry hint.
 TEST_F(InferServerTest, TokenBucketRateLimitsBeyondBurst) {
   infer::BatchingOptions options;
   options.max_batch_size = 8;
   options.max_wait_us = 500;
   options.warmup = false;
-  options.admission.rate_rps = 1.0;  // refill far slower than the test runs
-  options.admission.burst = 2.0;
+  // A bucket of 2 tokens refilled one per 500 ms, far slower than the
+  // four submissions below run.
+  options.admission.rate_rps = 2.0;
   infer::BatchingServer server(session_.get(), options);
 
   std::vector<std::future<infer::Forecast>> futures;

@@ -6,6 +6,8 @@
 #include "infer/overload.h"
 
 #include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -21,7 +23,6 @@ namespace {
 using infer::AdmissionController;
 using infer::AdmissionDecision;
 using infer::AdmissionOptions;
-using infer::DegradeOptions;
 using infer::OverloadGovernor;
 using infer::OverloadTier;
 using infer::RejectReason;
@@ -68,8 +69,7 @@ TEST(AdmissionControllerTest, QueueBoundRejectsWithDrainShapedHint) {
 
 TEST(AdmissionControllerTest, TokenBucketRefillsFromInjectedClock) {
   AdmissionOptions options;
-  options.rate_rps = 10.0;  // one token per 100ms
-  options.burst = 2.0;
+  options.rate_rps = 2.0;  // one token per 500ms; the bucket holds 2
   FakeClock clock;
   AdmissionController admission{options, &clock};
 
@@ -79,12 +79,12 @@ TEST(AdmissionControllerTest, TokenBucketRefillsFromInjectedClock) {
   AdmissionDecision limited = admission.Admit(0, 0);
   EXPECT_FALSE(limited.admitted);
   EXPECT_EQ(limited.reason, RejectReason::kRateLimited);
-  // An empty bucket refills a whole token in 100ms; the hint says so.
-  EXPECT_GT(limited.retry_after_us, 90'000);
-  EXPECT_LE(limited.retry_after_us, 110'000);
+  // An empty bucket refills a whole token in 500ms; the hint says so.
+  EXPECT_GT(limited.retry_after_us, 490'000);
+  EXPECT_LE(limited.retry_after_us, 510'000);
 
-  // 100ms later (by the injected clock) one token is back.
-  clock.Advance(std::chrono::milliseconds(100));
+  // 500ms later (by the injected clock) one token is back.
+  clock.Advance(std::chrono::milliseconds(500));
   EXPECT_TRUE(admission.Admit(0, 0).admitted);
   EXPECT_FALSE(admission.Admit(0, 0).admitted);
 
@@ -98,7 +98,6 @@ TEST(AdmissionControllerTest, TokenBucketRefillsFromInjectedClock) {
 TEST(AdmissionControllerTest, EwmaShedTripsAndRecovers) {
   AdmissionOptions options;
   options.shed_latency_us = 1000;
-  options.ewma_alpha = 0.5;
   AdmissionController admission{options};
 
   // Below budget: admitted.
@@ -106,61 +105,86 @@ TEST(AdmissionControllerTest, EwmaShedTripsAndRecovers) {
   EXPECT_DOUBLE_EQ(admission.ewma_request_us(), 800.0);
   EXPECT_TRUE(admission.Admit(0, 0).admitted);
 
-  // A slow batch blows the budget: 0.5*3000 + 0.5*800 = 1900 > 1000.
+  // A slow batch blows the budget: 0.2*3000 + 0.8*800 = 1240 > 1000.
   admission.RecordBatch(/*batch_latency_us=*/12000, /*batch_size=*/4);
-  EXPECT_DOUBLE_EQ(admission.ewma_request_us(), 1900.0);
+  EXPECT_DOUBLE_EQ(admission.ewma_request_us(), 1240.0);
   AdmissionDecision shed = admission.Admit(0, 0);
   EXPECT_FALSE(shed.admitted);
   EXPECT_EQ(shed.reason, RejectReason::kOverloaded);
   EXPECT_GT(shed.retry_after_us, 0);
 
   // Fast batches pull the EWMA back under: admission resumes.
-  admission.RecordBatch(/*batch_latency_us=*/400, /*batch_size=*/4);  // 1000
-  admission.RecordBatch(/*batch_latency_us=*/400, /*batch_size=*/4);  // 550
+  admission.RecordBatch(/*batch_latency_us=*/400, /*batch_size=*/4);  // 1012
+  EXPECT_DOUBLE_EQ(admission.ewma_request_us(), 1012.0);
+  EXPECT_FALSE(admission.Admit(0, 0).admitted);
+  admission.RecordBatch(/*batch_latency_us=*/400, /*batch_size=*/4);  // 829.6
+  EXPECT_DOUBLE_EQ(admission.ewma_request_us(), 829.6);
   EXPECT_TRUE(admission.Admit(0, 0).admitted);
 }
 
+// Queue depths, out of a capacity of 100, at the governor's watermarks.
+int64_t DepthAt(double watermark) { return std::llround(watermark * 100.0); }
+
 TEST(OverloadGovernorTest, EscalatesImmediatelyPerWatermark) {
-  OverloadGovernor governor{DegradeOptions{}};
+  const int64_t degrade = DepthAt(OverloadGovernor::kDegradeWatermark);
+  const int64_t cap = DepthAt(OverloadGovernor::kCapWatermark);
+  const int64_t shed = DepthAt(OverloadGovernor::kShedWatermark);
+  ASSERT_LT(degrade, cap);
+  ASSERT_LT(cap, shed);
+  ASSERT_LT(shed, 100);
+
+  OverloadGovernor governor;
   EXPECT_EQ(governor.tier(), OverloadTier::kNormal);
-  EXPECT_EQ(governor.Observe(49, 100), OverloadTier::kNormal);
-  EXPECT_EQ(governor.Observe(50, 100), OverloadTier::kDegraded);
-  EXPECT_EQ(governor.Observe(75, 100), OverloadTier::kCapped);
-  EXPECT_EQ(governor.Observe(90, 100), OverloadTier::kShedding);
+  EXPECT_EQ(governor.Observe(degrade - 1, 100), OverloadTier::kNormal);
+  EXPECT_EQ(governor.Observe(degrade, 100), OverloadTier::kDegraded);
+  EXPECT_EQ(governor.Observe(cap - 1, 100), OverloadTier::kDegraded);
+  EXPECT_EQ(governor.Observe(cap, 100), OverloadTier::kCapped);
+  EXPECT_EQ(governor.Observe(shed - 1, 100), OverloadTier::kCapped);
+  EXPECT_EQ(governor.Observe(shed, 100), OverloadTier::kShedding);
   EXPECT_EQ(governor.transitions(), 3);
 
   // One hot observation can skip tiers entirely.
-  OverloadGovernor fresh{DegradeOptions{}};
-  EXPECT_EQ(fresh.Observe(95, 100), OverloadTier::kShedding);
+  OverloadGovernor fresh;
+  EXPECT_EQ(fresh.Observe(shed + 1, 100), OverloadTier::kShedding);
   EXPECT_EQ(fresh.transitions(), 1);
 }
 
 TEST(OverloadGovernorTest, RecoveryIsHystereticOneTierAtATime) {
-  DegradeOptions options;
-  options.recover_ticks = 3;
-  OverloadGovernor governor{options};
-  ASSERT_EQ(governor.Observe(95, 100), OverloadTier::kShedding);
+  const int64_t ticks = OverloadGovernor::kRecoverTicks;
+  const int64_t calm = DepthAt(OverloadGovernor::kRecoverWatermark);
+  // Above the recover watermark, below the degrade one.
+  const int64_t warm = DepthAt(OverloadGovernor::kDegradeWatermark) - 1;
+  ASSERT_LT(calm, warm);
 
-  // Mid-pressure observations (above recover_watermark) do not recover,
-  // no matter how many arrive.
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(governor.Observe(40, 100), OverloadTier::kShedding);
+  OverloadGovernor governor;
+  ASSERT_EQ(governor.Observe(100, 100), OverloadTier::kShedding);
+
+  // Mid-pressure observations (above the recover watermark) do not
+  // recover, no matter how many arrive.
+  for (int64_t i = 0; i < 10 * ticks; ++i) {
+    EXPECT_EQ(governor.Observe(warm, 100), OverloadTier::kShedding);
   }
-  // Calm observations below the recover watermark step down one tier per
-  // recover_ticks run — never straight to kNormal.
-  EXPECT_EQ(governor.Observe(10, 100), OverloadTier::kShedding);  // calm 1
-  EXPECT_EQ(governor.Observe(10, 100), OverloadTier::kShedding);  // calm 2
-  EXPECT_EQ(governor.Observe(10, 100), OverloadTier::kCapped);    // calm 3
-  // A hot blip resets the calm streak.
-  EXPECT_EQ(governor.Observe(10, 100), OverloadTier::kCapped);
-  EXPECT_EQ(governor.Observe(10, 100), OverloadTier::kCapped);
-  EXPECT_EQ(governor.Observe(40, 100), OverloadTier::kCapped);  // reset
-  EXPECT_EQ(governor.Observe(10, 100), OverloadTier::kCapped);
-  EXPECT_EQ(governor.Observe(10, 100), OverloadTier::kCapped);
-  EXPECT_EQ(governor.Observe(10, 100), OverloadTier::kDegraded);
-  EXPECT_EQ(governor.Observe(10, 100), OverloadTier::kDegraded);
-  EXPECT_EQ(governor.Observe(10, 100), OverloadTier::kDegraded);
-  EXPECT_EQ(governor.Observe(10, 100), OverloadTier::kNormal);
+  // Calm observations at or below the recover watermark step down one tier
+  // per kRecoverTicks run — never straight to kNormal.
+  for (int64_t i = 1; i < ticks; ++i) {
+    EXPECT_EQ(governor.Observe(calm, 100), OverloadTier::kShedding)
+        << "calm " << i;
+  }
+  EXPECT_EQ(governor.Observe(calm, 100), OverloadTier::kCapped);
+  // A warm blip resets the calm streak.
+  for (int64_t i = 1; i < ticks; ++i) {
+    EXPECT_EQ(governor.Observe(calm, 100), OverloadTier::kCapped);
+  }
+  EXPECT_EQ(governor.Observe(warm, 100), OverloadTier::kCapped);  // reset
+  for (int64_t i = 1; i < ticks; ++i) {
+    EXPECT_EQ(governor.Observe(calm, 100), OverloadTier::kCapped);
+  }
+  EXPECT_EQ(governor.Observe(calm, 100), OverloadTier::kDegraded);
+  for (int64_t i = 1; i < ticks; ++i) {
+    EXPECT_EQ(governor.Observe(calm, 100), OverloadTier::kDegraded);
+  }
+  EXPECT_EQ(governor.Observe(calm, 100), OverloadTier::kNormal);
+  EXPECT_EQ(governor.transitions(), 4);
 }
 
 TEST(OverloadGovernorTest, InjectedDegradeFaultForcesShedding) {
@@ -168,7 +192,7 @@ TEST(OverloadGovernorTest, InjectedDegradeFaultForcesShedding) {
   script.kind = fault::FaultKind::kErrno;
   fault::ArmFaultPoint("server.degrade", script);
 
-  OverloadGovernor governor{DegradeOptions{}};
+  OverloadGovernor governor;
   // Even an unbounded queue (capacity 0, pressure undefined) degrades when
   // the chaos seam fires.
   EXPECT_EQ(governor.Observe(0, 0), OverloadTier::kShedding);
