@@ -48,7 +48,9 @@
 #      (checkpoints, durable I/O, divergence recovery, death tests), where
 #      torn buffers and use-after-free bugs would hide, plus the
 #      kernel-backend suite: the AVX2 masked head/tail loads and stores are
-#      exactly where an out-of-bounds lane read would live.
+#      exactly where an out-of-bounds lane read would live. The op and
+#      capture suites run here too: every op's forward closure does its own
+#      pointer arithmetic over StepIo buffers, eagerly and on replay.
 #   8. Plan verification  — tools/verify_plan under ASan+UBSan: every
 #      registry model's captured plans must prove race- and lifetime-sound
 #      (exit 0), and the --inject corrupted-plan fixture must be caught
@@ -310,14 +312,15 @@ cmake --build build-ubsan -j "$(nproc)"
 ctest --test-dir build-ubsan --output-on-failure -j "$(nproc)" \
   --no-tests=error
 
-echo "=== ASan+UBSan build + fault-injection suite ==="
+echo "=== ASan+UBSan build + fault-injection, op and capture suites ==="
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DD2STGNN_SANITIZE=address,undefined
 cmake --build build-asan -j "$(nproc)" \
   --target fault_injection_test checkpoint_test death_test io_test \
-  kernel_backend_test
+  kernel_backend_test tensor_test extended_ops_test op_gradcheck_test \
+  exec_plan_test
 ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
-  -R 'FaultInjection|CheckpointFault|CheckpointResume|DivergenceRecovery|Checkpoint|CsvLoader|DeathTest|Backend|UlpDiff' \
+  -R 'FaultInjection|CheckpointFault|CheckpointResume|DivergenceRecovery|Checkpoint|CsvLoader|DeathTest|Backend|UlpDiff|ElementwiseOps|MatMulOp|GradCheck|OpGradCheck|MaxMinOps|ZooCapture|GraphCapture|ExecSession' \
   --no-tests=error
 
 echo "=== Plan verification: registry-wide verify_plan under ASan+UBSan ==="

@@ -37,6 +37,29 @@ SplitWindows MakeChronologicalSplits(int64_t num_steps, int64_t input_len,
   return splits;
 }
 
+void EncodeWindow(const float* readings, int64_t input_len, int64_t num_nodes,
+                  int64_t time_of_day, int64_t day_of_week,
+                  int64_t steps_per_day, const StandardScaler& scaler,
+                  float* x, int64_t* tod, int64_t* dow) {
+  const float mean = scaler.mean();
+  const float inv_std = 1.0f / scaler.std_dev();
+  const float inv_day = 1.0f / static_cast<float>(steps_per_day);
+  for (int64_t t = 0; t < input_len; ++t) {
+    const int64_t slot = time_of_day + t;
+    const int64_t step_tod = slot % steps_per_day;
+    const int64_t step_dow = (day_of_week + slot / steps_per_day) % 7;
+    const float* src = readings + t * num_nodes;
+    float* dst = x + t * num_nodes * kInputFeatures;
+    for (int64_t node = 0; node < num_nodes; ++node) {
+      dst[node * 3] = (src[node] - mean) * inv_std;
+      dst[node * 3 + 1] = static_cast<float>(step_tod) * inv_day;
+      dst[node * 3 + 2] = static_cast<float>(step_dow) / 7.0f;
+    }
+    tod[t] = step_tod;
+    dow[t] = step_dow;
+  }
+}
+
 WindowDataLoader::WindowDataLoader(const TimeSeriesDataset* dataset,
                                    const StandardScaler* scaler,
                                    std::vector<int64_t> starts,
@@ -79,25 +102,15 @@ Batch WindowDataLoader::GetBatch(int64_t index) const {
   batch.time_of_day.resize(static_cast<size_t>(b * input_len_));
   batch.day_of_week.resize(static_cast<size_t>(b * input_len_));
 
-  const float mean = scaler_->mean();
-  const float inv_std = 1.0f / scaler_->std_dev();
-  const float inv_day = 1.0f / static_cast<float>(dataset_->steps_per_day);
   const std::vector<float>& values = dataset_->values.Data();
   for (int64_t i = 0; i < b; ++i) {
     const int64_t start = starts_[static_cast<size_t>(begin + i)];
-    for (int64_t t = 0; t < input_len_; ++t) {
-      const int64_t tod = dataset_->TimeOfDay(start + t);
-      const int64_t dow = dataset_->DayOfWeek(start + t);
-      const float* src = values.data() + (start + t) * n;
-      float* dst = x.data() + (i * input_len_ + t) * n * 3;
-      for (int64_t node = 0; node < n; ++node) {
-        dst[node * 3] = (src[node] - mean) * inv_std;
-        dst[node * 3 + 1] = static_cast<float>(tod) * inv_day;
-        dst[node * 3 + 2] = static_cast<float>(dow) / 7.0f;
-      }
-      batch.time_of_day[static_cast<size_t>(i * input_len_ + t)] = tod;
-      batch.day_of_week[static_cast<size_t>(i * input_len_ + t)] = dow;
-    }
+    EncodeWindow(values.data() + start * n, input_len_, n,
+                 dataset_->TimeOfDay(start), dataset_->DayOfWeek(start),
+                 dataset_->steps_per_day, *scaler_,
+                 x.data() + i * input_len_ * n * kInputFeatures,
+                 batch.time_of_day.data() + i * input_len_,
+                 batch.day_of_week.data() + i * input_len_);
     for (int64_t t = 0; t < output_len_; ++t) {
       const float* src = values.data() + (start + input_len_ + t) * n;
       std::copy(src, src + n, y.data() + (i * output_len_ + t) * n);

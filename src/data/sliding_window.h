@@ -30,6 +30,18 @@ SplitWindows MakeChronologicalSplits(int64_t num_steps, int64_t input_len,
 /// reading + time-of-day + day-of-week).
 inline constexpr int64_t kInputFeatures = 3;
 
+/// Encodes one input window into the model's input layout. `readings` is
+/// `input_len` x `num_nodes` raw readings, row-major by step, whose first
+/// step falls in time-of-day slot `time_of_day` of weekday `day_of_week`;
+/// later steps advance the slot, wrapping across midnight into the next
+/// weekday. Writes [input_len, num_nodes, kInputFeatures] features to `x`
+/// (z-scored reading, time-of-day fraction, day-of-week fraction) and the
+/// `input_len` slot and weekday indices to `tod` and `dow`.
+void EncodeWindow(const float* readings, int64_t input_len, int64_t num_nodes,
+                  int64_t time_of_day, int64_t day_of_week,
+                  int64_t steps_per_day, const StandardScaler& scaler,
+                  float* x, int64_t* tod, int64_t* dow);
+
 /// One minibatch of supervised samples.
 struct Batch {
   /// Inputs, [B, Th, N, 3]: channel 0 is the z-scored reading, channel 1

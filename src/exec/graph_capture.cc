@@ -22,7 +22,7 @@ bool CaptureActive() { return g_active_capture != nullptr; }
 
 void RecordStep(const char* op, std::vector<Tensor> inputs,
                 const Tensor& output, std::function<void(const StepIo&)> run,
-                bool zero_output) {
+                bool zero_output, const std::vector<int64_t>* indices) {
   GraphCapture* capture = g_active_capture;
   if (capture == nullptr) return;
   GraphCapture::Recorded recorded;
@@ -31,23 +31,10 @@ void RecordStep(const char* op, std::vector<Tensor> inputs,
   recorded.output = output;
   recorded.run = std::move(run);
   recorded.zero_output = zero_output;
-  capture->Record(std::move(recorded));
-}
-
-void RecordIndexedStep(const char* op, std::vector<Tensor> inputs,
-                       const std::vector<int64_t>& indices,
-                       const Tensor& output,
-                       std::function<void(const StepIo&)> run) {
-  GraphCapture* capture = g_active_capture;
-  if (capture == nullptr) return;
-  GraphCapture::Recorded recorded;
-  recorded.op = op;
-  recorded.inputs = std::move(inputs);
-  recorded.output = output;
-  recorded.run = std::move(run);
-  recorded.indexed = true;
-  recorded.indices_addr = &indices;
-  recorded.baked_indices = indices;  // dropped in Finish if bound
+  if (indices != nullptr) {
+    recorded.indices_addr = indices;
+    recorded.baked_indices = *indices;  // dropped in Finish if bound
+  }
   capture->Record(std::move(recorded));
 }
 
@@ -225,7 +212,7 @@ std::shared_ptr<const ExecutionPlan> GraphCapture::Finish(
     step.run = std::move(rec.run);
     step.inputs.reserve(rec.inputs.size());
     for (const Tensor& in : rec.inputs) step.inputs.push_back(resolve(in));
-    if (rec.indexed) {
+    if (rec.indices_addr != nullptr) {
       for (size_t b = 0; b < index_bindings_.size(); ++b) {
         if (index_bindings_[b].indices == rec.indices_addr) {
           step.index_input = static_cast<int32_t>(b);

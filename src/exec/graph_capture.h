@@ -12,11 +12,13 @@
 
 // Records one eager forward pass into an ExecutionPlan (DESIGN.md §10).
 //
-// While a GraphCapture is alive on a thread, every op dispatched in
-// tensor/ops.cc additionally records a replay closure via the internal
-// hooks below. The caller binds the per-request tensors by identity
-// *before* running the forward, runs it once eagerly (the capture run
-// produces normal, correct results), then calls Finish() with the output:
+// Every op in tensor/ops.cc computes its eager forward by running a
+// shape-specialized StepIo closure. While a GraphCapture is alive on a
+// thread, ops.cc hands that same closure to RecordStep below, so a replayed
+// step runs exactly the code the eager forward ran. The caller binds the
+// per-request tensors by identity *before* running the forward, runs it
+// once eagerly (the capture run produces normal, correct results), then
+// calls Finish() with the output:
 //
 //   exec::GraphCapture capture;
 //   capture.BindInput("x", batch.x);
@@ -39,22 +41,17 @@ namespace internal {
 bool CaptureActive();
 
 /// Records a dispatched op. `inputs` are the tensors whose buffers the
-/// closure will read (in StepIo::inputs order), `output` the tensor it
-/// writes, `run` the shape-specialized kernel closure. `zero_output` marks
-/// kernels that accumulate (+=) into their output. No-op when capture is
-/// inactive — but callers should gate on CaptureActive() to skip closure
-/// construction entirely.
+/// closure reads (in StepIo::inputs order), `output` the tensor it writes,
+/// `run` the shape-specialized closure that computed `output`.
+/// `zero_output` marks kernels that accumulate (+=) into their output.
+/// `indices`, when set, is the int64 index vector the closure reads through
+/// StepIo::indices (EmbeddingLookup): replay passes the bound vector when
+/// `indices` matches a BindIndexInput address, otherwise a snapshot taken
+/// here. No-op when capture is inactive.
 void RecordStep(const char* op, std::vector<Tensor> inputs,
                 const Tensor& output, std::function<void(const StepIo&)> run,
-                bool zero_output = false);
-
-/// Records an op driven by an int64 index vector (EmbeddingLookup). The
-/// closure reads StepIo::indices: the bound vector when `indices` matches a
-/// BindIndexInput address, otherwise a snapshot taken here.
-void RecordIndexedStep(const char* op, std::vector<Tensor> inputs,
-                       const std::vector<int64_t>& indices,
-                       const Tensor& output,
-                       std::function<void(const StepIo&)> run);
+                bool zero_output = false,
+                const std::vector<int64_t>* indices = nullptr);
 
 /// Poisons the active capture: the op being dispatched has no replay
 /// closure (e.g. Dropout in training mode). The eager result is still
@@ -102,8 +99,7 @@ class GraphCapture {
     Tensor output;
     std::function<void(const StepIo&)> run;
     bool zero_output = false;
-    bool indexed = false;
-    const std::vector<int64_t>* indices_addr = nullptr;
+    const std::vector<int64_t>* indices_addr = nullptr;  // null: not indexed
     std::vector<int64_t> baked_indices;
   };
 
@@ -128,11 +124,8 @@ class GraphCapture {
 
   friend void internal::RecordStep(const char*, std::vector<Tensor>,
                                    const Tensor&,
-                                   std::function<void(const StepIo&)>, bool);
-  friend void internal::RecordIndexedStep(const char*, std::vector<Tensor>,
-                                          const std::vector<int64_t>&,
-                                          const Tensor&,
-                                          std::function<void(const StepIo&)>);
+                                   std::function<void(const StepIo&)>, bool,
+                                   const std::vector<int64_t>*);
   friend void internal::MarkCaptureUnsupported(const char*);
 };
 

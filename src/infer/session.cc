@@ -109,34 +109,16 @@ data::Batch InferenceSession::AssembleBatch(
   batch.time_of_day.resize(static_cast<size_t>(b * th));
   batch.day_of_week.resize(static_cast<size_t>(b * th));
 
-  // Same feature construction as WindowDataLoader::GetBatch: channel 0 the
-  // z-scored reading, channel 1 the time-of-day fraction, channel 2 the
-  // day-of-week fraction; slot indices advance from the request's first
-  // step, wrapping across midnight.
   Tensor x({b, th, n, data::kInputFeatures});
-  float* xd = x.Data().data();
-  const float mean = scaler_.mean();
-  const float inv_std = 1.0f / scaler_.std_dev();
-  const float inv_day = 1.0f / static_cast<float>(options_.steps_per_day);
   for (int64_t i = 0; i < b; ++i) {
     const ForecastRequest& req = requests[static_cast<size_t>(i)];
     D2_CHECK_EQ(static_cast<int64_t>(req.window.size()), th * n)
         << "unvalidated request reached AssembleBatch";
-    for (int64_t t = 0; t < th; ++t) {
-      const int64_t slot = req.time_of_day + t;
-      const int64_t tod = slot % options_.steps_per_day;
-      const int64_t dow =
-          (req.day_of_week + slot / options_.steps_per_day) % 7;
-      const float* src = req.window.data() + t * n;
-      float* dst = xd + (i * th + t) * n * data::kInputFeatures;
-      for (int64_t node = 0; node < n; ++node) {
-        dst[node * 3] = (src[node] - mean) * inv_std;
-        dst[node * 3 + 1] = static_cast<float>(tod) * inv_day;
-        dst[node * 3 + 2] = static_cast<float>(dow) / 7.0f;
-      }
-      batch.time_of_day[static_cast<size_t>(i * th + t)] = tod;
-      batch.day_of_week[static_cast<size_t>(i * th + t)] = dow;
-    }
+    data::EncodeWindow(req.window.data(), th, n, req.time_of_day,
+                       req.day_of_week, options_.steps_per_day, scaler_,
+                       x.Data().data() + i * th * n * data::kInputFeatures,
+                       batch.time_of_day.data() + i * th,
+                       batch.day_of_week.data() + i * th);
   }
   batch.x = std::move(x);
   return batch;

@@ -164,10 +164,10 @@ std::vector<std::string> ParseOpsHeaderOpNames(
 
 namespace {
 
-// One row per op name GraphCapture records (the RecordStep/RecordIndexedStep
-// call sites in ops.cc). Composed ops (Mean, Neg, Transpose, Unsqueeze,
-// Squeeze, Stack, Select, PadFront, Dropout) lower to these and never appear
-// in plans under their own names.
+// One row per op name GraphCapture records (the Dispatch call sites in
+// ops.cc). Composed ops (Mean, Neg, Transpose, Unsqueeze, Squeeze, Stack,
+// Select, PadFront, Dropout) lower to these and never appear in plans under
+// their own names.
 const std::map<std::string, PlanOpTraits>& PlanOpTable() {
   static const auto* table = new std::map<std::string, PlanOpTraits>{
       // Elementwise binary (same-shape and broadcast variants).

@@ -1,7 +1,9 @@
 #include "tensor/ops.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <memory>
 
 #include "common/check.h"
 #include "exec/graph_capture.h"
@@ -15,86 +17,110 @@
 // layer in tensor/kernels.h (which parallelizes over the shared thread pool
 // and hands serial chunks to the active KernelBackend).
 //
-// When a exec::GraphCapture is active on the thread, each dispatch also
-// records a shape-specialized replay closure (exec::internal::RecordStep)
-// holding the same static attributes the eager call just resolved, so the
-// forward can later replay without this layer (DESIGN.md §10). Capture is a
-// single thread-local pointer test on the off path.
+// Each op states its forward once, as a shape-specialized closure over
+// exec::StepIo that holds every static attribute the op resolved (strides,
+// matmul offsets, reduce extents). Dispatch() runs that closure on the eager
+// buffers and, when an exec::GraphCapture is active on the thread, records
+// the same closure as the plan step, so eager and replayed forwards run the
+// same code (DESIGN.md §10). Capture is a single thread-local pointer test
+// on the off path.
 //
-// Each dispatch routes through the backend active at call time; capture
-// closures bind that backend pointer so a plan always replays on the
-// backend it was captured under (the executor separately rejects
-// cross-backend replay — ReplayStatus::kBackendMismatch).
+// Each closure binds the backend active at dispatch time, so a plan always
+// replays on the backend it was captured under (the executor separately
+// rejects cross-backend replay — ReplayStatus::kBackendMismatch).
 
 namespace d2stgnn {
 namespace {
 
+// Runs one op: acquires the output buffer, runs the forward closure `run` on
+// the eager buffers (StepIo::inputs in `inputs` order, StepIo::indices =
+// `indices`), wraps the result with `backward`, and records `run` as the
+// plan step when capture is active. `zero_output` marks kernels that
+// accumulate into their output: AcquireBuffer zero-fills the eager buffer
+// and the executor clears the plan slot.
+template <typename Run>
+Tensor Dispatch(const char* name, const Shape& shape,
+                std::vector<Tensor> inputs, Run run,
+                std::function<void(const Tensor&)> backward,
+                bool zero_output = false,
+                const std::vector<int64_t>* indices = nullptr) {
+  std::vector<float> out = internal::AcquireBuffer(NumElements(shape));
+  // Fixed-arity ops keep their input pointers on the stack; only a Concat
+  // of more than two tensors spills to the heap.
+  std::array<const float*, 2> stack_ptrs{};
+  std::vector<const float*> heap_ptrs;
+  const float** ptrs = stack_ptrs.data();
+  if (inputs.size() > stack_ptrs.size()) {
+    heap_ptrs.resize(inputs.size());
+    ptrs = heap_ptrs.data();
+  }
+  for (size_t i = 0; i < inputs.size(); ++i) ptrs[i] = inputs[i].Data().data();
+  run(exec::StepIo{ptrs, out.data(), indices});
+
+  const bool capture = exec::internal::CaptureActive();
+  std::vector<Tensor> recorded_inputs;
+  if (capture) recorded_inputs = inputs;
+  Tensor result = MakeOpResult(name, shape, std::move(out), std::move(inputs),
+                               std::move(backward));
+  if (capture) {
+    exec::internal::RecordStep(name, std::move(recorded_inputs), result,
+                               std::move(run), zero_output, indices);
+  }
+  return result;
+}
+
 // Elementwise binary op with broadcasting. `kind` selects the backend-table
 // forward; `backward` receives (output, a, b) and must accumulate into a
 // and b.
-Tensor BinaryOp(const std::string& name, kernels::BinaryKind kind,
-                const Tensor& a, const Tensor& b,
+Tensor BinaryOp(const char* name, kernels::BinaryKind kind, const Tensor& a,
+                const Tensor& b,
                 std::function<void(const Tensor&, const Tensor&,
                                    const Tensor&)> backward) {
   D2_CHECK(a.defined());
   D2_CHECK(b.defined());
   const kernels::KernelBackend* backend = &kernels::ActiveBackend();
   const Shape out_shape = BroadcastShapes(a.shape(), b.shape());
-  std::vector<float> out = internal::AcquireBuffer(NumElements(out_shape));
-  const std::vector<float>& av = a.Data();
-  const std::vector<float>& bv = b.Data();
-  const bool same_shape = a.shape() == b.shape();
-  std::vector<int64_t> as;
-  std::vector<int64_t> bs;
-  if (same_shape) {
-    kernels::EwiseBinary(*backend, kind, av.data(), bv.data(), out.data(),
-                         static_cast<int64_t>(out.size()));
-  } else {
-    as = kernels::BroadcastStrides(a.shape(), out_shape);
-    bs = kernels::BroadcastStrides(b.shape(), out_shape);
-    kernels::EwiseBinaryBroadcast(*backend, kind, out_shape, as, bs,
-                                  av.data(), bv.data(), out.data());
+  auto grad = [a, b, backward](const Tensor& output) {
+    backward(output, a, b);
+  };
+  if (a.shape() == b.shape()) {
+    const int64_t n = NumElements(out_shape);
+    return Dispatch(
+        name, out_shape, {a, b},
+        [backend, kind, n](const exec::StepIo& io) {
+          kernels::EwiseBinary(*backend, kind, io.inputs[0], io.inputs[1],
+                               io.output, n);
+        },
+        std::move(grad));
   }
-  Tensor result = MakeOpResult(name, out_shape, std::move(out), {a, b},
-                               [a, b, backward](const Tensor& output) {
-                                 backward(output, a, b);
-                               });
-  if (exec::internal::CaptureActive()) {
-    if (same_shape) {
-      const int64_t n = NumElements(out_shape);
-      exec::internal::RecordStep(
-          name.c_str(), {a, b}, result,
-          [backend, kind, n](const exec::StepIo& io) {
-            kernels::EwiseBinary(*backend, kind, io.inputs[0], io.inputs[1],
-                                 io.output, n);
-          });
-    } else {
-      exec::internal::RecordStep(
-          name.c_str(), {a, b}, result,
-          [backend, kind, out_shape, as, bs](const exec::StepIo& io) {
-            kernels::EwiseBinaryBroadcast(*backend, kind, out_shape, as, bs,
-                                          io.inputs[0], io.inputs[1],
-                                          io.output);
-          });
-    }
-  }
-  return result;
+  return Dispatch(
+      name, out_shape, {a, b},
+      [backend, kind, out_shape,
+       as = kernels::BroadcastStrides(a.shape(), out_shape),
+       bs = kernels::BroadcastStrides(b.shape(), out_shape)](
+          const exec::StepIo& io) {
+        kernels::EwiseBinaryBroadcast(*backend, kind, out_shape, as, bs,
+                                      io.inputs[0], io.inputs[1], io.output);
+      },
+      std::move(grad));
 }
 
 // Elementwise unary op. `kind`/`params` select the backend-table forward;
 // `dfn(x, y, g)` returns dLoss/dx given input value x, output value y, and
 // output gradient g.
 template <typename Dfn>
-Tensor UnaryOp(const std::string& name, kernels::UnaryKind kind,
+Tensor UnaryOp(const char* name, kernels::UnaryKind kind,
                kernels::UnaryParams params, const Tensor& a, Dfn dfn) {
   D2_CHECK(a.defined());
   const kernels::KernelBackend* backend = &kernels::ActiveBackend();
-  const std::vector<float>& av = a.Data();
-  const int64_t n = static_cast<int64_t>(av.size());
-  std::vector<float> out = internal::AcquireBuffer(n);
-  kernels::EwiseUnary(*backend, kind, params, av.data(), out.data(), n);
-  Tensor result = MakeOpResult(
-      name, a.shape(), std::move(out), {a}, [a, dfn](const Tensor& output) {
+  const int64_t n = a.numel();
+  return Dispatch(
+      name, a.shape(), {a},
+      [backend, kind, params, n](const exec::StepIo& io) {
+        kernels::EwiseUnary(*backend, kind, params, io.inputs[0], io.output,
+                            n);
+      },
+      [a, dfn](const Tensor& output) {
         if (!a.RequiresGrad()) return;
         const std::vector<float>& g = output.GradData();
         const std::vector<float>& x = a.Data();
@@ -105,15 +131,6 @@ Tensor UnaryOp(const std::string& name, kernels::UnaryKind kind,
                                 static_cast<int64_t>(g.size()), dfn);
         AccumulateGrad(a, Tensor(a.shape(), std::move(ga)));
       });
-  if (exec::internal::CaptureActive()) {
-    exec::internal::RecordStep(
-        name.c_str(), {a}, result,
-        [backend, kind, params, n](const exec::StepIo& io) {
-          kernels::EwiseUnary(*backend, kind, params, io.inputs[0],
-                              io.output, n);
-        });
-  }
-  return result;
 }
 
 int64_t NormalizeDim(int64_t dim, int64_t rank) {
@@ -364,7 +381,6 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   out_shape.push_back(m);
   out_shape.push_back(n);
 
-  std::vector<float> out = internal::AcquireBuffer(NumElements(out_shape));
   const std::vector<int64_t> as =
       kernels::BroadcastStrides(a_batch, out_batch);
   const std::vector<int64_t> bs =
@@ -384,11 +400,14 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
                                       bo * b_matrix;
                                 });
   const kernels::KernelBackend* backend = &kernels::ActiveBackend();
-  kernels::BatchedMatMul(*backend, a.Data().data(), b.Data().data(),
-                         out.data(), a_offsets, b_offsets, m, k, n);
-
-  Tensor result = MakeOpResult(
-      "MatMul", out_shape, std::move(out), {a, b},
+  // BatchedMatMul accumulates into its output (zero_output).
+  return Dispatch(
+      "MatMul", out_shape, {a, b},
+      [backend, a_offsets = std::move(a_offsets),
+       b_offsets = std::move(b_offsets), m, k, n](const exec::StepIo& io) {
+        kernels::BatchedMatMul(*backend, io.inputs[0], io.inputs[1],
+                               io.output, a_offsets, b_offsets, m, k, n);
+      },
       [a, b](const Tensor& output) {
         const Tensor g = output.Grad();
         if (a.RequiresGrad()) {
@@ -399,20 +418,8 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
           Tensor gb = MatMul(Transpose(a, -1, -2), g);
           AccumulateGrad(b, ReduceToShape(gb, b.shape()));
         }
-      });
-  if (exec::internal::CaptureActive()) {
-    // BatchedMatMul accumulates into its output; zero_output makes the
-    // executor clear the slot first (the eager path gets zeros from
-    // AcquireBuffer).
-    exec::internal::RecordStep(
-        "MatMul", {a, b}, result,
-        [backend, a_offsets, b_offsets, m, k, n](const exec::StepIo& io) {
-          kernels::BatchedMatMul(*backend, io.inputs[0], io.inputs[1],
-                                 io.output, a_offsets, b_offsets, m, k, n);
-        },
-        /*zero_output=*/true);
-  }
-  return result;
+      },
+      /*zero_output=*/true);
 }
 
 // ---------------------------------------------------------------------------
@@ -421,24 +428,18 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
 Tensor Sum(const Tensor& a) {
   D2_CHECK(a.defined());
   const kernels::KernelBackend* backend = &kernels::ActiveBackend();
-  const int64_t n = static_cast<int64_t>(a.Data().size());
-  const double total = kernels::ReduceSumAll(*backend, a.Data().data(), n);
-  std::vector<float> out = internal::AcquireBuffer(1);
-  out[0] = static_cast<float>(total);
-  Tensor result = MakeOpResult("Sum", Shape{}, std::move(out), {a},
-                               [a](const Tensor& output) {
-                                 if (!a.RequiresGrad()) return;
-                                 const float g = output.GradData()[0];
-                                 AccumulateGrad(a, Tensor::Full(a.shape(), g));
-                               });
-  if (exec::internal::CaptureActive()) {
-    exec::internal::RecordStep(
-        "Sum", {a}, result, [backend, n](const exec::StepIo& io) {
-          io.output[0] = static_cast<float>(
-              kernels::ReduceSumAll(*backend, io.inputs[0], n));
-        });
-  }
-  return result;
+  const int64_t n = a.numel();
+  return Dispatch(
+      "Sum", Shape{}, {a},
+      [backend, n](const exec::StepIo& io) {
+        io.output[0] = static_cast<float>(
+            kernels::ReduceSumAll(*backend, io.inputs[0], n));
+      },
+      [a](const Tensor& output) {
+        if (!a.RequiresGrad()) return;
+        const float g = output.GradData()[0];
+        AccumulateGrad(a, Tensor::Full(a.shape(), g));
+      });
 }
 
 Tensor Mean(const Tensor& a) {
@@ -461,28 +462,19 @@ Tensor Sum(const Tensor& a, int64_t dim, bool keepdim) {
   }
 
   const kernels::KernelBackend* backend = &kernels::ActiveBackend();
-  std::vector<float> out = internal::AcquireBuffer(outer * inner);
-  kernels::ReduceSumDim(*backend, a.Data().data(), out.data(), outer, size,
-                        inner);
-
   const Shape in_shape = a.shape();
-  Tensor result = MakeOpResult(
-      "SumDim", out_shape, std::move(out), {a},
+  return Dispatch(
+      "SumDim", out_shape, {a},
+      [backend, outer, size, inner](const exec::StepIo& io) {
+        kernels::ReduceSumDim(*backend, io.inputs[0], io.output, outer, size,
+                              inner);
+      },
       [a, dim, keepdim, in_shape](const Tensor& output) {
         if (!a.RequiresGrad()) return;
         Tensor g = output.Grad();
         if (!keepdim) g = Unsqueeze(g, dim);
         AccumulateGrad(a, BroadcastTo(g, in_shape));
       });
-  if (exec::internal::CaptureActive()) {
-    exec::internal::RecordStep(
-        "SumDim", {a}, result,
-        [backend, outer, size, inner](const exec::StepIo& io) {
-          kernels::ReduceSumDim(*backend, io.inputs[0], io.output, outer,
-                                size, inner);
-        });
-  }
-  return result;
 }
 
 Tensor Mean(const Tensor& a, int64_t dim, bool keepdim) {
@@ -496,6 +488,12 @@ namespace {
 
 // Shared extremum reduction: sign = +1 for Max, -1 for Min. Gradient flows
 // to the first extremal element of each reduced slice.
+//
+// The forward closure writes its argmax into a scratch it owns and reuses
+// across replays (one executor never runs concurrently with itself). The
+// backward recomputes the argmax from the input instead of reading that
+// scratch, so a replay of a captured plan cannot change the gradient of
+// the eager result it was captured from.
 Tensor ExtremumDim(const char* name, const Tensor& a, int64_t dim,
                    bool keepdim, float sign) {
   D2_CHECK(a.defined());
@@ -511,18 +509,21 @@ Tensor ExtremumDim(const char* name, const Tensor& a, int64_t dim,
     out_shape.erase(out_shape.begin() + d);
   }
 
-  std::vector<float> out = internal::AcquireBuffer(outer * inner);
-  std::vector<int64_t> arg(static_cast<size_t>(outer * inner));
-  kernels::ExtremumDim(a.Data().data(), out.data(), arg.data(), outer, size,
-                       inner, sign);
-
+  auto arg = std::make_shared<std::vector<int64_t>>(
+      static_cast<size_t>(outer * inner));
   const Shape in_shape = a.shape();
-  Tensor result = MakeOpResult(
-      name, out_shape, std::move(out), {a},
-      [a, arg, d, in_shape](const Tensor& output) {
+  return Dispatch(
+      name, out_shape, {a},
+      [outer, size, inner, sign, arg](const exec::StepIo& io) {
+        kernels::ExtremumDim(io.inputs[0], io.output, arg->data(), outer,
+                             size, inner, sign);
+      },
+      [a, outer, size, inner, sign, in_shape](const Tensor& output) {
         if (!a.RequiresGrad()) return;
-        int64_t outer, size, inner;
-        SplitAtDim(in_shape, d, &outer, &size, &inner);
+        std::vector<int64_t> arg(static_cast<size_t>(outer * inner));
+        std::vector<float> extremum = internal::AcquireBuffer(outer * inner);
+        kernels::ExtremumDim(a.Data().data(), extremum.data(), arg.data(),
+                             outer, size, inner, sign);
         // AcquireBuffer zero-fills; the scatter kernel needs that.
         std::vector<float> grad =
             internal::AcquireBuffer(NumElements(in_shape));
@@ -530,20 +531,6 @@ Tensor ExtremumDim(const char* name, const Tensor& a, int64_t dim,
                                  grad.data(), outer, size, inner);
         AccumulateGrad(a, Tensor(in_shape, std::move(grad)));
       });
-  if (exec::internal::CaptureActive()) {
-    // The argmax scratch is owned by the closure and reused across replays
-    // (one executor never runs concurrently with itself).
-    auto replay_arg =
-        std::make_shared<std::vector<int64_t>>(static_cast<size_t>(outer) *
-                                               static_cast<size_t>(inner));
-    exec::internal::RecordStep(
-        name, {a}, result,
-        [outer, size, inner, sign, replay_arg](const exec::StepIo& io) {
-          kernels::ExtremumDim(io.inputs[0], io.output, replay_arg->data(),
-                               outer, size, inner, sign);
-        });
-  }
-  return result;
 }
 
 }  // namespace
@@ -564,13 +551,13 @@ Tensor Softmax(const Tensor& a, int64_t dim) {
   D2_CHECK_GT(size, 0);
 
   const kernels::KernelBackend* backend = &kernels::ActiveBackend();
-  std::vector<float> out =
-      internal::AcquireBuffer(static_cast<int64_t>(a.Data().size()));
-  kernels::SoftmaxKernel(*backend, a.Data().data(), out.data(), outer, size,
-                         inner);
-
-  Tensor result = MakeOpResult(
-      "Softmax", a.shape(), std::move(out), {a}, [a, d](const Tensor& output) {
+  return Dispatch(
+      "Softmax", a.shape(), {a},
+      [backend, outer, size, inner](const exec::StepIo& io) {
+        kernels::SoftmaxKernel(*backend, io.inputs[0], io.output, outer, size,
+                               inner);
+      },
+      [a, d](const Tensor& output) {
         if (!a.RequiresGrad()) return;
         // dx = y * (g - sum(g * y, dim))
         const Tensor g = output.Grad();
@@ -578,15 +565,6 @@ Tensor Softmax(const Tensor& a, int64_t dim) {
         const Tensor dot = Sum(Mul(g, y), d, /*keepdim=*/true);
         AccumulateGrad(a, Mul(y, Sub(g, dot)));
       });
-  if (exec::internal::CaptureActive()) {
-    exec::internal::RecordStep(
-        "Softmax", {a}, result,
-        [backend, outer, size, inner](const exec::StepIo& io) {
-          kernels::SoftmaxKernel(*backend, io.inputs[0], io.output, outer,
-                                 size, inner);
-        });
-  }
-  return result;
 }
 
 // ---------------------------------------------------------------------------
@@ -615,23 +593,17 @@ Tensor Reshape(const Tensor& a, const Shape& shape) {
       << "Reshape to " << ShapeToString(shape) << " from "
       << ShapeToString(a.shape());
 
-  std::vector<float> out = internal::AcquireBuffer(a.numel());
-  std::copy(a.Data().begin(), a.Data().end(), out.begin());
+  const int64_t n = a.numel();
   const Shape in_shape = a.shape();
-  Tensor result = MakeOpResult("Reshape", resolved, std::move(out), {a},
-                               [a, in_shape](const Tensor& output) {
-                                 if (!a.RequiresGrad()) return;
-                                 AccumulateGrad(
-                                     a, Tensor(in_shape, output.GradData()));
-                               });
-  if (exec::internal::CaptureActive()) {
-    const int64_t n = a.numel();
-    exec::internal::RecordStep(
-        "Reshape", {a}, result, [n](const exec::StepIo& io) {
-          std::copy(io.inputs[0], io.inputs[0] + n, io.output);
-        });
-  }
-  return result;
+  return Dispatch(
+      "Reshape", resolved, {a},
+      [n](const exec::StepIo& io) {
+        std::copy(io.inputs[0], io.inputs[0] + n, io.output);
+      },
+      [a, in_shape](const Tensor& output) {
+        if (!a.RequiresGrad()) return;
+        AccumulateGrad(a, Tensor(in_shape, output.GradData()));
+      });
 }
 
 Tensor Permute(const Tensor& a, const std::vector<int64_t>& perm) {
@@ -654,17 +626,17 @@ Tensor Permute(const Tensor& a, const std::vector<int64_t>& perm) {
         in_strides[static_cast<size_t>(NormalizeDim(perm[d], rank))];
   }
 
-  std::vector<float> out =
-      internal::AcquireBuffer(static_cast<int64_t>(a.Data().size()));
-  kernels::GatherStrided(out_shape, gather_strides, a.Data().data(),
-                         out.data());
-
   std::vector<int64_t> normalized(perm.size());
   for (size_t d = 0; d < perm.size(); ++d) {
     normalized[d] = NormalizeDim(perm[d], rank);
   }
-  Tensor result = MakeOpResult(
-      "Permute", out_shape, std::move(out), {a},
+  return Dispatch(
+      "Permute", out_shape, {a},
+      [out_shape, gather_strides = std::move(gather_strides)](
+          const exec::StepIo& io) {
+        kernels::GatherStrided(out_shape, gather_strides, io.inputs[0],
+                               io.output);
+      },
       [a, normalized](const Tensor& output) {
         if (!a.RequiresGrad()) return;
         std::vector<int64_t> inverse(normalized.size());
@@ -673,15 +645,6 @@ Tensor Permute(const Tensor& a, const std::vector<int64_t>& perm) {
         }
         AccumulateGrad(a, Permute(output.Grad(), inverse));
       });
-  if (exec::internal::CaptureActive()) {
-    exec::internal::RecordStep(
-        "Permute", {a}, result,
-        [out_shape, gather_strides](const exec::StepIo& io) {
-          kernels::GatherStrided(out_shape, gather_strides, io.inputs[0],
-                                 io.output);
-        });
-  }
-  return result;
 }
 
 Tensor Transpose(const Tensor& a, int64_t d0, int64_t d1) {
@@ -715,23 +678,17 @@ Tensor Squeeze(const Tensor& a, int64_t dim) {
 Tensor BroadcastTo(const Tensor& a, const Shape& shape) {
   D2_CHECK(a.defined());
   if (a.shape() == shape) return a;
-  const std::vector<int64_t> as = kernels::BroadcastStrides(a.shape(), shape);
-  std::vector<float> out = internal::AcquireBuffer(NumElements(shape));
-  kernels::GatherStrided(shape, as, a.Data().data(), out.data());
   const Shape in_shape = a.shape();
-  Tensor result = MakeOpResult("BroadcastTo", shape, std::move(out), {a},
-                               [a, in_shape](const Tensor& output) {
-                                 if (!a.RequiresGrad()) return;
-                                 AccumulateGrad(
-                                     a, ReduceToShape(output.Grad(), in_shape));
-                               });
-  if (exec::internal::CaptureActive()) {
-    exec::internal::RecordStep(
-        "BroadcastTo", {a}, result, [shape, as](const exec::StepIo& io) {
-          kernels::GatherStrided(shape, as, io.inputs[0], io.output);
-        });
-  }
-  return result;
+  return Dispatch(
+      "BroadcastTo", shape, {a},
+      [shape, as = kernels::BroadcastStrides(a.shape(), shape)](
+          const exec::StepIo& io) {
+        kernels::GatherStrided(shape, as, io.inputs[0], io.output);
+      },
+      [a, in_shape](const Tensor& output) {
+        if (!a.RequiresGrad()) return;
+        AccumulateGrad(a, ReduceToShape(output.Grad(), in_shape));
+      });
 }
 
 Tensor Concat(const std::vector<Tensor>& tensors, int64_t dim) {
@@ -757,23 +714,24 @@ Tensor Concat(const std::vector<Tensor>& tensors, int64_t dim) {
   SplitAtDim(out_shape, d, &outer, &unused_size, &inner);
   (void)unused_size;
 
-  std::vector<float> out = internal::AcquireBuffer(NumElements(out_shape));
-  int64_t offset = 0;  // running offset along dim d
-  for (const Tensor& t : tensors) {
-    const int64_t size = t.size(d);
-    const std::vector<float>& tv = t.Data();
-    for (int64_t o = 0; o < outer; ++o) {
-      const float* src = tv.data() + o * size * inner;
-      float* dst = out.data() + (o * total + offset) * inner;
-      std::copy(src, src + size * inner, dst);
-    }
-    offset += size;
-  }
-
-  std::vector<Tensor> inputs = tensors;
-  Tensor result = MakeOpResult(
-      "Concat", out_shape, std::move(out), inputs,
-      [inputs, d](const Tensor& output) {
+  std::vector<int64_t> sizes;
+  sizes.reserve(tensors.size());
+  for (const Tensor& t : tensors) sizes.push_back(t.size(d));
+  return Dispatch(
+      "Concat", out_shape, tensors,
+      [outer, total, inner, sizes = std::move(sizes)](const exec::StepIo& io) {
+        int64_t offset = 0;  // running offset along dim d
+        for (size_t t = 0; t < sizes.size(); ++t) {
+          const int64_t size = sizes[t];
+          for (int64_t o = 0; o < outer; ++o) {
+            const float* src = io.inputs[t] + o * size * inner;
+            float* dst = io.output + (o * total + offset) * inner;
+            std::copy(src, src + size * inner, dst);
+          }
+          offset += size;
+        }
+      },
+      [inputs = tensors, d](const Tensor& output) {
         int64_t offset = 0;
         for (const Tensor& t : inputs) {
           const int64_t size = t.size(d);
@@ -783,26 +741,6 @@ Tensor Concat(const std::vector<Tensor>& tensors, int64_t dim) {
           offset += size;
         }
       });
-  if (exec::internal::CaptureActive()) {
-    std::vector<int64_t> sizes;
-    sizes.reserve(tensors.size());
-    for (const Tensor& t : tensors) sizes.push_back(t.size(d));
-    exec::internal::RecordStep(
-        "Concat", inputs, result,
-        [outer, total, inner, sizes](const exec::StepIo& io) {
-          int64_t offset = 0;
-          for (size_t t = 0; t < sizes.size(); ++t) {
-            const int64_t size = sizes[t];
-            for (int64_t o = 0; o < outer; ++o) {
-              const float* src = io.inputs[t] + o * size * inner;
-              float* dst = io.output + (o * total + offset) * inner;
-              std::copy(src, src + size * inner, dst);
-            }
-            offset += size;
-          }
-        });
-  }
-  return result;
 }
 
 Tensor Stack(const std::vector<Tensor>& tensors, int64_t dim) {
@@ -829,17 +767,16 @@ Tensor Slice(const Tensor& a, int64_t dim, int64_t start, int64_t end) {
   Shape out_shape = a.shape();
   out_shape[static_cast<size_t>(d)] = out_size;
 
-  const std::vector<float>& av = a.Data();
-  std::vector<float> out = internal::AcquireBuffer(outer * out_size * inner);
-  for (int64_t o = 0; o < outer; ++o) {
-    const float* src = av.data() + (o * in_size + start) * inner;
-    float* dst = out.data() + o * out_size * inner;
-    std::copy(src, src + out_size * inner, dst);
-  }
-
   const Shape in_shape = a.shape();
-  Tensor result = MakeOpResult(
-      "Slice", out_shape, std::move(out), {a},
+  return Dispatch(
+      "Slice", out_shape, {a},
+      [outer, in_size, out_size, inner, start](const exec::StepIo& io) {
+        for (int64_t o = 0; o < outer; ++o) {
+          const float* src = io.inputs[0] + (o * in_size + start) * inner;
+          float* dst = io.output + o * out_size * inner;
+          std::copy(src, src + out_size * inner, dst);
+        }
+      },
       [a, d, start, out_size, in_shape](const Tensor& output) {
         if (!a.RequiresGrad()) return;
         int64_t outer, in_size, inner;
@@ -855,18 +792,6 @@ Tensor Slice(const Tensor& a, int64_t dim, int64_t start, int64_t end) {
         }
         AccumulateGrad(a, Tensor(in_shape, std::move(grad)));
       });
-  if (exec::internal::CaptureActive()) {
-    exec::internal::RecordStep(
-        "Slice", {a}, result,
-        [outer, in_size, out_size, inner, start](const exec::StepIo& io) {
-          for (int64_t o = 0; o < outer; ++o) {
-            const float* src = io.inputs[0] + (o * in_size + start) * inner;
-            float* dst = io.output + o * out_size * inner;
-            std::copy(src, src + out_size * inner, dst);
-          }
-        });
-  }
-  return result;
 }
 
 Tensor Select(const Tensor& a, int64_t dim, int64_t index) {
@@ -899,19 +824,23 @@ Tensor EmbeddingLookup(const Tensor& weight,
 
   Shape out_shape = index_shape;
   out_shape.push_back(width);
-  const std::vector<float>& wv = weight.Data();
-  std::vector<float> out = internal::AcquireBuffer(
-      static_cast<int64_t>(indices.size()) * width);
-  for (size_t i = 0; i < indices.size(); ++i) {
-    const int64_t row = indices[i];
-    D2_CHECK_GE(row, 0);
-    D2_CHECK_LT(row, vocab) << "embedding index out of range";
-    std::copy(wv.begin() + row * width, wv.begin() + (row + 1) * width,
-              out.begin() + static_cast<int64_t>(i) * width);
-  }
-
-  Tensor result = MakeOpResult(
-      "EmbeddingLookup", out_shape, std::move(out), {weight},
+  // The closure reads StepIo::indices: `indices` here, and on replay the
+  // per-request vector when the caller bound `indices` (time-of-day /
+  // day-of-week features), else a snapshot taken at capture. Bounds checks
+  // stay because replayed indices are request data.
+  return Dispatch(
+      "EmbeddingLookup", out_shape, {weight},
+      [vocab, width](const exec::StepIo& io) {
+        const std::vector<int64_t>& idx = *io.indices;
+        for (size_t i = 0; i < idx.size(); ++i) {
+          const int64_t row = idx[i];
+          D2_CHECK_GE(row, 0);
+          D2_CHECK_LT(row, vocab) << "embedding index out of range";
+          std::copy(io.inputs[0] + row * width,
+                    io.inputs[0] + (row + 1) * width,
+                    io.output + static_cast<int64_t>(i) * width);
+        }
+      },
       [weight, indices, vocab, width](const Tensor& output) {
         if (!weight.RequiresGrad()) return;
         std::vector<float> grad = internal::AcquireBuffer(vocab * width);
@@ -924,27 +853,8 @@ Tensor EmbeddingLookup(const Tensor& weight,
           }
         }
         AccumulateGrad(weight, Tensor({vocab, width}, std::move(grad)));
-      });
-  if (exec::internal::CaptureActive()) {
-    // Recorded with the index vector rebindable: when the caller bound
-    // `indices` (time-of-day / day-of-week features), replay reads the
-    // fresh per-request values; otherwise a snapshot is baked in. Bounds
-    // checks stay because replayed indices are request data.
-    exec::internal::RecordIndexedStep(
-        "EmbeddingLookup", {weight}, indices, result,
-        [vocab, width](const exec::StepIo& io) {
-          const std::vector<int64_t>& idx = *io.indices;
-          for (size_t i = 0; i < idx.size(); ++i) {
-            const int64_t row = idx[i];
-            D2_CHECK_GE(row, 0);
-            D2_CHECK_LT(row, vocab) << "embedding index out of range";
-            std::copy(io.inputs[0] + row * width,
-                      io.inputs[0] + (row + 1) * width,
-                      io.output + static_cast<int64_t>(i) * width);
-          }
-        });
-  }
-  return result;
+      },
+      /*zero_output=*/false, &indices);
 }
 
 Tensor Dropout(const Tensor& a, float p, bool training, Rng& rng) {

@@ -134,9 +134,10 @@ TEST(MemoryPlannerTest, AssignmentIsDeterministic) {
 // ---------------------------------------------------------------------------
 // Capture + replay on an op zoo.
 
-// Exercises every kernel the capture guard records: MatMul, broadcast and
-// same-shape binary ops, unary ops, EmbeddingLookup, Softmax, dim and full
-// reductions, Max, BroadcastTo, Concat, Slice, Permute, Reshape.
+// Exercises every op a capture records (the bitwise replay test checks this
+// against PlanOpNames()): MatMul, same-shape, bias and non-bias broadcast
+// binary ops, every unary op, EmbeddingLookup, Softmax, dim and full
+// reductions, Max, Min, BroadcastTo, Concat, Slice, Permute, Reshape.
 Tensor Zoo(const Tensor& x, const Tensor& w, const Tensor& bias,
            const Tensor& table, const std::vector<int64_t>& idx) {
   Tensor h = Relu(Add(MatMul(x, w), bias));        // [2,3,5]
@@ -152,7 +153,15 @@ Tensor Zoo(const Tensor& x, const Tensor& w, const Tensor& bias,
   Tensor mx = Max(p, 0, /*keepdim=*/false);        // [2,5]
   Tensor total = Sum(mx);                          // scalar
   Tensor scaled = MulScalar(mx, 1.25f);
-  return Add(scaled, BroadcastTo(Reshape(total, {1, 1}), {2, 5}));
+  // Log, Sqrt and the fractional PowScalar need a positive input.
+  Tensor pos = AddScalar(Abs(d), 0.5f);
+  Tensor roots = Add(Add(Log(pos), Sqrt(pos)), PowScalar(pos, 1.5f));
+  Tensor acts = Add(Add(LeakyRelu(d, 0.1f), Sigmoid(d)),
+                    Add(Tanh(d), Gelu(d)));
+  Tensor bounded = Exp(Clamp(d, -3.0f, 3.0f));
+  Tensor mixed = Mul(Add(roots, Add(acts, bounded)), r);  // [2,3,5] x [2,1,5]
+  Tensor mn = Min(mixed, 1, /*keepdim=*/false);           // [2,5]
+  return Add(Add(scaled, mn), BroadcastTo(Reshape(total, {1, 1}), {2, 5}));
 }
 
 class ZooCaptureTest : public ::testing::Test {
@@ -191,6 +200,11 @@ class ZooCaptureTest : public ::testing::Test {
 TEST_F(ZooCaptureTest, ReplayMatchesEagerBitwiseOnFreshInputs) {
   auto plan = CapturePlan();
   ASSERT_NE(plan, nullptr);
+  // The plan holds every plan op, so the parity below covers them all.
+  std::set<std::string> recorded;
+  for (const exec::PlanStep& step : plan->steps()) recorded.insert(step.op);
+  const std::vector<std::string> names = PlanOpNames();
+  ASSERT_EQ(recorded, std::set<std::string>(names.begin(), names.end()));
   exec::PlanExecutor executor(plan);
 
   Rng rng(23);
@@ -430,6 +444,29 @@ TEST(GraphCaptureTest, StepsNotReachingTheOutputArePruned) {
 
   ASSERT_EQ(plan->steps().size(), 1u);
   EXPECT_EQ(plan->steps()[0].op, "Relu");
+}
+
+// Max and Min replay through an argmax scratch the plan step owns. Replaying
+// the plan on other inputs must not reroute the gradient of the capture
+// run's own result.
+TEST(GraphCaptureTest, ReplayLeavesTheCaptureRunsMaxGradientIntact) {
+  Tensor x = Tensor({2, 3}, {1.0f, 5.0f, 2.0f, 7.0f, 0.0f, 3.0f})
+                 .SetRequiresGrad(true);
+  exec::GraphCapture capture;
+  capture.BindInput("x", x);
+  Tensor out = Max(x, 1, /*keepdim=*/false);  // argmax {1, 0}
+  auto plan = capture.Finish(out);
+  ASSERT_NE(plan, nullptr) << capture.error();
+
+  const std::vector<float> other = {9.0f, 0.0f, 0.0f, 0.0f, 0.0f, 8.0f};
+  exec::PlanExecutor executor(plan);
+  ASSERT_EQ(executor.Run({{other.data(), 6}}, {}, exec::ReplayMode::kSerial),
+            exec::ReplayStatus::kOk);
+  EXPECT_EQ(executor.output()[0], 9.0f);  // argmax {0, 2}
+  EXPECT_EQ(executor.output()[1], 8.0f);
+
+  Sum(out).Backward();
+  EXPECT_EQ(x.GradData(), (std::vector<float>{0, 1, 0, 1, 0, 0}));
 }
 
 TEST(GraphCaptureTest, UnsupportedOpPoisonsTheCapture) {
