@@ -227,11 +227,9 @@ void SweepOp(const std::string& op, const std::string& workload, double items,
   }
 }
 
-std::vector<JsonRecord> CollectKernelRecords() {
-  std::vector<JsonRecord> records;
-  Rng rng(1);
+// Forward-only sweeps: no tape, as in serving.
+void SweepForwardOps(Rng& rng, std::vector<JsonRecord>* records) {
   NoGradGuard no_grad;
-
   {
     // Batched MatMul: the Table 3 / Fig. 6 hot path.
     const int64_t batch = 16, m = 96, k = 96, n = 96;
@@ -239,7 +237,7 @@ std::vector<JsonRecord> CollectKernelRecords() {
     Tensor b = Tensor::Randn({batch, k, n}, rng);
     const double flops = 2.0 * static_cast<double>(batch * m * k * n);
     SweepOp("batched_matmul", "16x[96,96]x[96,96]", flops, "flops",
-            [&] { benchmark::DoNotOptimize(MatMul(a, b)); }, &records);
+            [&] { benchmark::DoNotOptimize(MatMul(a, b)); }, records);
   }
   {
     // Serving-sized batch 4: the scalar-vs-SIMD acceptance workload (the
@@ -249,26 +247,63 @@ std::vector<JsonRecord> CollectKernelRecords() {
     Tensor b = Tensor::Randn({batch, k, n}, rng);
     const double flops = 2.0 * static_cast<double>(batch * m * k * n);
     SweepOp("batched_matmul", "4x[96,96]x[96,96]", flops, "flops",
-            [&] { benchmark::DoNotOptimize(MatMul(a, b)); }, &records);
+            [&] { benchmark::DoNotOptimize(MatMul(a, b)); }, records);
   }
   {
     Tensor a = Tensor::Randn({256, 64, 64}, rng);
     SweepOp("softmax", "[256,64,64] dim=-1",
             static_cast<double>(a.numel()), "elements",
-            [&] { benchmark::DoNotOptimize(Softmax(a, -1)); }, &records);
+            [&] { benchmark::DoNotOptimize(Softmax(a, -1)); }, records);
   }
   {
     Tensor a = Tensor::Randn({1 << 22}, rng);
     SweepOp("sum", "[4194304]", static_cast<double>(a.numel()), "elements",
-            [&] { benchmark::DoNotOptimize(Sum(a)); }, &records);
+            [&] { benchmark::DoNotOptimize(Sum(a)); }, records);
   }
   {
     Tensor a = Tensor::Randn({1 << 22}, rng);
     Tensor b = Tensor::Randn({1 << 22}, rng);
     SweepOp("ewise_add", "[4194304]", static_cast<double>(a.numel()),
             "elements", [&] { benchmark::DoNotOptimize(Add(a, b)); },
-            &records);
+            records);
   }
+}
+
+// MatMul forward + backward (grad enabled) on the Table-3 training shapes:
+// a Linear's shared weight under [B, N, T, d] activations (the flattened
+// product) and the diffusion block's per-batch [T, k_t*d] x [k_t*d, d].
+// Counts the forward and both gradient products.
+void SweepMatMulFwdBwd(Rng& rng, std::vector<JsonRecord>* records) {
+  struct FwdBwdCase {
+    const char* workload;
+    Shape a;
+    Shape b;
+  };
+  const FwdBwdCase cases[] = {
+      {"[16,14,12,16]x[16,16]", {16, 14, 12, 16}, {16, 16}},
+      {"[16,12,36]x[16,36,16]", {16, 12, 36}, {16, 36, 16}},
+  };
+  for (const FwdBwdCase& c : cases) {
+    Tensor a = Tensor::Randn(c.a, rng).SetRequiresGrad(true);
+    Tensor b = Tensor::Randn(c.b, rng).SetRequiresGrad(true);
+    const Tensor probe = MatMul(a, b);
+    const double flops = 3.0 * 2.0 * static_cast<double>(probe.numel()) *
+                         static_cast<double>(a.size(-1));
+    SweepOp("matmul_fwd_bwd", c.workload, flops, "flops",
+            [&] {
+              a.ZeroGrad();
+              b.ZeroGrad();
+              Sum(MatMul(a, b)).Backward();
+            },
+            records);
+  }
+}
+
+std::vector<JsonRecord> CollectKernelRecords() {
+  std::vector<JsonRecord> records;
+  Rng rng(1);
+  SweepForwardOps(rng, &records);
+  SweepMatMulFwdBwd(rng, &records);
   SetNumThreads(1);
   return records;
 }

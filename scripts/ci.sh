@@ -50,7 +50,9 @@
 #      kernel-backend suite: the AVX2 masked head/tail loads and stores are
 #      exactly where an out-of-bounds lane read would live. The op and
 #      capture suites run here too: every op's forward closure does its own
-#      pointer arithmetic over StepIo buffers, eagerly and on replay.
+#      pointer arithmetic over StepIo buffers, eagerly and on replay. So do
+#      the MatMul property, gradient-reference and determinism suites: the
+#      MatMul backward does its own offset arithmetic into gradient buffers.
 #   8. Plan verification  — tools/verify_plan under ASan+UBSan: every
 #      registry model's captured plans must prove race- and lifetime-sound
 #      (exit 0), and the --inject corrupted-plan fixture must be caught
@@ -318,9 +320,9 @@ cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build build-asan -j "$(nproc)" \
   --target fault_injection_test checkpoint_test death_test io_test \
   kernel_backend_test tensor_test extended_ops_test op_gradcheck_test \
-  exec_plan_test
+  exec_plan_test property_test parallel_determinism_test
 ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
-  -R 'FaultInjection|CheckpointFault|CheckpointResume|DivergenceRecovery|Checkpoint|CsvLoader|DeathTest|Backend|UlpDiff|ElementwiseOps|MatMulOp|GradCheck|OpGradCheck|MaxMinOps|ZooCapture|GraphCapture|ExecSession' \
+  -R 'FaultInjection|CheckpointFault|CheckpointResume|DivergenceRecovery|Checkpoint|CsvLoader|DeathTest|Backend|UlpDiff|ElementwiseOps|MatMulOp|GradCheck|OpGradCheck|MaxMinOps|ZooCapture|GraphCapture|ExecSession|MatMulProperty|MatMulGradReference|ParallelDeterminism' \
   --no-tests=error
 
 echo "=== Plan verification: registry-wide verify_plan under ASan+UBSan ==="

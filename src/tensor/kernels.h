@@ -131,6 +131,25 @@ void GatherStrided(const Shape& out_shape, const std::vector<int64_t>& strides,
 // ---------------------------------------------------------------------------
 // MatMul.
 
+/// Batch layout of a broadcast batched matmul, shared by its forward and
+/// backward kernels. Output matrix i ([m, n], at element offset i*m*n) is
+/// A[a_offsets()[i]] x B[b_offsets()[i]], where A holds `a_matrices` dense
+/// [m, k] matrices and B holds `b_matrices` dense [k, n] ones. An operand
+/// that broadcasts over the batch repeats its offset.
+struct MatMulLayout {
+  int64_t m = 0;
+  int64_t k = 0;
+  int64_t n = 0;
+  int64_t a_matrices = 0;
+  int64_t b_matrices = 0;
+  /// The A offsets of every batch, then the B offsets (one allocation).
+  std::vector<int64_t> offsets;
+
+  int64_t batches() const { return static_cast<int64_t>(offsets.size() / 2); }
+  const int64_t* a_offsets() const { return offsets.data(); }
+  const int64_t* b_offsets() const { return offsets.data() + batches(); }
+};
+
 /// Batched matmul over `batch` independent [m,k]x[k,n] products. Offsets
 /// are element offsets of each batch's A / B matrix (shared matrices repeat
 /// their offset — the broadcast case). `out` must be zero-filled.
@@ -141,6 +160,29 @@ void BatchedMatMul(const KernelBackend& backend, const float* a,
                    const std::vector<int64_t>& a_offsets,
                    const std::vector<int64_t>& b_offsets, int64_t m, int64_t k,
                    int64_t n);
+
+/// The same product over a MatMulLayout.
+void BatchedMatMul(const KernelBackend& backend, const MatMulLayout& layout,
+                   const float* a, const float* b, float* out);
+
+/// Gradient of BatchedMatMul w.r.t. A: grad_a[a_offsets()[i]] += G_i x
+/// B[b_offsets()[i]]^T, where G_i is output matrix i of the gradient `g`.
+/// `grad_a` is laid out like A. Parallel over (A matrix, row block); each
+/// task adds the batches that map onto its matrix in ascending batch order,
+/// so results are bitwise identical at 1 and N threads. B^T is a scratch
+/// copy made here (pure data movement), never an op.
+void BatchedMatMulGradA(const KernelBackend& backend,
+                        const MatMulLayout& layout, const float* g,
+                        const float* b, float* grad_a);
+
+/// Gradient of BatchedMatMul w.r.t. B: grad_b[b_offsets()[i]] +=
+/// A[a_offsets()[i]]^T x G_i, partitioned like BatchedMatMulGradA over
+/// (B matrix, row block). A^T is read in place (the backend's
+/// matmul_tn_row_range). A B shared by every batch of a dense A (the
+/// flattened layout ops.cc builds) is one A^T x G reduction over all rows.
+void BatchedMatMulGradB(const KernelBackend& backend,
+                        const MatMulLayout& layout, const float* a,
+                        const float* g, float* grad_b);
 
 // ---------------------------------------------------------------------------
 // Reductions.

@@ -76,6 +76,15 @@ struct KernelBackend {
                            int64_t row_begin, int64_t row_end, int64_t k,
                            int64_t n);
 
+  /// out[m, n] += A^T[m, k] * B[k, n] for rows [row_begin, row_end), where
+  /// A^T's element (i, kk) is a[kk * lda + i]: the product with the
+  /// transpose of a row-major A of row length lda, read in place. Same
+  /// per-element accumulation order (and tolerance) as matmul_row_range; the
+  /// weight-gradient products use it instead of a transposed copy of A.
+  void (*matmul_tn_row_range)(const float* a, int64_t lda, const float* b,
+                              float* out, int64_t row_begin, int64_t row_end,
+                              int64_t k, int64_t n);
+
   /// Sum of a[begin, end) accumulated in double. One kReduceBlock block of
   /// the deterministic partial-sum tree.
   double (*reduce_sum_range)(const float* a, int64_t begin, int64_t end);
@@ -115,7 +124,8 @@ inline constexpr int UnaryMaxUlp(UnaryKind kind) {
 inline constexpr int BinaryMaxUlp(BinaryKind) { return 0; }
 
 /// MatMul uses FMA (one rounding where scalar has two); error compounds over
-/// the k accumulations, so the bound is relative and scales with k.
+/// the k accumulations, so the bound is relative and scales with k. It
+/// covers matmul_row_range and matmul_tn_row_range alike.
 inline constexpr float MatMulRelTol(int64_t k) {
   return 1e-6f * static_cast<float>(k > 16 ? k : 16);
 }

@@ -105,22 +105,38 @@ void ScalarBiasAdd(const float* a, const float* bias, float* out,
   }
 }
 
-void ScalarMatMulRowRange(const float* a, const float* b, float* out,
-                          int64_t row_begin, int64_t row_end, int64_t k,
-                          int64_t n) {
+// A's element (i, kk) is a[i * row_stride + kk * col_stride]: (k, 1) for
+// matmul_row_range, (1, lda) for the transposed read of matmul_tn_row_range.
+// No zero-skip on A: 0 * Inf and 0 * NaN must reach the output as NaN, as
+// in every other backend. Dropping it kept finite results bitwise: from a
+// +0 start the accumulator never holds -0, and x + (+/-0) == x otherwise.
+void MatMulStrided(const float* a, int64_t row_stride, int64_t col_stride,
+                   const float* b, float* out, int64_t row_begin,
+                   int64_t row_end, int64_t k, int64_t n) {
   for (int64_t k0 = 0; k0 < k; k0 += kMatMulKTile) {
     const int64_t k1 = std::min(k, k0 + kMatMulKTile);
     for (int64_t i = row_begin; i < row_end; ++i) {
       float* out_row = out + i * n;
-      const float* a_row = a + i * k;
+      const float* a_row = a + i * row_stride;
       for (int64_t kk = k0; kk < k1; ++kk) {
-        const float av = a_row[kk];
-        if (av == 0.0f) continue;
+        const float av = a_row[kk * col_stride];
         const float* b_row = b + kk * n;
         for (int64_t j = 0; j < n; ++j) out_row[j] += av * b_row[j];
       }
     }
   }
+}
+
+void ScalarMatMulRowRange(const float* a, const float* b, float* out,
+                          int64_t row_begin, int64_t row_end, int64_t k,
+                          int64_t n) {
+  MatMulStrided(a, k, 1, b, out, row_begin, row_end, k, n);
+}
+
+void ScalarMatMulTnRowRange(const float* a, int64_t lda, const float* b,
+                            float* out, int64_t row_begin, int64_t row_end,
+                            int64_t k, int64_t n) {
+  MatMulStrided(a, 1, lda, b, out, row_begin, row_end, k, n);
 }
 
 double ScalarReduceSumRange(const float* a, int64_t begin, int64_t end) {
@@ -162,6 +178,7 @@ constexpr KernelBackend kScalarBackend = {
     /*ewise_binary=*/&ScalarEwiseBinary,
     /*bias_add=*/&ScalarBiasAdd,
     /*matmul_row_range=*/&ScalarMatMulRowRange,
+    /*matmul_tn_row_range=*/&ScalarMatMulTnRowRange,
     /*reduce_sum_range=*/&ScalarReduceSumRange,
     /*reduce_sum_dim_slice=*/&ScalarReduceSumDimSlice,
     /*softmax_slice=*/&ScalarSoftmaxSlice,

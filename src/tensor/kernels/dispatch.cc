@@ -132,13 +132,12 @@ void GatherStrided(const Shape& out_shape, const std::vector<int64_t>& strides,
 // ---------------------------------------------------------------------------
 // MatMul.
 
-void BatchedMatMul(const KernelBackend& backend, const float* a,
-                   const float* b, float* out,
-                   const std::vector<int64_t>& a_offsets,
-                   const std::vector<int64_t>& b_offsets, int64_t m, int64_t k,
-                   int64_t n) {
-  D2_CHECK_EQ(a_offsets.size(), b_offsets.size());
-  const int64_t batch = static_cast<int64_t>(a_offsets.size());
+namespace {
+
+void MatMulBatches(const KernelBackend& backend, const float* a,
+                   const float* b, float* out, const int64_t* a_offsets,
+                   const int64_t* b_offsets, int64_t batch, int64_t m,
+                   int64_t k, int64_t n) {
   const int64_t row_blocks = (m + kMatMulRowBlock - 1) / kMatMulRowBlock;
   const int64_t out_matrix = m * n;
   // Each task owns the output rows of one (batch, row-block) pair — every
@@ -148,11 +147,147 @@ void BatchedMatMul(const KernelBackend& backend, const float* a,
       const int64_t bi = task / row_blocks;
       const int64_t r0 = (task % row_blocks) * kMatMulRowBlock;
       const int64_t r1 = std::min(m, r0 + kMatMulRowBlock);
-      backend.matmul_row_range(a + a_offsets[static_cast<size_t>(bi)],
-                               b + b_offsets[static_cast<size_t>(bi)],
+      backend.matmul_row_range(a + a_offsets[bi], b + b_offsets[bi],
                                out + bi * out_matrix, r0, r1, k, n);
     }
   });
+}
+
+// Multiply-adds a backward product task aims for: rows per task shrink
+// below kMatMulRowBlock when each row carries a long reduction (A^T x G over
+// all flattened rows), so even a [k, n] weight gradient spreads over the
+// pool. Blocks stay a multiple of kMatMulMinRows so a backend's register
+// blocking has rows to share. Depends only on the problem size
+// (determinism).
+constexpr int64_t kMatMulTaskWork = 1 << 15;
+constexpr int64_t kMatMulMinRows = 4;
+
+// One operand of AccumulateProducts: batch i reads the matrix at
+// data + offsets[i], or at data + i * stride when offsets is null.
+struct BatchOperand {
+  const float* data;
+  const int64_t* offsets;
+  int64_t stride;
+  const float* Matrix(int64_t i) const {
+    return data + (offsets != nullptr ? offsets[i] : i * stride);
+  }
+};
+
+// dest[dest_offsets[i]] += L_i x rhs_i ([rows, red] x [red, cols]) for
+// every batch i, where `dest` holds `dest_matrices` [rows, cols] matrices.
+// L_i is the lhs matrix itself, or with `lhs_transposed` the transpose of
+// the row-major [red, rows] lhs matrix, read in place. Each task owns one
+// (destination matrix, row block) and adds the batches that map onto it in
+// ascending batch order, so every destination element is one accumulation
+// chain whatever the thread count.
+void AccumulateProducts(const KernelBackend& backend, BatchOperand lhs,
+                        bool lhs_transposed, BatchOperand rhs, float* dest,
+                        const int64_t* dest_offsets, int64_t dest_matrices,
+                        int64_t batches, int64_t rows, int64_t red,
+                        int64_t cols) {
+  if (dest_matrices == 0 || rows == 0 || cols == 0) return;
+  const int64_t dest_matrix = rows * cols;
+  // Stable counting sort of the batches by destination matrix: batches
+  // order[first[d]..first[d+1]) land on matrix d, ascending.
+  std::vector<int64_t> first(static_cast<size_t>(dest_matrices + 1), 0);
+  for (int64_t i = 0; i < batches; ++i) {
+    ++first[static_cast<size_t>(dest_offsets[i] / dest_matrix + 1)];
+  }
+  for (size_t d = 1; d < first.size(); ++d) first[d] += first[d - 1];
+  std::vector<int64_t> order(static_cast<size_t>(batches));
+  std::vector<int64_t> next(first.begin(), first.end() - 1);
+  for (int64_t i = 0; i < batches; ++i) {
+    order[static_cast<size_t>(next[static_cast<size_t>(
+        dest_offsets[i] / dest_matrix)]++)] = i;
+  }
+  // Broadcasting maps the same number of batches onto every destination.
+  const int64_t row_work =
+      std::max<int64_t>(1, batches / dest_matrices * red * cols);
+  const int64_t wanted = (kMatMulTaskWork + row_work - 1) / row_work;
+  const int64_t block = std::min(
+      kMatMulRowBlock,
+      (wanted + kMatMulMinRows - 1) / kMatMulMinRows * kMatMulMinRows);
+  const int64_t row_blocks = (rows + block - 1) / block;
+  ParallelFor(0, dest_matrices * row_blocks, 1, [&](int64_t lo, int64_t hi) {
+    for (int64_t task = lo; task < hi; ++task) {
+      const size_t d = static_cast<size_t>(task / row_blocks);
+      const int64_t r0 = (task % row_blocks) * block;
+      const int64_t r1 = std::min(rows, r0 + block);
+      float* out = dest + static_cast<int64_t>(d) * dest_matrix;
+      for (int64_t j = first[d]; j < first[d + 1]; ++j) {
+        const int64_t i = order[static_cast<size_t>(j)];
+        if (lhs_transposed) {
+          backend.matmul_tn_row_range(lhs.Matrix(i), rows, rhs.Matrix(i),
+                                      out, r0, r1, red, cols);
+        } else {
+          backend.matmul_row_range(lhs.Matrix(i), rhs.Matrix(i), out, r0, r1,
+                                   red, cols);
+        }
+      }
+    }
+  });
+}
+
+// Copies each of `count` dense [rows, cols] matrices to [cols, rows] — the
+// B^T operand of the input-gradient product (weights: small). It keeps each
+// matrix's element offset, so the layout's offsets index the copy
+// unchanged.
+std::vector<float> TransposedMatrices(const float* src, int64_t count,
+                                      int64_t rows, int64_t cols) {
+  const int64_t matrix = rows * cols;
+  std::vector<float> dst(static_cast<size_t>(count * matrix));
+  ParallelFor(0, count, OuterGrain(matrix), [&](int64_t lo, int64_t hi) {
+    for (int64_t mi = lo; mi < hi; ++mi) {
+      const float* s = src + mi * matrix;
+      float* t = dst.data() + mi * matrix;
+      for (int64_t r = 0; r < rows; ++r) {
+        for (int64_t c = 0; c < cols; ++c) t[c * rows + r] = s[r * cols + c];
+      }
+    }
+  });
+  return dst;
+}
+
+}  // namespace
+
+void BatchedMatMul(const KernelBackend& backend, const float* a,
+                   const float* b, float* out,
+                   const std::vector<int64_t>& a_offsets,
+                   const std::vector<int64_t>& b_offsets, int64_t m, int64_t k,
+                   int64_t n) {
+  D2_CHECK_EQ(a_offsets.size(), b_offsets.size());
+  MatMulBatches(backend, a, b, out, a_offsets.data(), b_offsets.data(),
+                static_cast<int64_t>(a_offsets.size()), m, k, n);
+}
+
+void BatchedMatMul(const KernelBackend& backend, const MatMulLayout& layout,
+                   const float* a, const float* b, float* out) {
+  MatMulBatches(backend, a, b, out, layout.a_offsets(), layout.b_offsets(),
+                layout.batches(), layout.m, layout.k, layout.n);
+}
+
+void BatchedMatMulGradA(const KernelBackend& backend,
+                        const MatMulLayout& layout, const float* g,
+                        const float* b, float* grad_a) {
+  const int64_t m = layout.m;
+  const int64_t k = layout.k;
+  const int64_t n = layout.n;
+  const std::vector<float> bt =
+      TransposedMatrices(b, layout.b_matrices, k, n);
+  AccumulateProducts(backend, {g, nullptr, m * n}, /*lhs_transposed=*/false,
+                     {bt.data(), layout.b_offsets(), 0}, grad_a,
+                     layout.a_offsets(), layout.a_matrices, layout.batches(),
+                     m, n, k);
+}
+
+void BatchedMatMulGradB(const KernelBackend& backend,
+                        const MatMulLayout& layout, const float* a,
+                        const float* g, float* grad_b) {
+  const int64_t m = layout.m;
+  AccumulateProducts(backend, {a, layout.a_offsets(), 0},
+                     /*lhs_transposed=*/true, {g, nullptr, m * layout.n},
+                     grad_b, layout.b_offsets(), layout.b_matrices,
+                     layout.batches(), layout.k, m, layout.n);
 }
 
 // ---------------------------------------------------------------------------

@@ -359,7 +359,17 @@ Tensor Clamp(const Tensor& a, float lo, float hi) {
 }
 
 // ---------------------------------------------------------------------------
-// MatMul.
+// MatMul. One kernels::MatMulLayout (the batch offset table) is shared by
+// the forward closure and the backward. A B shared by every batch of a
+// dense A (every Linear, GRU gate, attention projection) flattens into one
+// [batches*m, k] x [k, n] product; each row runs the same arithmetic as in
+// the per-batch product, so forward and plan replay are bitwise unchanged.
+// The backward calls no op: BatchedMatMulGradA/B write dA = G B^T and
+// dB = A^T G into one zero-filled buffer per operand, batches that share an
+// operand matrix accumulating in ascending order, and each buffer lands
+// with one AccumulateGrad. For the flattened layout dB is one A^T G
+// reduction over all batches*m rows. No backend skips zero entries of A,
+// so 0 * Inf and 0 * NaN reach the output as NaN on every backend.
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
   D2_CHECK(a.defined());
@@ -381,42 +391,52 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   out_shape.push_back(m);
   out_shape.push_back(n);
 
-  const std::vector<int64_t> as =
-      kernels::BroadcastStrides(a_batch, out_batch);
-  const std::vector<int64_t> bs =
-      kernels::BroadcastStrides(b_batch, out_batch);
-  // Resolve broadcast batch indexing up front so the kernel sees a flat
-  // list of matrix offsets it can parallelize over batch x row blocks.
+  // Resolve broadcast batch indexing up front so the kernels see a flat
+  // list of matrix offsets they can parallelize over.
+  kernels::MatMulLayout resolved;
   const int64_t batches = NumElements(out_batch);
-  std::vector<int64_t> a_offsets(static_cast<size_t>(batches));
-  std::vector<int64_t> b_offsets(static_cast<size_t>(batches));
-  const int64_t a_matrix = m * k;
-  const int64_t b_matrix = k * n;
-  kernels::ForEachBroadcastPair(out_batch, as, bs,
-                                [&](int64_t batch, int64_t ao, int64_t bo) {
-                                  a_offsets[static_cast<size_t>(batch)] =
-                                      ao * a_matrix;
-                                  b_offsets[static_cast<size_t>(batch)] =
-                                      bo * b_matrix;
-                                });
+  if (NumElements(b_batch) == 1 && NumElements(a_batch) == batches) {
+    // One B shared by every batch of a dense A (every Linear): a single
+    // [batches*m, k] x [k, n] product. Rows run the same arithmetic as the
+    // per-batch products, so the forward is bitwise unchanged.
+    resolved = {batches * m, k, n, 1, 1, {0, 0}};
+  } else {
+    resolved = {m, k, n, NumElements(a_batch), NumElements(b_batch),
+                std::vector<int64_t>(static_cast<size_t>(2 * batches))};
+    int64_t* a_offsets = resolved.offsets.data();
+    int64_t* b_offsets = a_offsets + batches;
+    kernels::ForEachBroadcastPair(
+        out_batch, kernels::BroadcastStrides(a_batch, out_batch),
+        kernels::BroadcastStrides(b_batch, out_batch),
+        [&](int64_t batch, int64_t ao, int64_t bo) {
+          a_offsets[batch] = ao * m * k;
+          b_offsets[batch] = bo * k * n;
+        });
+  }
+  auto layout =
+      std::make_shared<const kernels::MatMulLayout>(std::move(resolved));
   const kernels::KernelBackend* backend = &kernels::ActiveBackend();
   // BatchedMatMul accumulates into its output (zero_output).
   return Dispatch(
       "MatMul", out_shape, {a, b},
-      [backend, a_offsets = std::move(a_offsets),
-       b_offsets = std::move(b_offsets), m, k, n](const exec::StepIo& io) {
-        kernels::BatchedMatMul(*backend, io.inputs[0], io.inputs[1],
-                               io.output, a_offsets, b_offsets, m, k, n);
+      [backend, layout](const exec::StepIo& io) {
+        kernels::BatchedMatMul(*backend, *layout, io.inputs[0], io.inputs[1],
+                               io.output);
       },
-      [a, b](const Tensor& output) {
-        const Tensor g = output.Grad();
+      [a, b, layout](const Tensor& output) {
+        const kernels::KernelBackend& grad_backend = kernels::ActiveBackend();
+        const float* g = output.GradData().data();
         if (a.RequiresGrad()) {
-          Tensor ga = MatMul(g, Transpose(b, -1, -2));
-          AccumulateGrad(a, ReduceToShape(ga, a.shape()));
+          std::vector<float> ga = internal::AcquireBuffer(a.numel());
+          kernels::BatchedMatMulGradA(grad_backend, *layout, g,
+                                      b.Data().data(), ga.data());
+          AccumulateGrad(a, Tensor(a.shape(), std::move(ga)));
         }
         if (b.RequiresGrad()) {
-          Tensor gb = MatMul(Transpose(a, -1, -2), g);
-          AccumulateGrad(b, ReduceToShape(gb, b.shape()));
+          std::vector<float> gb = internal::AcquireBuffer(b.numel());
+          kernels::BatchedMatMulGradB(grad_backend, *layout, a.Data().data(),
+                                      g, gb.data());
+          AccumulateGrad(b, Tensor(b.shape(), std::move(gb)));
         }
       },
       /*zero_output=*/true);

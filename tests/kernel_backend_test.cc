@@ -14,6 +14,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -243,6 +244,72 @@ TEST_F(BackendParityTest, MatMulWithinRelativeTolerance) {
       for (int64_t i = 0; i < m * n; ++i) {
         EXPECT_NEAR(ref[i], got[i], tol * (1.0f + std::fabs(ref[i])))
             << "k=" << k << " n=" << n << " i=" << i;
+      }
+    }
+  }
+}
+
+TEST_F(BackendParityTest, MatMulTransposedReadMatchesTransposedCopy) {
+  // matmul_tn_row_range reads A^T in place. Per backend it must equal
+  // matmul_row_range on a transposed copy bitwise (same accumulation
+  // order); across backends the matmul tolerance applies. Rows [1, m)
+  // exercise a non-zero range start.
+  for (const int64_t k : kTailSizes) {
+    for (const int64_t n : kTailSizes) {
+      const int64_t m = 9;
+      const std::vector<float> a = Normal(k * m, 1600 + k);  // [k, m]
+      const std::vector<float> b = Normal(k * n, 1700 + n);
+      std::vector<float> at(m * k);
+      for (int64_t r = 0; r < k; ++r) {
+        for (int64_t c = 0; c < m; ++c) at[c * k + r] = a[r * m + c];
+      }
+      std::vector<float> tn_scalar;
+      for (const KernelBackend* backend : {scalar_, avx2_}) {
+        std::vector<float> copy(m * n, 0.0f), tn(m * n, 0.0f);
+        backend->matmul_row_range(at.data(), b.data(), copy.data(), 1, m, k,
+                                  n);
+        backend->matmul_tn_row_range(a.data(), m, b.data(), tn.data(), 1, m,
+                                     k, n);
+        EXPECT_EQ(copy, tn) << backend->name << " k=" << k << " n=" << n;
+        if (backend == scalar_) tn_scalar = tn;
+      }
+      std::vector<float> tn_avx2(m * n, 0.0f);
+      avx2_->matmul_tn_row_range(a.data(), m, b.data(), tn_avx2.data(), 1, m,
+                                 k, n);
+      const float tol = kernels::MatMulRelTol(k);
+      for (int64_t i = 0; i < m * n; ++i) {
+        EXPECT_NEAR(tn_scalar[i], tn_avx2[i],
+                    tol * (1.0f + std::fabs(tn_scalar[i])))
+            << "k=" << k << " n=" << n << " i=" << i;
+      }
+    }
+  }
+}
+
+TEST_F(BackendParityTest, MatMulPropagatesNonFiniteThroughZeros) {
+  // 0 * Inf and 0 * NaN are NaN in IEEE arithmetic. A backend that skips
+  // zero entries of A would return a finite sum here and hide a diverged
+  // weight from the numerics checker.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const int64_t n : kTailSizes) {
+    const int64_t m = 5;
+    const int64_t k = 2;
+    // Row-major A [m, k] and its transposed storage [k, m], both with a
+    // zero first column of the product's A.
+    std::vector<float> a(m * k, 1.0f), a_t(k * m, 1.0f);
+    for (int64_t i = 0; i < m; ++i) a[i * k] = a_t[i] = 0.0f;
+    std::vector<float> b(k * n, 2.0f);
+    for (int64_t j = 0; j < n; ++j) b[j] = j % 2 == 0 ? inf : nan;
+    for (const KernelBackend* backend : {scalar_, avx2_}) {
+      std::vector<float> out(m * n, 0.0f), out_tn(m * n, 0.0f);
+      backend->matmul_row_range(a.data(), b.data(), out.data(), 0, m, k, n);
+      backend->matmul_tn_row_range(a_t.data(), m, b.data(), out_tn.data(), 0,
+                                   m, k, n);
+      for (int64_t i = 0; i < m * n; ++i) {
+        EXPECT_TRUE(std::isnan(out[i]) && std::isnan(out_tn[i]))
+            << backend->name << " n=" << n << " i=" << i << " got "
+            << out[i] << " / " << out_tn[i];
       }
     }
   }

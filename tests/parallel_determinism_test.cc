@@ -97,6 +97,21 @@ TEST_F(ParallelDeterminismTest, MatMulForwardBackwardParity) {
                  [](const std::vector<Tensor>& t) {
                    return MatMul(t[0], t[1]);
                  });
+  // Shapes whose gradients split over several row blocks: a shared weight
+  // under 600 flattened rows, dA accumulated over 6 batches, and both
+  // operands broadcast.
+  ExpectOpParity("MatMulFlattenedRows", {{3, 5, 40, 19}, {19, 13}},
+                 [](const std::vector<Tensor>& t) {
+                   return MatMul(t[0], t[1]);
+                 });
+  ExpectOpParity("MatMulSharedLeft", {{70, 19}, {6, 19, 13}},
+                 [](const std::vector<Tensor>& t) {
+                   return MatMul(t[0], t[1]);
+                 });
+  ExpectOpParity("MatMulBothBroadcast", {{2, 1, 40, 4}, {5, 4, 2}},
+                 [](const std::vector<Tensor>& t) {
+                   return MatMul(t[0], t[1]);
+                 });
 }
 
 TEST_F(ParallelDeterminismTest, SoftmaxForwardBackwardParity) {

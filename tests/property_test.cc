@@ -2,10 +2,15 @@
 // configurations.
 
 #include <cmath>
+#include <ostream>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+#include "common/thread_pool.h"
 #include "core/d2stgnn.h"
 #include "data/presets.h"
 #include "data/synthetic_traffic.h"
@@ -13,6 +18,8 @@
 #include "graph/transition.h"
 #include "metrics/metrics.h"
 #include "tensor/grad_check.h"
+#include "tensor/kernels/backend.h"
+#include "tensor/kernels/registry.h"
 #include "tensor/ops.h"
 
 namespace d2stgnn {
@@ -99,6 +106,138 @@ INSTANTIATE_TEST_SUITE_P(
                       MatMulShapes{{2, 3, 4}, {2, 4, 5}},
                       MatMulShapes{{3, 4}, {2, 4, 5}},
                       MatMulShapes{{2, 1, 3, 4}, {5, 4, 2}}));
+
+// ---------------------------------------------------------------------------
+// MatMul gradients against a double-precision reference, for every batching
+// pattern the kernels tell apart (flattened shared weight, A broadcast over
+// B's batch, both batched, both broadcast), on every backend at 1 and 4
+// threads. The bound is MatMulRelTol of the reduction length, relative to
+// the sum of the absolute product terms.
+
+struct MatMulPattern {
+  const char* name;
+  Shape a_lead;   // A = a_lead + [k]; a_lead ends with m
+  Shape b_batch;  // B = b_batch + [k, n]
+};
+
+void PrintTo(const MatMulPattern& p, std::ostream* os) { *os << p.name; }
+
+// Flat index of the operand matrix that output batch `i` reads, under
+// numpy broadcasting of `batch` against `out_batch`.
+int64_t SourceMatrix(const Shape& batch, const Shape& out_batch, int64_t i) {
+  const size_t skip = out_batch.size() - batch.size();
+  int64_t src = 0;
+  int64_t stride = 1;
+  for (size_t d = out_batch.size(); d-- > 0;) {
+    const int64_t idx = i % out_batch[d];
+    i /= out_batch[d];
+    if (d < skip) continue;
+    const int64_t size = batch[d - skip];
+    if (size != 1) src += idx * stride;
+    stride *= size;
+  }
+  return src;
+}
+
+class MatMulGradReference : public ::testing::TestWithParam<MatMulPattern> {
+ protected:
+  void SetUp() override { threads_ = GetNumThreads(); }
+  void TearDown() override { SetNumThreads(threads_); }
+
+ private:
+  int threads_ = 1;
+};
+
+TEST_P(MatMulGradReference, MatchesDoubleReference) {
+  const MatMulPattern& p = GetParam();
+  const int64_t m = p.a_lead.back();
+  const Shape a_batch(p.a_lead.begin(), p.a_lead.end() - 1);
+  const Shape out_batch = BroadcastShapes(a_batch, p.b_batch);
+  const int64_t batches = NumElements(out_batch);
+  const int64_t a_matrices = NumElements(a_batch);
+  const int64_t b_matrices = NumElements(p.b_batch);
+  const int64_t sizes[] = {1, 7, 8, 9, 17};
+  for (const int64_t k : sizes) {
+    for (const int64_t n : sizes) {
+      Shape a_shape = p.a_lead;
+      a_shape.push_back(k);
+      Shape b_shape = p.b_batch;
+      b_shape.push_back(k);
+      b_shape.push_back(n);
+      Shape out_shape = out_batch;
+      out_shape.push_back(m);
+      out_shape.push_back(n);
+      Rng rng(static_cast<uint64_t>(100 * k + n));
+      const Tensor a0 = Tensor::Randn(a_shape, rng);
+      const Tensor b0 = Tensor::Randn(b_shape, rng);
+      const Tensor w = Tensor::Randn(out_shape, rng);
+      const std::vector<float>& av = a0.Data();
+      const std::vector<float>& bv = b0.Data();
+      const std::vector<float>& wv = w.Data();
+
+      // dA = sum_i W_i B_i^T, dB = sum_i A_i^T W_i, plus the sums of
+      // absolute terms the error bound scales with.
+      std::vector<double> ga(av.size(), 0.0), ga_abs(av.size(), 0.0);
+      std::vector<double> gb(bv.size(), 0.0), gb_abs(bv.size(), 0.0);
+      for (int64_t i = 0; i < batches; ++i) {
+        const int64_t ao = SourceMatrix(a_batch, out_batch, i) * m * k;
+        const int64_t bo = SourceMatrix(p.b_batch, out_batch, i) * k * n;
+        const int64_t wo = i * m * n;
+        for (int64_t r = 0; r < m; ++r) {
+          for (int64_t c = 0; c < k; ++c) {
+            for (int64_t j = 0; j < n; ++j) {
+              const double wa = static_cast<double>(wv[wo + r * n + j]);
+              const double term_a = wa * bv[bo + c * n + j];
+              const double term_b = wa * av[ao + r * k + c];
+              ga[ao + r * k + c] += term_a;
+              ga_abs[ao + r * k + c] += std::fabs(term_a);
+              gb[bo + c * n + j] += term_b;
+              gb_abs[bo + c * n + j] += std::fabs(term_b);
+            }
+          }
+        }
+      }
+      const float tol_a = kernels::MatMulRelTol(batches / a_matrices * n);
+      const float tol_b = kernels::MatMulRelTol(batches / b_matrices * m);
+
+      for (const std::string& backend : kernels::AvailableBackendNames()) {
+        kernels::ScopedBackendOverride pin(backend);
+        for (const int threads : {1, 4}) {
+          SetNumThreads(threads);
+          Tensor a = Tensor(a_shape, av).SetRequiresGrad(true);
+          Tensor b = Tensor(b_shape, bv).SetRequiresGrad(true);
+          Sum(Mul(MatMul(a, b), w)).Backward();
+          const std::vector<float>& got_a = a.GradData();
+          const std::vector<float>& got_b = b.GradData();
+          ASSERT_EQ(got_a.size(), ga.size());
+          ASSERT_EQ(got_b.size(), gb.size());
+          for (size_t e = 0; e < ga.size(); ++e) {
+            ASSERT_LE(std::fabs(got_a[e] - ga[e]), tol_a * ga_abs[e])
+                << p.name << " dA k=" << k << " n=" << n << " " << backend
+                << " threads=" << threads << " e=" << e;
+          }
+          for (size_t e = 0; e < gb.size(); ++e) {
+            ASSERT_LE(std::fabs(got_b[e] - gb[e]), tol_b * gb_abs[e])
+                << p.name << " dB k=" << k << " n=" << n << " " << backend
+                << " threads=" << threads << " e=" << e;
+          }
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Patterns, MatMulGradReference,
+    ::testing::Values(MatMulPattern{"SharedWeightRank3", {4, 3}, {}},
+                      MatMulPattern{"SharedWeightRank4", {2, 3, 5}, {}},
+                      MatMulPattern{"LeftBroadcast", {3}, {5}},
+                      MatMulPattern{"LeftUnitBatch", {1, 3}, {5}},
+                      MatMulPattern{"BothBatched", {4, 3}, {4}},
+                      MatMulPattern{"BothBroadcast", {2, 1, 3}, {5}}),
+    [](const ::testing::TestParamInfo<MatMulPattern>& info) {
+      return std::string(info.param.name);
+    });
 
 // ---------------------------------------------------------------------------
 // Softmax along every axis: rows sum to 1, entries positive, gradient sums
