@@ -314,136 +314,51 @@ void Avx2BiasAdd(const float* a, const float* bias, float* out,
   }
 }
 
-// Loads / stores one 8-column vector, masked for the remainder block.
-template <bool kMasked>
-inline __m256 LoadCols(const float* p, __m256i mask) {
-  return kMasked ? _mm256_maskload_ps(p, mask) : _mm256_loadu_ps(p);
-}
-template <bool kMasked>
-inline void StoreCols(float* p, __m256i mask, __m256 v) {
-  if constexpr (kMasked) {
-    _mm256_maskstore_ps(p, mask, v);
-  } else {
-    _mm256_storeu_ps(p, v);
-  }
-}
-
-// The register blocks below accumulate one tile of `out` over the k-tile
-// [k0, k1). A's element (i, kk) is a[i * rs + kk * cs]: (k, 1) for
-// matmul_row_range, (1, lda) for the transposed read of
-// matmul_tn_row_range. Each output element is one chain — load, FMA over kk
-// ascending, store — whatever the block shape, so blocking never changes a
-// result bit. The four-row blocks share each B load across rows and keep
-// eight (or four) FMA chains in flight to hide the FMA latency; the last
-// rows of a range that is not a multiple of four go one at a time.
-struct StridedA {
-  const float* a;
-  int64_t rs;
-  int64_t cs;
-  const float* At(int64_t i, int64_t kk) const { return a + i * rs + kk * cs; }
-};
-
-// Rows [i, i+4) x columns [j, j+16).
-inline void MatMulBlock4x16(StridedA a, const float* b, float* out, int64_t i,
-                            int64_t j, int64_t k0, int64_t k1, int64_t n) {
-  float* o0 = out + i * n + j;
-  float* o1 = o0 + n;
-  float* o2 = o1 + n;
-  float* o3 = o2 + n;
-  __m256 c00 = _mm256_loadu_ps(o0), c01 = _mm256_loadu_ps(o0 + kLanes);
-  __m256 c10 = _mm256_loadu_ps(o1), c11 = _mm256_loadu_ps(o1 + kLanes);
-  __m256 c20 = _mm256_loadu_ps(o2), c21 = _mm256_loadu_ps(o2 + kLanes);
-  __m256 c30 = _mm256_loadu_ps(o3), c31 = _mm256_loadu_ps(o3 + kLanes);
-  for (int64_t kk = k0; kk < k1; ++kk) {
-    const __m256 b0 = _mm256_loadu_ps(b + kk * n + j);
-    const __m256 b1 = _mm256_loadu_ps(b + kk * n + j + kLanes);
-    const float* ak = a.At(i, kk);
-    __m256 av = _mm256_broadcast_ss(ak);
-    c00 = _mm256_fmadd_ps(av, b0, c00);
-    c01 = _mm256_fmadd_ps(av, b1, c01);
-    av = _mm256_broadcast_ss(ak + a.rs);
-    c10 = _mm256_fmadd_ps(av, b0, c10);
-    c11 = _mm256_fmadd_ps(av, b1, c11);
-    av = _mm256_broadcast_ss(ak + 2 * a.rs);
-    c20 = _mm256_fmadd_ps(av, b0, c20);
-    c21 = _mm256_fmadd_ps(av, b1, c21);
-    av = _mm256_broadcast_ss(ak + 3 * a.rs);
-    c30 = _mm256_fmadd_ps(av, b0, c30);
-    c31 = _mm256_fmadd_ps(av, b1, c31);
-  }
-  _mm256_storeu_ps(o0, c00);
-  _mm256_storeu_ps(o0 + kLanes, c01);
-  _mm256_storeu_ps(o1, c10);
-  _mm256_storeu_ps(o1 + kLanes, c11);
-  _mm256_storeu_ps(o2, c20);
-  _mm256_storeu_ps(o2 + kLanes, c21);
-  _mm256_storeu_ps(o3, c30);
-  _mm256_storeu_ps(o3 + kLanes, c31);
-}
-
-// Rows [i, i+4) x the 8 (or, masked, fewer) columns at j.
-template <bool kMasked>
-inline void MatMulBlock4x8(StridedA a, const float* b, float* out, int64_t i,
-                           int64_t j, int64_t k0, int64_t k1, int64_t n,
-                           __m256i mask) {
-  float* o0 = out + i * n + j;
-  float* o1 = o0 + n;
-  float* o2 = o1 + n;
-  float* o3 = o2 + n;
-  __m256 c0 = LoadCols<kMasked>(o0, mask), c1 = LoadCols<kMasked>(o1, mask);
-  __m256 c2 = LoadCols<kMasked>(o2, mask), c3 = LoadCols<kMasked>(o3, mask);
-  for (int64_t kk = k0; kk < k1; ++kk) {
-    const __m256 bv = LoadCols<kMasked>(b + kk * n + j, mask);
-    const float* ak = a.At(i, kk);
-    c0 = _mm256_fmadd_ps(_mm256_broadcast_ss(ak), bv, c0);
-    c1 = _mm256_fmadd_ps(_mm256_broadcast_ss(ak + a.rs), bv, c1);
-    c2 = _mm256_fmadd_ps(_mm256_broadcast_ss(ak + 2 * a.rs), bv, c2);
-    c3 = _mm256_fmadd_ps(_mm256_broadcast_ss(ak + 3 * a.rs), bv, c3);
-  }
-  StoreCols<kMasked>(o0, mask, c0);
-  StoreCols<kMasked>(o1, mask, c1);
-  StoreCols<kMasked>(o2, mask, c2);
-  StoreCols<kMasked>(o3, mask, c3);
-}
-
-// Row i x the 8 (or, masked, fewer) columns at j.
-template <bool kMasked>
-inline void MatMulBlock1x8(StridedA a, const float* b, float* out, int64_t i,
-                           int64_t j, int64_t k0, int64_t k1, int64_t n,
-                           __m256i mask) {
-  float* o = out + i * n + j;
-  __m256 c = LoadCols<kMasked>(o, mask);
-  for (int64_t kk = k0; kk < k1; ++kk) {
-    c = _mm256_fmadd_ps(_mm256_broadcast_ss(a.At(i, kk)),
-                        LoadCols<kMasked>(b + kk * n + j, mask), c);
-  }
-  StoreCols<kMasked>(o, mask, c);
-}
-
-// Register-blocked i-j-k within each k-tile: per output element the
-// accumulation still walks kk ascending (tile by tile), matching the scalar
-// order except that mul+add fuses into FMA.
-void MatMulStrided(StridedA a, const float* b, float* out, int64_t row_begin,
+// out rows [row_begin, row_end) += A x B, where A's element (i, kk) is
+// a[i * row_stride + kk * col_stride]: (k, 1) for matmul_row_range, (1, lda)
+// for the transposed read of matmul_tn_row_range. Register-blocked i-j-k
+// within each k-tile: per output element the accumulation still walks kk
+// ascending (tile by tile), matching the scalar order except that mul+add
+// fuses into FMA.
+void MatMulStrided(const float* a, int64_t row_stride, int64_t col_stride,
+                   const float* b, float* out, int64_t row_begin,
                    int64_t row_end, int64_t k, int64_t n) {
-  const __m256i all = _mm256_set1_epi32(-1);
-  const int64_t n16 = n - n % (2 * kLanes);
-  const int64_t n8 = n - n % kLanes;
-  const __m256i tail = TailMask(n - n8);
   for (int64_t k0 = 0; k0 < k; k0 += kMatMulKTile) {
     const int64_t k1 = std::min(k, k0 + kMatMulKTile);
-    int64_t i = row_begin;
-    for (; i + 4 <= row_end; i += 4) {
-      for (int64_t j = 0; j < n16; j += 2 * kLanes) {
-        MatMulBlock4x16(a, b, out, i, j, k0, k1, n);
+    for (int64_t i = row_begin; i < row_end; ++i) {
+      const float* a_row = a + i * row_stride;
+      float* out_row = out + i * n;
+      int64_t j = 0;
+      for (; j + 2 * kLanes <= n; j += 2 * kLanes) {
+        __m256 acc0 = _mm256_loadu_ps(out_row + j);
+        __m256 acc1 = _mm256_loadu_ps(out_row + j + kLanes);
+        for (int64_t kk = k0; kk < k1; ++kk) {
+          const __m256 av = _mm256_broadcast_ss(a_row + kk * col_stride);
+          const float* b_row = b + kk * n + j;
+          acc0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b_row), acc0);
+          acc1 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b_row + kLanes), acc1);
+        }
+        _mm256_storeu_ps(out_row + j, acc0);
+        _mm256_storeu_ps(out_row + j + kLanes, acc1);
       }
-      if (n16 < n8) MatMulBlock4x8<false>(a, b, out, i, n16, k0, k1, n, all);
-      if (n8 < n) MatMulBlock4x8<true>(a, b, out, i, n8, k0, k1, n, tail);
-    }
-    for (; i < row_end; ++i) {
-      for (int64_t j = 0; j < n8; j += kLanes) {
-        MatMulBlock1x8<false>(a, b, out, i, j, k0, k1, n, all);
+      for (; j + kLanes <= n; j += kLanes) {
+        __m256 acc = _mm256_loadu_ps(out_row + j);
+        for (int64_t kk = k0; kk < k1; ++kk) {
+          acc = _mm256_fmadd_ps(_mm256_broadcast_ss(a_row + kk * col_stride),
+                                _mm256_loadu_ps(b + kk * n + j), acc);
+        }
+        _mm256_storeu_ps(out_row + j, acc);
       }
-      if (n8 < n) MatMulBlock1x8<true>(a, b, out, i, n8, k0, k1, n, tail);
+      if (j < n) {
+        const __m256i mask = TailMask(n - j);
+        __m256 acc = _mm256_maskload_ps(out_row + j, mask);
+        for (int64_t kk = k0; kk < k1; ++kk) {
+          acc = _mm256_fmadd_ps(_mm256_broadcast_ss(a_row + kk * col_stride),
+                                _mm256_maskload_ps(b + kk * n + j, mask),
+                                acc);
+        }
+        _mm256_maskstore_ps(out_row + j, mask, acc);
+      }
     }
   }
 }
@@ -451,13 +366,13 @@ void MatMulStrided(StridedA a, const float* b, float* out, int64_t row_begin,
 void Avx2MatMulRowRange(const float* a, const float* b, float* out,
                         int64_t row_begin, int64_t row_end, int64_t k,
                         int64_t n) {
-  MatMulStrided({a, k, 1}, b, out, row_begin, row_end, k, n);
+  MatMulStrided(a, k, 1, b, out, row_begin, row_end, k, n);
 }
 
 void Avx2MatMulTnRowRange(const float* a, int64_t lda, const float* b,
                           float* out, int64_t row_begin, int64_t row_end,
                           int64_t k, int64_t n) {
-  MatMulStrided({a, 1, lda}, b, out, row_begin, row_end, k, n);
+  MatMulStrided(a, 1, lda, b, out, row_begin, row_end, k, n);
 }
 
 double Avx2ReduceSumRange(const float* a, int64_t begin, int64_t end) {

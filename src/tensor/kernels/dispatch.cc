@@ -153,15 +153,6 @@ void MatMulBatches(const KernelBackend& backend, const float* a,
   });
 }
 
-// Multiply-adds a backward product task aims for: rows per task shrink
-// below kMatMulRowBlock when each row carries a long reduction (A^T x G over
-// all flattened rows), so even a [k, n] weight gradient spreads over the
-// pool. Blocks stay a multiple of kMatMulMinRows so a backend's register
-// blocking has rows to share. Depends only on the problem size
-// (determinism).
-constexpr int64_t kMatMulTaskWork = 1 << 15;
-constexpr int64_t kMatMulMinRows = 4;
-
 // One operand of AccumulateProducts: batch i reads the matrix at
 // data + offsets[i], or at data + i * stride when offsets is null.
 struct BatchOperand {
@@ -177,9 +168,10 @@ struct BatchOperand {
 // every batch i, where `dest` holds `dest_matrices` [rows, cols] matrices.
 // L_i is the lhs matrix itself, or with `lhs_transposed` the transpose of
 // the row-major [red, rows] lhs matrix, read in place. Each task owns one
-// (destination matrix, row block) and adds the batches that map onto it in
-// ascending batch order, so every destination element is one accumulation
-// chain whatever the thread count.
+// (destination matrix, kMatMulRowBlock rows), the partition MatMulBatches
+// uses, and adds the batches that map onto it in ascending batch order, so
+// every destination element is one accumulation chain whatever the thread
+// count.
 void AccumulateProducts(const KernelBackend& backend, BatchOperand lhs,
                         bool lhs_transposed, BatchOperand rhs, float* dest,
                         const int64_t* dest_offsets, int64_t dest_matrices,
@@ -200,19 +192,12 @@ void AccumulateProducts(const KernelBackend& backend, BatchOperand lhs,
     order[static_cast<size_t>(next[static_cast<size_t>(
         dest_offsets[i] / dest_matrix)]++)] = i;
   }
-  // Broadcasting maps the same number of batches onto every destination.
-  const int64_t row_work =
-      std::max<int64_t>(1, batches / dest_matrices * red * cols);
-  const int64_t wanted = (kMatMulTaskWork + row_work - 1) / row_work;
-  const int64_t block = std::min(
-      kMatMulRowBlock,
-      (wanted + kMatMulMinRows - 1) / kMatMulMinRows * kMatMulMinRows);
-  const int64_t row_blocks = (rows + block - 1) / block;
+  const int64_t row_blocks = (rows + kMatMulRowBlock - 1) / kMatMulRowBlock;
   ParallelFor(0, dest_matrices * row_blocks, 1, [&](int64_t lo, int64_t hi) {
     for (int64_t task = lo; task < hi; ++task) {
       const size_t d = static_cast<size_t>(task / row_blocks);
-      const int64_t r0 = (task % row_blocks) * block;
-      const int64_t r1 = std::min(rows, r0 + block);
+      const int64_t r0 = (task % row_blocks) * kMatMulRowBlock;
+      const int64_t r1 = std::min(rows, r0 + kMatMulRowBlock);
       float* out = dest + static_cast<int64_t>(d) * dest_matrix;
       for (int64_t j = first[d]; j < first[d + 1]; ++j) {
         const int64_t i = order[static_cast<size_t>(j)];
