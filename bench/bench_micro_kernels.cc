@@ -7,11 +7,18 @@
 // dispatch layer exists for) at 1/2/4 execution threads, and writes
 // machine-readable per-op throughput through the experiment MetricsSink to
 // the canonical repo-root BENCH_kernels.json (override the directory with
-// D2STGNN_BENCH_OUT_DIR), so successive PRs have a perf trajectory to
-// compare against.
+// D2STGNN_BENCH_OUT_DIR), so successive changes have a perf trajectory to
+// compare against. Every matmul record also reports its fraction of this
+// core's FMA peak, measured by a register-resident FMA loop (summary
+// `fma_peak_gflops`).
 
 #include <benchmark/benchmark.h>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
+
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -230,6 +237,22 @@ void SweepOp(const std::string& op, const std::string& workload, double items,
 // Forward-only sweeps: no tape, as in serving.
 void SweepForwardOps(Rng& rng, std::vector<JsonRecord>* records) {
   NoGradGuard no_grad;
+  // One projection at each workload width: the [rows, d] x [d, d] products
+  // every D2STGNN component spends most of its time in (d = 16 for Table 3,
+  // d = 32 for the paper-width serving model).
+  struct Projection {
+    const char* workload;
+    int64_t rows;
+    int64_t d;
+  };
+  for (const Projection& p : {Projection{"[2688,16]x[16,16]", 2688, 16},
+                              Projection{"[3072,32]x[32,32]", 3072, 32}}) {
+    Tensor a = Tensor::Randn({p.rows, p.d}, rng);
+    Tensor b = Tensor::Randn({p.d, p.d}, rng);
+    const double flops = 2.0 * static_cast<double>(p.rows * p.d * p.d);
+    SweepOp("matmul", p.workload, flops, "flops",
+            [&] { benchmark::DoNotOptimize(MatMul(a, b)); }, records);
+  }
   {
     // Batched MatMul: the Table 3 / Fig. 6 hot path.
     const int64_t batch = 16, m = 96, k = 96, n = 96;
@@ -299,6 +322,50 @@ void SweepMatMulFwdBwd(Rng& rng, std::vector<JsonRecord>* records) {
   }
 }
 
+#if defined(__x86_64__) || defined(__i386__)
+// kChains independent FMA chains over registers only: no loads or stores in
+// the loop, and enough chains in flight to cover the FMA latency on both
+// ports. Returns GFLOP/s of one thread.
+__attribute__((target("avx2,fma"))) double FmaLoopGflops(float seed,
+                                                         int64_t iters) {
+  constexpr int kChains = 10;
+  __m256 acc[kChains];
+  for (int c = 0; c < kChains; ++c) acc[c] = _mm256_set1_ps(seed * (c + 1));
+  const __m256 x = _mm256_set1_ps(1.0f - seed * 1e-6f);
+  const __m256 y = _mm256_set1_ps(seed * 1e-3f);
+  Stopwatch timer;
+  for (int64_t i = 0; i < iters; ++i) {
+    for (int c = 0; c < kChains; ++c) acc[c] = _mm256_fmadd_ps(acc[c], x, y);
+  }
+  const double seconds = timer.ElapsedSeconds();
+  __m256 total = acc[0];
+  for (int c = 1; c < kChains; ++c) total = _mm256_add_ps(total, acc[c]);
+  benchmark::DoNotOptimize(total);
+  const double flops = 2.0 * 8.0 * kChains * static_cast<double>(iters);
+  return flops / seconds * 1e-9;
+}
+#endif
+
+// This core's single-precision FMA peak in GFLOP/s: the best of many short
+// register-resident runs, so a stretch of time the host gives to other
+// work does not set it. 0 when the host cannot run AVX2+FMA.
+double MeasureFmaPeakGflops() {
+#if defined(__x86_64__) || defined(__i386__)
+  if (kernels::Avx2BackendOrNull() == nullptr) return 0.0;
+  // A value the compiler cannot fold. It must stay 1: a denormal seed
+  // makes every FMA take a microcode assist.
+  volatile float seed_source = 1.0f;
+  const float seed = seed_source;
+  double best = 0.0;
+  for (int run = 0; run < 50; ++run) {
+    best = std::max(best, FmaLoopGflops(seed, int64_t{1} << 21));
+  }
+  return best;
+#else
+  return 0.0;
+#endif
+}
+
 std::vector<JsonRecord> CollectKernelRecords() {
   std::vector<JsonRecord> records;
   Rng rng(1);
@@ -314,6 +381,9 @@ int WriteKernelJson(const std::string& path,
                     const std::vector<JsonRecord>& records) {
   namespace exp = d2stgnn::experiment;
   exp::MetricsSink sink("kernels", "kernels");
+  const double peak_gflops = MeasureFmaPeakGflops();
+  sink.SetSummary("fma_peak_gflops", json::Value::Number(peak_gflops));
+  std::printf("fma peak: %.1f GFLOP/s per thread\n", peak_gflops);
   for (const JsonRecord& r : records) {
     json::Value record = json::Value::Object();
     record.Set("op", json::Value::Str(r.op));
@@ -325,6 +395,13 @@ int WriteKernelJson(const std::string& path,
     record.Set("unit", json::Value::Str(r.unit));
     record.Set("speedup_vs_1t", json::Value::Number(r.speedup_vs_1t));
     record.Set("speedup_vs_scalar", json::Value::Number(r.speedup_vs_scalar));
+    if (r.unit == "flops") {
+      // Of `threads` cores at the measured peak; 0 when it was not measured.
+      const double ceiling = peak_gflops * 1e9 * r.threads;
+      record.Set("peak_fraction",
+                 json::Value::Number(
+                     ceiling > 0.0 ? r.items_per_second / ceiling : 0.0));
+    }
     sink.AddRecord(std::move(record));
   }
   // Headline A/B: avx2 vs scalar on the serving-sized batch-4 matmul at one

@@ -112,10 +112,8 @@ int64_t FleetServer::WarmLane(const Lane& lane,
   const auto has_plan = [&planned](int64_t size) {
     return std::binary_search(planned.begin(), planned.end(), size);
   };
-  if (!has_plan(1)) session->Warmup(1);
-  if (lane.options.max_batch_size > 1 &&
-      !has_plan(lane.options.max_batch_size)) {
-    session->Warmup(lane.options.max_batch_size);
+  for (const int64_t size : WarmupBatchSizes(lane.options.max_batch_size)) {
+    if (!has_plan(size)) session->Warmup(size);
   }
   planned = session->planned_batch_sizes();
   return planned.empty() ? 0 : planned.back();

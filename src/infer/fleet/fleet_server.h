@@ -211,8 +211,8 @@ class FleetServer {
   int64_t TotalDepthLocked() const;
   int64_t EffectiveWaitUs(const Lane& lane, OverloadTier tier) const;
   int64_t EffectiveBatchCap(const Lane& lane, OverloadTier tier) const;
-  /// Warms `session` at sizes 1 and the lane max (skipping already-planned
-  /// sizes) and returns the largest planned size.
+  /// Warms `session` at WarmupBatchSizes(lane max), skipping sizes that
+  /// already have a plan, and returns the largest planned size.
   int64_t WarmLane(const Lane& lane, InferenceSession* session) const;
   /// Collects expired entries across all lanes (attributing per-lane
   /// stats). Requires mu_; the caller resolves the result unlocked.

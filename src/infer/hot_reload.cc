@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "common/fault_injection.h"
@@ -103,10 +104,9 @@ ReloadStatus CheckpointReloader::StageAndSwap(const std::string& checkpoint) {
 
   // Warm the shadow while the old session serves: plans are captured (and
   // statically verified) before any traffic sees it.
-  const int64_t max_batch = host_->max_batch_size();
-  const size_t warmed_sizes = max_batch > 1 ? 2 : 1;
-  staged->Warmup(1);
-  if (max_batch > 1) staged->Warmup(max_batch);
+  const std::vector<int64_t> warm_sizes =
+      WarmupBatchSizes(host_->max_batch_size());
+  for (const int64_t size : warm_sizes) staged->Warmup(size);
 
   if (shadow_options.use_plans) {
     const SessionStats session_stats = staged->session_stats();
@@ -117,7 +117,7 @@ ReloadStatus CheckpointReloader::StageAndSwap(const std::string& checkpoint) {
                     << session_stats.plan_verifier_errors << " errors)";
       return status;
     }
-    if (staged->planned_batch_sizes().size() < warmed_sizes) {
+    if (staged->planned_batch_sizes().size() < warm_sizes.size()) {
       status.error = "staged session is missing captured plans";
       D2_LOG(ERROR) << "infer: hot-reload of " << checkpoint
                     << " rejected: " << status.error;

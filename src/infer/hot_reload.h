@@ -39,8 +39,8 @@ namespace d2stgnn::infer {
 using ModelFactory =
     std::function<std::unique_ptr<train::ForecastingModel>()>;
 
-/// Staging always warms the shadow session at batch sizes 1 and the host's
-/// max_batch_size() and, when it uses plans, requires each of those sizes
+/// Staging always warms the shadow session at WarmupBatchSizes(the host's
+/// max_batch_size()) and, when it uses plans, requires each of those sizes
 /// to have a captured, verifier-clean plan before the swap.
 struct HotReloadOptions {
   std::string directory;          ///< watched checkpoint directory

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "infer/session.h"
 
@@ -25,6 +26,15 @@ class SessionHost {
   /// size, so staged plans cover what the host will actually replay.
   virtual int64_t max_batch_size() const = 0;
 };
+
+/// The batch sizes a lane is warmed at before it serves: 1 and, when it is
+/// larger, the lane's max batch. FleetServer warms new lanes at these sizes
+/// and CheckpointReloader warms (and requires plans at) them for a staged
+/// session.
+inline std::vector<int64_t> WarmupBatchSizes(int64_t max_batch_size) {
+  if (max_batch_size > 1) return {1, max_batch_size};
+  return {1};
+}
 
 }  // namespace d2stgnn::infer
 

@@ -314,51 +314,134 @@ void Avx2BiasAdd(const float* a, const float* bias, float* out,
   }
 }
 
-// out rows [row_begin, row_end) += A x B, where A's element (i, kk) is
-// a[i * row_stride + kk * col_stride]: (k, 1) for matmul_row_range, (1, lda)
-// for the transposed read of matmul_tn_row_range. Register-blocked i-j-k
-// within each k-tile: per output element the accumulation still walks kk
-// ascending (tile by tile), matching the scalar order except that mul+add
-// fuses into FMA.
+// The matmul below accumulates into `out` one k-tile [k0, k1) at a time. A's
+// element (i, kk) is a[i * row_stride + kk * col_stride]: (k, 1) for
+// matmul_row_range, (1, lda) for the transposed read of matmul_tn_row_range.
+// Every output element is one chain: load it, FMA over kk ascending, store
+// it. That holds in both loops, so which rows go through the four-row block
+// and which through the one-row loop changes no result bit.
+
+// One output row: 16-column strips, 8-column strips, then a masked tail.
+inline void MatMulRow(const float* a_row, int64_t col_stride, const float* b,
+                      float* out_row, int64_t k0, int64_t k1, int64_t n) {
+  int64_t j = 0;
+  for (; j + 2 * kLanes <= n; j += 2 * kLanes) {
+    __m256 acc0 = _mm256_loadu_ps(out_row + j);
+    __m256 acc1 = _mm256_loadu_ps(out_row + j + kLanes);
+    for (int64_t kk = k0; kk < k1; ++kk) {
+      const __m256 av = _mm256_broadcast_ss(a_row + kk * col_stride);
+      const float* b_row = b + kk * n + j;
+      acc0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b_row), acc0);
+      acc1 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b_row + kLanes), acc1);
+    }
+    _mm256_storeu_ps(out_row + j, acc0);
+    _mm256_storeu_ps(out_row + j + kLanes, acc1);
+  }
+  for (; j + kLanes <= n; j += kLanes) {
+    __m256 acc = _mm256_loadu_ps(out_row + j);
+    for (int64_t kk = k0; kk < k1; ++kk) {
+      acc = _mm256_fmadd_ps(_mm256_broadcast_ss(a_row + kk * col_stride),
+                            _mm256_loadu_ps(b + kk * n + j), acc);
+    }
+    _mm256_storeu_ps(out_row + j, acc);
+  }
+  if (j < n) {
+    const __m256i mask = TailMask(n - j);
+    __m256 acc = _mm256_maskload_ps(out_row + j, mask);
+    for (int64_t kk = k0; kk < k1; ++kk) {
+      acc = _mm256_fmadd_ps(_mm256_broadcast_ss(a_row + kk * col_stride),
+                            _mm256_maskload_ps(b + kk * n + j, mask), acc);
+    }
+    _mm256_maskstore_ps(out_row + j, mask, acc);
+  }
+}
+
+// Four output rows at once. A 16-column strip keeps 8 accumulators in
+// registers and each B vector it loads feeds all four rows, so eight FMA
+// chains are in flight instead of two. The columns past the last strip go
+// 8 lanes at a time, the last vector masked.
+inline void MatMulRows4(const float* a_row, int64_t row_stride,
+                        int64_t col_stride, const float* b, float* out_row,
+                        int64_t k0, int64_t k1, int64_t n) {
+  float* o0 = out_row;
+  float* o1 = o0 + n;
+  float* o2 = o1 + n;
+  float* o3 = o2 + n;
+  int64_t j = 0;
+  for (; j + 2 * kLanes <= n; j += 2 * kLanes) {
+    __m256 c00 = _mm256_loadu_ps(o0 + j);
+    __m256 c01 = _mm256_loadu_ps(o0 + j + kLanes);
+    __m256 c10 = _mm256_loadu_ps(o1 + j);
+    __m256 c11 = _mm256_loadu_ps(o1 + j + kLanes);
+    __m256 c20 = _mm256_loadu_ps(o2 + j);
+    __m256 c21 = _mm256_loadu_ps(o2 + j + kLanes);
+    __m256 c30 = _mm256_loadu_ps(o3 + j);
+    __m256 c31 = _mm256_loadu_ps(o3 + j + kLanes);
+    for (int64_t kk = k0; kk < k1; ++kk) {
+      const float* b_row = b + kk * n + j;
+      const __m256 b0 = _mm256_loadu_ps(b_row);
+      const __m256 b1 = _mm256_loadu_ps(b_row + kLanes);
+      const float* ak = a_row + kk * col_stride;
+      __m256 av = _mm256_broadcast_ss(ak);
+      c00 = _mm256_fmadd_ps(av, b0, c00);
+      c01 = _mm256_fmadd_ps(av, b1, c01);
+      av = _mm256_broadcast_ss(ak + row_stride);
+      c10 = _mm256_fmadd_ps(av, b0, c10);
+      c11 = _mm256_fmadd_ps(av, b1, c11);
+      av = _mm256_broadcast_ss(ak + 2 * row_stride);
+      c20 = _mm256_fmadd_ps(av, b0, c20);
+      c21 = _mm256_fmadd_ps(av, b1, c21);
+      av = _mm256_broadcast_ss(ak + 3 * row_stride);
+      c30 = _mm256_fmadd_ps(av, b0, c30);
+      c31 = _mm256_fmadd_ps(av, b1, c31);
+    }
+    _mm256_storeu_ps(o0 + j, c00);
+    _mm256_storeu_ps(o0 + j + kLanes, c01);
+    _mm256_storeu_ps(o1 + j, c10);
+    _mm256_storeu_ps(o1 + j + kLanes, c11);
+    _mm256_storeu_ps(o2 + j, c20);
+    _mm256_storeu_ps(o2 + j + kLanes, c21);
+    _mm256_storeu_ps(o3 + j, c30);
+    _mm256_storeu_ps(o3 + j + kLanes, c31);
+  }
+  for (; j < n; j += kLanes) {
+    const __m256i mask = TailMask(n - j);
+    __m256 c0 = _mm256_maskload_ps(o0 + j, mask);
+    __m256 c1 = _mm256_maskload_ps(o1 + j, mask);
+    __m256 c2 = _mm256_maskload_ps(o2 + j, mask);
+    __m256 c3 = _mm256_maskload_ps(o3 + j, mask);
+    for (int64_t kk = k0; kk < k1; ++kk) {
+      const __m256 bv = _mm256_maskload_ps(b + kk * n + j, mask);
+      const float* ak = a_row + kk * col_stride;
+      c0 = _mm256_fmadd_ps(_mm256_broadcast_ss(ak), bv, c0);
+      c1 = _mm256_fmadd_ps(_mm256_broadcast_ss(ak + row_stride), bv, c1);
+      c2 = _mm256_fmadd_ps(_mm256_broadcast_ss(ak + 2 * row_stride), bv, c2);
+      c3 = _mm256_fmadd_ps(_mm256_broadcast_ss(ak + 3 * row_stride), bv, c3);
+    }
+    _mm256_maskstore_ps(o0 + j, mask, c0);
+    _mm256_maskstore_ps(o1 + j, mask, c1);
+    _mm256_maskstore_ps(o2 + j, mask, c2);
+    _mm256_maskstore_ps(o3 + j, mask, c3);
+  }
+}
+
+// out rows [row_begin, row_end) += A x B. Per k-tile, rows go four at a time
+// through MatMulRows4 and the last (row_end - row_begin) % 4 one at a time
+// through MatMulRow. Per output element the accumulation walks kk ascending,
+// tile by tile, as the scalar reference does, except that mul+add fuses
+// into FMA.
 void MatMulStrided(const float* a, int64_t row_stride, int64_t col_stride,
                    const float* b, float* out, int64_t row_begin,
                    int64_t row_end, int64_t k, int64_t n) {
   for (int64_t k0 = 0; k0 < k; k0 += kMatMulKTile) {
     const int64_t k1 = std::min(k, k0 + kMatMulKTile);
-    for (int64_t i = row_begin; i < row_end; ++i) {
-      const float* a_row = a + i * row_stride;
-      float* out_row = out + i * n;
-      int64_t j = 0;
-      for (; j + 2 * kLanes <= n; j += 2 * kLanes) {
-        __m256 acc0 = _mm256_loadu_ps(out_row + j);
-        __m256 acc1 = _mm256_loadu_ps(out_row + j + kLanes);
-        for (int64_t kk = k0; kk < k1; ++kk) {
-          const __m256 av = _mm256_broadcast_ss(a_row + kk * col_stride);
-          const float* b_row = b + kk * n + j;
-          acc0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b_row), acc0);
-          acc1 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b_row + kLanes), acc1);
-        }
-        _mm256_storeu_ps(out_row + j, acc0);
-        _mm256_storeu_ps(out_row + j + kLanes, acc1);
-      }
-      for (; j + kLanes <= n; j += kLanes) {
-        __m256 acc = _mm256_loadu_ps(out_row + j);
-        for (int64_t kk = k0; kk < k1; ++kk) {
-          acc = _mm256_fmadd_ps(_mm256_broadcast_ss(a_row + kk * col_stride),
-                                _mm256_loadu_ps(b + kk * n + j), acc);
-        }
-        _mm256_storeu_ps(out_row + j, acc);
-      }
-      if (j < n) {
-        const __m256i mask = TailMask(n - j);
-        __m256 acc = _mm256_maskload_ps(out_row + j, mask);
-        for (int64_t kk = k0; kk < k1; ++kk) {
-          acc = _mm256_fmadd_ps(_mm256_broadcast_ss(a_row + kk * col_stride),
-                                _mm256_maskload_ps(b + kk * n + j, mask),
-                                acc);
-        }
-        _mm256_maskstore_ps(out_row + j, mask, acc);
-      }
+    int64_t i = row_begin;
+    for (; i + 4 <= row_end; i += 4) {
+      MatMulRows4(a + i * row_stride, row_stride, col_stride, b, out + i * n,
+                  k0, k1, n);
+    }
+    for (; i < row_end; ++i) {
+      MatMulRow(a + i * row_stride, col_stride, b, out + i * n, k0, k1, n);
     }
   }
 }

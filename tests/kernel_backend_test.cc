@@ -14,6 +14,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <string>
@@ -281,6 +282,52 @@ TEST_F(BackendParityTest, MatMulTransposedReadMatchesTransposedCopy) {
         EXPECT_NEAR(tn_scalar[i], tn_avx2[i],
                     tol * (1.0f + std::fabs(tn_scalar[i])))
             << "k=" << k << " n=" << n << " i=" << i;
+      }
+    }
+  }
+}
+
+TEST_F(BackendParityTest, MatMulRowBlocksMatchSingleRows) {
+  // A backend may block rows together (avx2 takes four at a time), but each
+  // output element must stay one accumulation chain: one call over
+  // [r0, m) equals, bitwise, the same rows computed one row per call. Row
+  // counts that are not multiples of 4, starts inside a block and column
+  // tails inside a block are all covered; `out` starts non-zero because
+  // both entries accumulate into it.
+  std::vector<int64_t> sizes(std::begin(kTailSizes), std::end(kTailSizes));
+  sizes.push_back(16);
+  sizes.push_back(32);
+  for (const int64_t k : sizes) {
+    for (const int64_t n : sizes) {
+      for (int64_t m = 1; m <= 13; ++m) {
+        const std::vector<float> a = Normal(m * k, 2600 + k * 100 + m);
+        const std::vector<float> b = Normal(k * n, 2700 + n);
+        const std::vector<float> init = Normal(m * n, 2800 + m);
+        for (const int64_t r0 : {0, 1, 3}) {
+          if (r0 >= m) continue;
+          for (const KernelBackend* backend : {scalar_, avx2_}) {
+            std::vector<float> block = init, rows = init;
+            std::vector<float> tn_block = init, tn_rows = init;
+            // `a` read as [m, k] row-major and, in place, as the transpose
+            // of a [k, m] matrix.
+            backend->matmul_row_range(a.data(), b.data(), block.data(), r0, m,
+                                      k, n);
+            backend->matmul_tn_row_range(a.data(), m, b.data(),
+                                         tn_block.data(), r0, m, k, n);
+            for (int64_t r = r0; r < m; ++r) {
+              backend->matmul_row_range(a.data(), b.data(), rows.data(), r,
+                                        r + 1, k, n);
+              backend->matmul_tn_row_range(a.data(), m, b.data(),
+                                           tn_rows.data(), r, r + 1, k, n);
+            }
+            EXPECT_EQ(block, rows) << backend->name << " row_range k=" << k
+                                   << " n=" << n << " m=" << m
+                                   << " r0=" << r0;
+            EXPECT_EQ(tn_block, tn_rows)
+                << backend->name << " tn_row_range k=" << k << " n=" << n
+                << " m=" << m << " r0=" << r0;
+          }
+        }
       }
     }
   }
