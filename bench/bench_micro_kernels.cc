@@ -10,7 +10,8 @@
 // D2STGNN_BENCH_OUT_DIR), so successive changes have a perf trajectory to
 // compare against. Every matmul record also reports its fraction of this
 // core's FMA peak, measured by a register-resident FMA loop (summary
-// `fma_peak_gflops`).
+// `fma_peak_gflops`), and every data-movement record (unit "bytes", the
+// strided permute and broadcast walks) its `gb_per_s`.
 
 #include <benchmark/benchmark.h>
 
@@ -290,6 +291,32 @@ void SweepForwardOps(Rng& rng, std::vector<JsonRecord>* records) {
             "elements", [&] { benchmark::DoNotOptimize(Add(a, b)); },
             records);
   }
+  // The strided walk at the Table-3 activation shape [B, T, N, d], counted
+  // in bytes read and written: a permute that keeps the last dimension
+  // (contiguous rows of d), one that swaps it (a stride-N gather), and the
+  // estimation gate's [..., N, d] x [..., N, 1] broadcast.
+  const Shape act = {16, 12, 12, 16};
+  const double act_bytes = 4.0 * static_cast<double>(NumElements(act));
+  {
+    Tensor a = Tensor::Randn(act, rng);
+    for (const std::vector<int64_t>& perm :
+         {std::vector<int64_t>{0, 2, 1, 3}, std::vector<int64_t>{0, 1, 3, 2}}) {
+      const std::string workload = "[16,12,12,16] perm (" +
+                                   std::to_string(perm[0]) + "," +
+                                   std::to_string(perm[1]) + "," +
+                                   std::to_string(perm[2]) + "," +
+                                   std::to_string(perm[3]) + ")";
+      SweepOp("permute", workload, 2.0 * act_bytes, "bytes",
+              [&] { benchmark::DoNotOptimize(Permute(a, perm)); }, records);
+    }
+  }
+  {
+    Tensor a = Tensor::Randn(act, rng);
+    Tensor gate = Tensor::Randn({16, 12, 12, 1}, rng);
+    SweepOp("broadcast_mul", "[16,12,12,16]x[16,12,12,1]",
+            2.0 * act_bytes + act_bytes / 16.0, "bytes",
+            [&] { benchmark::DoNotOptimize(Mul(a, gate)); }, records);
+  }
 }
 
 // MatMul forward + backward (grad enabled) on the Table-3 training shapes:
@@ -395,6 +422,9 @@ int WriteKernelJson(const std::string& path,
     record.Set("unit", json::Value::Str(r.unit));
     record.Set("speedup_vs_1t", json::Value::Number(r.speedup_vs_1t));
     record.Set("speedup_vs_scalar", json::Value::Number(r.speedup_vs_scalar));
+    if (r.unit == "bytes") {
+      record.Set("gb_per_s", json::Value::Number(r.items_per_second * 1e-9));
+    }
     if (r.unit == "flops") {
       // Of `threads` cores at the measured peak; 0 when it was not measured.
       const double ceiling = peak_gflops * 1e9 * r.threads;

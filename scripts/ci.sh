@@ -7,7 +7,8 @@
 #      override reaches every layer and the scalar reference path stays
 #      green on SIMD hosts.
 #   2. ThreadSanitizer    — the execution-layer and tensor tests, to catch
-#      data races in the thread pool and parallel kernels.
+#      data races in the thread pool and parallel kernels, plus the
+#      strided-walk property suite (chunks that split rows at 4 threads).
 #   3. Inference suite    — the inference session and the one serving core
 #      (FleetServer, and BatchingServer, its one-lane front door) under TSan
 #      (concurrent submitters), plus the overload/admission, checkpoint
@@ -53,6 +54,9 @@
 #      pointer arithmetic over StepIo buffers, eagerly and on replay. So do
 #      the MatMul property, gradient-reference and determinism suites: the
 #      MatMul backward does its own offset arithmetic into gradient buffers.
+#      So do the strided-walk property suite (the walk's fixed-size index
+#      array and row offsets) and the gradient-adoption suite (gradient
+#      buffers moved between tensors).
 #   8. Plan verification  — tools/verify_plan under ASan+UBSan: every
 #      registry model's captured plans must prove race- and lifetime-sound
 #      (exit 0), and the --inject corrupted-plan fixture must be caught
@@ -93,9 +97,10 @@ echo "=== ThreadSanitizer build + concurrency-sensitive tests ==="
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DD2STGNN_SANITIZE=thread
 cmake --build build-tsan -j "$(nproc)" \
-  --target thread_pool_test parallel_determinism_test tensor_test
+  --target thread_pool_test parallel_determinism_test tensor_test \
+  property_test
 ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \
-  -R 'ThreadPool|ParallelDeterminism|Tensor' --no-tests=error
+  -R 'ThreadPool|ParallelDeterminism|Tensor|StridedWalk' --no-tests=error
 
 echo "=== Inference suite: serving core under TSan + serving smoke ==="
 cmake --build build-tsan -j "$(nproc)" \
@@ -322,7 +327,7 @@ cmake --build build-asan -j "$(nproc)" \
   kernel_backend_test tensor_test extended_ops_test op_gradcheck_test \
   exec_plan_test property_test parallel_determinism_test
 ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
-  -R 'FaultInjection|CheckpointFault|CheckpointResume|DivergenceRecovery|Checkpoint|CsvLoader|DeathTest|Backend|UlpDiff|ElementwiseOps|MatMulOp|GradCheck|OpGradCheck|MaxMinOps|ZooCapture|GraphCapture|ExecSession|MatMulProperty|MatMulGradReference|ParallelDeterminism' \
+  -R 'FaultInjection|CheckpointFault|CheckpointResume|DivergenceRecovery|Checkpoint|CsvLoader|DeathTest|Backend|UlpDiff|ElementwiseOps|MatMulOp|GradCheck|OpGradCheck|MaxMinOps|ZooCapture|GraphCapture|ExecSession|MatMulProperty|MatMulGradReference|ParallelDeterminism|StridedWalk|TensorGradAdoption' \
   --no-tests=error
 
 echo "=== Plan verification: registry-wide verify_plan under ASan+UBSan ==="

@@ -13,8 +13,9 @@ namespace d2stgnn {
 /// any input requires grad, attaches a GradFn node holding `backward`.
 ///
 /// `backward` receives the output tensor (whose grad buffer is populated)
-/// and must AccumulateGrad into each input that requires grad. It runs under
-/// a NoGradGuard, so it may freely use the public ops.
+/// and must AccumulateGrad into each input that requires grad (or, for a
+/// kernel that accumulates in place, write through GradAccumulator). It runs
+/// under a NoGradGuard, so it may freely use the public ops.
 Tensor MakeOpResult(const std::string& name, const Shape& shape,
                     std::vector<float> data, std::vector<Tensor> inputs,
                     std::function<void(const Tensor&)> backward);

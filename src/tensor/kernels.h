@@ -41,54 +41,37 @@ Shape AlignShape(const Shape& shape, size_t rank);
 /// dimensions. Aborts if the shapes are not broadcast-compatible.
 std::vector<int64_t> BroadcastStrides(const Shape& shape, const Shape& out);
 
-/// Calls visit(out_flat, a_offset, b_offset) for flat indices
-/// [flat_begin, flat_end) of `out`, where the offsets follow the (possibly
-/// zero) broadcast strides `as` / `bs`. Serial within the range.
-template <typename Visitor>
-void ForEachBroadcastPair(const Shape& out, const std::vector<int64_t>& as,
-                          const std::vector<int64_t>& bs, int64_t flat_begin,
-                          int64_t flat_end, Visitor visit) {
-  if (flat_begin >= flat_end) return;
-  const size_t rank = out.size();
-  if (rank == 0) {
-    visit(0, 0, 0);
-    return;
-  }
-  // Decompose flat_begin into a multi-index and the two strided offsets.
-  std::vector<int64_t> idx(rank, 0);
-  int64_t a_off = 0;
-  int64_t b_off = 0;
-  int64_t rem = flat_begin;
-  for (int64_t d = static_cast<int64_t>(rank) - 1; d >= 0; --d) {
-    const size_t ud = static_cast<size_t>(d);
-    idx[ud] = rem % out[ud];
-    rem /= out[ud];
-    a_off += idx[ud] * as[ud];
-    b_off += idx[ud] * bs[ud];
-  }
-  for (int64_t i = flat_begin;; ++i) {
-    visit(i, a_off, b_off);
-    if (i + 1 >= flat_end) break;
-    int64_t d = static_cast<int64_t>(rank) - 1;
-    while (d >= 0) {
-      const size_t ud = static_cast<size_t>(d);
-      ++idx[ud];
-      a_off += as[ud];
-      b_off += bs[ud];
-      if (idx[ud] < out[ud]) break;
-      a_off -= as[ud] * out[ud];
-      b_off -= bs[ud] * out[ud];
-      idx[ud] = 0;
-      --d;
-    }
-  }
-}
+/// Most dimensions a strided walk (EwiseBinaryBroadcast, GatherStrided)
+/// keeps after coalescing: its index array has this fixed size. Unit
+/// dimensions and dimensions that merge do not count.
+inline constexpr size_t kMaxWalkRank = 8;
 
-/// Whole-tensor variant of the above.
+/// Calls visit(out_flat, a_offset, b_offset) once per element of `out`, in
+/// flat order, where the offsets follow the (possibly zero) broadcast
+/// strides `as` / `bs`. Serial. A per-element odometer: the elementwise
+/// kernels run the coalesced row walk instead, so this is for callers that
+/// need one visit per index, such as MatMul resolving each batch's matrix
+/// offsets.
 template <typename Visitor>
 void ForEachBroadcastPair(const Shape& out, const std::vector<int64_t>& as,
                           const std::vector<int64_t>& bs, Visitor visit) {
-  ForEachBroadcastPair(out, as, bs, 0, NumElements(out), visit);
+  const int64_t n = NumElements(out);
+  const size_t rank = out.size();
+  std::vector<int64_t> idx(rank, 0);
+  int64_t a_off = 0;
+  int64_t b_off = 0;
+  for (int64_t i = 0; i < n; ++i) {
+    visit(i, a_off, b_off);
+    for (size_t d = rank; d-- > 0;) {
+      ++idx[d];
+      a_off += as[d];
+      b_off += bs[d];
+      if (idx[d] < out[d]) break;
+      a_off -= as[d] * out[d];
+      b_off -= bs[d] * out[d];
+      idx[d] = 0;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -115,8 +98,12 @@ void EwiseBinary(const KernelBackend& backend, BinaryKind kind,
 /// Broadcasting binary kernel: out[flat] = kind(a[a_off], b[b_off]) with the
 /// strided offsets of BroadcastStrides. The matrix-plus-row-vector pattern
 /// (dense a, b strided [0, ..., 0, 1]) routes to the backend's bias_add;
-/// other patterns run the generic strided walk (exactly-rounded scalar
-/// arithmetic, identical across backends).
+/// other patterns run the coalesced strided walk: unit dimensions dropped,
+/// dimensions the output and both operands traverse contiguously merged,
+/// and the innermost one run as a loop specialised for operand strides
+/// (1, 1), (1, 0) and (0, 1). Exactly-rounded single operations, identical
+/// across backends and to a per-element walk. Aborts when more than
+/// kMaxWalkRank dimensions remain after coalescing.
 void EwiseBinaryBroadcast(const KernelBackend& backend, BinaryKind kind,
                           const Shape& out_shape,
                           const std::vector<int64_t>& as,
@@ -124,7 +111,9 @@ void EwiseBinaryBroadcast(const KernelBackend& backend, BinaryKind kind,
                           const float* b, float* out);
 
 /// Strided gather: out[flat] = a[src_off] (Permute / BroadcastTo bodies).
-/// Pure data movement — shared across backends.
+/// Pure data movement — shared across backends. Runs the coalesced walk of
+/// EwiseBinaryBroadcast; its innermost loop is a copy at source stride 1
+/// and a fill at stride 0.
 void GatherStrided(const Shape& out_shape, const std::vector<int64_t>& strides,
                    const float* a, float* out);
 

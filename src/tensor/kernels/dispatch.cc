@@ -1,6 +1,8 @@
 #include "tensor/kernels.h"
 
 #include <algorithm>
+#include <array>
+#include <functional>
 
 #include "common/check.h"
 
@@ -23,20 +25,115 @@ int64_t OuterGrain(int64_t elems_per_slice) {
                                                               elems_per_slice));
 }
 
-// Exactly-rounded single-instruction arithmetic — identical in every
-// backend, so the generic strided broadcast walk is backend-neutral.
-inline float ApplyBinary(BinaryKind kind, float x, float y) {
-  switch (kind) {
-    case BinaryKind::kAdd:
-      return x + y;
-    case BinaryKind::kSub:
-      return x - y;
-    case BinaryKind::kMul:
-      return x * y;
-    case BinaryKind::kDiv:
-      return x / y;
+// A strided walk over a row-major output and up to two strided operands,
+// coalesced: unit dimensions are dropped, and a dimension merges into the
+// one inside it when the output and both operands step across the inner
+// one contiguously (outer stride = inner stride x inner size, which also
+// merges runs of stride-0 dimensions). Dimension rank - 1 is the innermost,
+// the row each chunk runs as one loop.
+struct CoalescedWalk {
+  size_t rank = 0;
+  std::array<int64_t, kMaxWalkRank> size{};
+  std::array<int64_t, kMaxWalkRank> as{};
+  std::array<int64_t, kMaxWalkRank> bs{};
+};
+
+CoalescedWalk Coalesce(const Shape& out, const std::vector<int64_t>& as,
+                       const std::vector<int64_t>& bs) {
+  // Built innermost first, then reversed.
+  CoalescedWalk w;
+  for (size_t d = out.size(); d-- > 0;) {
+    if (out[d] == 1) continue;
+    if (w.rank > 0) {
+      const size_t in = w.rank - 1;
+      if (as[d] == w.as[in] * w.size[in] && bs[d] == w.bs[in] * w.size[in]) {
+        w.size[in] *= out[d];
+        continue;
+      }
+    }
+    D2_CHECK_LT(w.rank, kMaxWalkRank)
+        << "strided walk over " << ShapeToString(out) << " keeps more than "
+        << kMaxWalkRank << " dimensions after coalescing";
+    w.size[w.rank] = out[d];
+    w.as[w.rank] = as[d];
+    w.bs[w.rank] = bs[d];
+    ++w.rank;
   }
-  return 0.0f;  // unreachable
+  if (w.rank == 0) {  // a scalar or all-unit output: one row of one element
+    w.size[0] = 1;
+    w.rank = 1;
+  }
+  std::reverse(w.size.begin(), w.size.begin() + w.rank);
+  std::reverse(w.as.begin(), w.as.begin() + w.rank);
+  std::reverse(w.bs.begin(), w.bs.begin() + w.rank);
+  return w;
+}
+
+// Calls row(out_flat, a_off, b_off, len) for each maximal piece of an
+// innermost row inside flat output indices [lo, hi): the piece covers
+// out[out_flat, out_flat + len), with operand j at offset + j * inner
+// stride. The outer dimensions advance once per row.
+template <typename Row>
+void WalkRows(const CoalescedWalk& w, int64_t lo, int64_t hi, Row row) {
+  const size_t inner = w.rank - 1;
+  std::array<int64_t, kMaxWalkRank> idx{};
+  int64_t a_off = 0;
+  int64_t b_off = 0;
+  int64_t rem = lo;
+  for (size_t d = w.rank; d-- > 0;) {
+    idx[d] = rem % w.size[d];
+    rem /= w.size[d];
+    a_off += idx[d] * w.as[d];
+    b_off += idx[d] * w.bs[d];
+  }
+  for (int64_t i = lo;;) {
+    const int64_t len = std::min(w.size[inner] - idx[inner], hi - i);
+    row(i, a_off, b_off, len);
+    i += len;
+    if (i >= hi) return;
+    // The row ended inside the range: rewind it and step the outer odometer.
+    a_off -= idx[inner] * w.as[inner];
+    b_off -= idx[inner] * w.bs[inner];
+    idx[inner] = 0;
+    for (size_t d = inner; d-- > 0;) {
+      ++idx[d];
+      a_off += w.as[d];
+      b_off += w.bs[d];
+      if (idx[d] < w.size[d]) break;
+      a_off -= w.as[d] * w.size[d];
+      b_off -= w.bs[d] * w.size[d];
+      idx[d] = 0;
+    }
+  }
+}
+
+// One row of a broadcast binary op: out[j] = op(a[j * sa], b[j * sb]).
+template <typename Op>
+void BinaryRow(Op op, const float* a, int64_t sa, const float* b, int64_t sb,
+               float* out, int64_t len) {
+  if (sa == 1 && sb == 1) {
+    for (int64_t j = 0; j < len; ++j) out[j] = op(a[j], b[j]);
+  } else if (sa == 1 && sb == 0) {
+    const float y = *b;
+    for (int64_t j = 0; j < len; ++j) out[j] = op(a[j], y);
+  } else if (sa == 0 && sb == 1) {
+    const float x = *a;
+    for (int64_t j = 0; j < len; ++j) out[j] = op(x, b[j]);
+  } else {
+    for (int64_t j = 0; j < len; ++j) out[j] = op(a[j * sa], b[j * sb]);
+  }
+}
+
+template <typename Op>
+void BroadcastWalk(Op op, const CoalescedWalk& w, const float* a,
+                   const float* b, float* out, int64_t n) {
+  const int64_t sa = w.as[w.rank - 1];
+  const int64_t sb = w.bs[w.rank - 1];
+  ParallelFor(0, n, kEwiseGrain, [&](int64_t lo, int64_t hi) {
+    WalkRows(w, lo, hi, [&](int64_t i, int64_t ao, int64_t bo, int64_t len) {
+      BinaryRow(op, a + ao, sa, b + bo, sb, out + i, len);
+    });
+  });
 }
 
 // Matrix-plus-row-vector broadcast: a dense over the full output, b strided
@@ -109,23 +206,42 @@ void EwiseBinaryBroadcast(const KernelBackend& backend, BinaryKind kind,
     return;
   }
   const int64_t n = NumElements(out_shape);
-  ParallelFor(0, n, kEwiseGrain, [&](int64_t lo, int64_t hi) {
-    ForEachBroadcastPair(out_shape, as, bs, lo, hi,
-                         [&](int64_t i, int64_t ao, int64_t bo) {
-                           out[i] = ApplyBinary(kind, a[ao], b[bo]);
-                         });
-  });
+  if (n == 0) return;
+  const CoalescedWalk w = Coalesce(out_shape, as, bs);
+  switch (kind) {
+    case BinaryKind::kAdd:
+      BroadcastWalk(std::plus<float>(), w, a, b, out, n);
+      return;
+    case BinaryKind::kSub:
+      BroadcastWalk(std::minus<float>(), w, a, b, out, n);
+      return;
+    case BinaryKind::kMul:
+      BroadcastWalk(std::multiplies<float>(), w, a, b, out, n);
+      return;
+    case BinaryKind::kDiv:
+      BroadcastWalk(std::divides<float>(), w, a, b, out, n);
+      return;
+  }
 }
 
 void GatherStrided(const Shape& out_shape, const std::vector<int64_t>& strides,
                    const float* a, float* out) {
   const int64_t n = NumElements(out_shape);
-  const std::vector<int64_t> zero(out_shape.size(), 0);
+  if (n == 0) return;
+  const CoalescedWalk w =
+      Coalesce(out_shape, strides, std::vector<int64_t>(out_shape.size(), 0));
+  const int64_t s = w.as[w.rank - 1];
   ParallelFor(0, n, kEwiseGrain, [&](int64_t lo, int64_t hi) {
-    ForEachBroadcastPair(out_shape, strides, zero, lo, hi,
-                         [&](int64_t i, int64_t src, int64_t) {
-                           out[i] = a[src];
-                         });
+    WalkRows(w, lo, hi, [&](int64_t i, int64_t src, int64_t, int64_t len) {
+      float* dst = out + i;
+      if (s == 1) {
+        std::copy(a + src, a + src + len, dst);
+      } else if (s == 0) {
+        std::fill(dst, dst + len, a[src]);
+      } else {
+        for (int64_t j = 0; j < len; ++j) dst[j] = a[src + j * s];
+      }
+    });
   });
 }
 

@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <memory>
+#include <utility>
 
 #include "common/check.h"
 #include "exec/graph_capture.h"
@@ -129,7 +130,7 @@ Tensor UnaryOp(const char* name, kernels::UnaryKind kind,
             internal::AcquireBuffer(static_cast<int64_t>(g.size()));
         kernels::EwiseUnaryGrad(x.data(), y.data(), g.data(), ga.data(),
                                 static_cast<int64_t>(g.size()), dfn);
-        AccumulateGrad(a, Tensor(a.shape(), std::move(ga)));
+        AccumulateGrad(a, std::move(ga));
       });
 }
 
@@ -150,6 +151,71 @@ void SplitAtDim(const Shape& shape, int64_t dim, int64_t* outer, int64_t* size,
   for (size_t d = static_cast<size_t>(dim) + 1; d < shape.size(); ++d) {
     *inner *= shape[d];
   }
+}
+
+// The gradient `g` of an output of shape `from`, summed over the dimensions
+// along which a tensor of shape `to` broadcast to it, into a fresh buffer.
+// Runs the ReduceSumDim sequence of ReduceToShape's Sum ops (extra leading
+// dimensions one at a time, then each kept unit dimension in order), so the
+// sums are bitwise those of the op form. `from` must differ from `to`.
+std::vector<float> SumGradToShape(const float* g, Shape from,
+                                  const Shape& to) {
+  const kernels::KernelBackend& backend = kernels::ActiveBackend();
+  std::vector<float> sum;
+  auto reduce = [&](int64_t dim) {
+    int64_t outer, size, inner;
+    SplitAtDim(from, dim, &outer, &size, &inner);
+    std::vector<float> next = internal::AcquireBuffer(outer * inner);
+    kernels::ReduceSumDim(backend, g, next.data(), outer, size, inner);
+    sum = std::move(next);
+    g = sum.data();
+  };
+  D2_CHECK_GE(from.size(), to.size());
+  while (from.size() > to.size()) {
+    reduce(0);
+    from.erase(from.begin());
+  }
+  for (size_t d = 0; d < to.size(); ++d) {
+    if (to[d] == 1 && from[d] != 1) {
+      reduce(static_cast<int64_t>(d));
+      from[d] = 1;
+    } else {
+      D2_CHECK_EQ(to[d], from[d]) << "cannot reduce a gradient to "
+                                  << ShapeToString(to);
+    }
+  }
+  return sum;
+}
+
+// Hands the gradient `g` of an output of shape `from` to `x`: as is when x
+// has that shape (copied on first touch when borrowed, moved when owned),
+// else summed down to x's shape into a buffer x adopts.
+template <typename Grad>
+void AccumulateUnbroadcast(const Tensor& x, Grad&& g, const Shape& from) {
+  if (x.shape() == from) {
+    AccumulateGrad(x, std::forward<Grad>(g));
+  } else {
+    AccumulateGrad(x, SumGradToShape(g.data(), from, x.shape()));
+  }
+}
+
+// kind(g, x) for the gradient `g` of an output of shape `out` and an
+// operand x that broadcasts to it: the kernels the op form (Mul(g, x),
+// Div(g, x)) runs, so the bits match it.
+std::vector<float> GradOp(kernels::BinaryKind kind,
+                          const std::vector<float>& g, const Shape& out,
+                          const Tensor& x) {
+  const kernels::KernelBackend& backend = kernels::ActiveBackend();
+  std::vector<float> r = internal::AcquireBuffer(NumElements(out));
+  if (x.shape() == out) {
+    kernels::EwiseBinary(backend, kind, g.data(), x.Data().data(), r.data(),
+                         NumElements(out));
+  } else {
+    kernels::EwiseBinaryBroadcast(backend, kind, out, RowMajorStrides(out),
+                                  kernels::BroadcastStrides(x.shape(), out),
+                                  g.data(), x.Data().data(), r.data());
+  }
+  return r;
 }
 
 }  // namespace
@@ -201,9 +267,9 @@ Tensor Add(const Tensor& a, const Tensor& b) {
   return BinaryOp(
       "Add", kernels::BinaryKind::kAdd, a, b,
       [](const Tensor& out, const Tensor& a, const Tensor& b) {
-        const Tensor g = out.Grad();
-        if (a.RequiresGrad()) AccumulateGrad(a, ReduceToShape(g, a.shape()));
-        if (b.RequiresGrad()) AccumulateGrad(b, ReduceToShape(g, b.shape()));
+        const std::vector<float>& g = out.GradData();
+        if (a.RequiresGrad()) AccumulateUnbroadcast(a, g, out.shape());
+        if (b.RequiresGrad()) AccumulateUnbroadcast(b, g, out.shape());
       });
 }
 
@@ -211,10 +277,16 @@ Tensor Sub(const Tensor& a, const Tensor& b) {
   return BinaryOp(
       "Sub", kernels::BinaryKind::kSub, a, b,
       [](const Tensor& out, const Tensor& a, const Tensor& b) {
-        const Tensor g = out.Grad();
-        if (a.RequiresGrad()) AccumulateGrad(a, ReduceToShape(g, a.shape()));
+        const std::vector<float>& g = out.GradData();
+        if (a.RequiresGrad()) AccumulateUnbroadcast(a, g, out.shape());
         if (b.RequiresGrad()) {
-          AccumulateGrad(b, ReduceToShape(MulScalar(g, -1.0f), b.shape()));
+          // -g as MulScalar(g, -1) computes it.
+          const int64_t n = static_cast<int64_t>(g.size());
+          std::vector<float> neg = internal::AcquireBuffer(n);
+          kernels::EwiseUnary(kernels::ActiveBackend(),
+                              kernels::UnaryKind::kMulScalar, {-1.0f, 0.0f},
+                              g.data(), neg.data(), n);
+          AccumulateUnbroadcast(b, std::move(neg), out.shape());
         }
       });
 }
@@ -223,12 +295,14 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
   return BinaryOp(
       "Mul", kernels::BinaryKind::kMul, a, b,
       [](const Tensor& out, const Tensor& a, const Tensor& b) {
-        const Tensor g = out.Grad();
+        const std::vector<float>& g = out.GradData();
+        const Shape& shape = out.shape();
+        const kernels::BinaryKind mul = kernels::BinaryKind::kMul;
         if (a.RequiresGrad()) {
-          AccumulateGrad(a, ReduceToShape(Mul(g, b), a.shape()));
+          AccumulateUnbroadcast(a, GradOp(mul, g, shape, b), shape);
         }
         if (b.RequiresGrad()) {
-          AccumulateGrad(b, ReduceToShape(Mul(g, a), b.shape()));
+          AccumulateUnbroadcast(b, GradOp(mul, g, shape, a), shape);
         }
       });
 }
@@ -237,13 +311,16 @@ Tensor Div(const Tensor& a, const Tensor& b) {
   return BinaryOp(
       "Div", kernels::BinaryKind::kDiv, a, b,
       [](const Tensor& out, const Tensor& a, const Tensor& b) {
-        const Tensor g = out.Grad();
         if (a.RequiresGrad()) {
-          AccumulateGrad(a, ReduceToShape(Div(g, b), a.shape()));
+          AccumulateUnbroadcast(
+              a,
+              GradOp(kernels::BinaryKind::kDiv, out.GradData(), out.shape(),
+                     b),
+              out.shape());
         }
         if (b.RequiresGrad()) {
           // d/db (a/b) = -a / b^2
-          Tensor gb = Mul(g, Div(a, Mul(b, b)));
+          Tensor gb = Mul(out.Grad(), Div(a, Mul(b, b)));
           AccumulateGrad(b, ReduceToShape(MulScalar(gb, -1.0f), b.shape()));
         }
       });
@@ -364,12 +441,14 @@ Tensor Clamp(const Tensor& a, float lo, float hi) {
 // dense A (every Linear, GRU gate, attention projection) flattens into one
 // [batches*m, k] x [k, n] product; each row runs the same arithmetic as in
 // the per-batch product, so forward and plan replay are bitwise unchanged.
-// The backward calls no op: BatchedMatMulGradA/B write dA = G B^T and
-// dB = A^T G into one zero-filled buffer per operand, batches that share an
-// operand matrix accumulating in ascending order, and each buffer lands
-// with one AccumulateGrad. For the flattened layout dB is one A^T G
-// reduction over all batches*m rows. No backend skips zero entries of A,
-// so 0 * Inf and 0 * NaN reach the output as NaN on every backend.
+// The backward calls no op: BatchedMatMulGradA/B add dA = G B^T and
+// dB = A^T G straight into each operand's gradient buffer (zero-filled on
+// its first touch, GradAccumulator), batches that share an operand matrix
+// accumulating in ascending order. An operand with other consumers folds
+// the products into the sum already there. For the flattened layout dB is
+// one A^T G reduction over all batches*m rows. No backend skips zero
+// entries of A, so 0 * Inf and 0 * NaN reach the output as NaN on every
+// backend.
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
   D2_CHECK(a.defined());
@@ -427,16 +506,12 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
         const kernels::KernelBackend& grad_backend = kernels::ActiveBackend();
         const float* g = output.GradData().data();
         if (a.RequiresGrad()) {
-          std::vector<float> ga = internal::AcquireBuffer(a.numel());
           kernels::BatchedMatMulGradA(grad_backend, *layout, g,
-                                      b.Data().data(), ga.data());
-          AccumulateGrad(a, Tensor(a.shape(), std::move(ga)));
+                                      b.Data().data(), GradAccumulator(a));
         }
         if (b.RequiresGrad()) {
-          std::vector<float> gb = internal::AcquireBuffer(b.numel());
           kernels::BatchedMatMulGradB(grad_backend, *layout, a.Data().data(),
-                                      g, gb.data());
-          AccumulateGrad(b, Tensor(b.shape(), std::move(gb)));
+                                      g, GradAccumulator(b));
         }
       },
       /*zero_output=*/true);
@@ -458,7 +533,8 @@ Tensor Sum(const Tensor& a) {
       [a](const Tensor& output) {
         if (!a.RequiresGrad()) return;
         const float g = output.GradData()[0];
-        AccumulateGrad(a, Tensor::Full(a.shape(), g));
+        AccumulateGrad(a,
+                       std::vector<float>(static_cast<size_t>(a.numel()), g));
       });
 }
 
@@ -483,17 +559,23 @@ Tensor Sum(const Tensor& a, int64_t dim, bool keepdim) {
 
   const kernels::KernelBackend* backend = &kernels::ActiveBackend();
   const Shape in_shape = a.shape();
+  // The gradient broadcasts back along `dim`: a gather from the kept shape.
+  Shape kept_shape = in_shape;
+  kept_shape[static_cast<size_t>(dim)] = 1;
   return Dispatch(
       "SumDim", out_shape, {a},
       [backend, outer, size, inner](const exec::StepIo& io) {
         kernels::ReduceSumDim(*backend, io.inputs[0], io.output, outer, size,
                               inner);
       },
-      [a, dim, keepdim, in_shape](const Tensor& output) {
+      [a, in_shape,
+       strides = kernels::BroadcastStrides(kept_shape, in_shape)](
+          const Tensor& output) {
         if (!a.RequiresGrad()) return;
-        Tensor g = output.Grad();
-        if (!keepdim) g = Unsqueeze(g, dim);
-        AccumulateGrad(a, BroadcastTo(g, in_shape));
+        std::vector<float> grad = internal::AcquireBuffer(a.numel());
+        kernels::GatherStrided(in_shape, strides, output.GradData().data(),
+                               grad.data());
+        AccumulateGrad(a, std::move(grad));
       });
 }
 
@@ -549,7 +631,7 @@ Tensor ExtremumDim(const char* name, const Tensor& a, int64_t dim,
             internal::AcquireBuffer(NumElements(in_shape));
         kernels::ExtremumDimGrad(output.GradData().data(), arg.data(),
                                  grad.data(), outer, size, inner);
-        AccumulateGrad(a, Tensor(in_shape, std::move(grad)));
+        AccumulateGrad(a, std::move(grad));
       });
 }
 
@@ -614,15 +696,14 @@ Tensor Reshape(const Tensor& a, const Shape& shape) {
       << ShapeToString(a.shape());
 
   const int64_t n = a.numel();
-  const Shape in_shape = a.shape();
   return Dispatch(
       "Reshape", resolved, {a},
       [n](const exec::StepIo& io) {
         std::copy(io.inputs[0], io.inputs[0] + n, io.output);
       },
-      [a, in_shape](const Tensor& output) {
+      [a](const Tensor& output) {
         if (!a.RequiresGrad()) return;
-        AccumulateGrad(a, Tensor(in_shape, output.GradData()));
+        AccumulateGrad(a, output.GradData());
       });
 }
 
@@ -659,11 +740,17 @@ Tensor Permute(const Tensor& a, const std::vector<int64_t>& perm) {
       },
       [a, normalized](const Tensor& output) {
         if (!a.RequiresGrad()) return;
-        std::vector<int64_t> inverse(normalized.size());
+        // The inverse permutation as a gather from the output's layout.
+        const std::vector<int64_t> out_strides =
+            RowMajorStrides(output.shape());
+        std::vector<int64_t> strides(normalized.size());
         for (size_t d = 0; d < normalized.size(); ++d) {
-          inverse[static_cast<size_t>(normalized[d])] = static_cast<int64_t>(d);
+          strides[static_cast<size_t>(normalized[d])] = out_strides[d];
         }
-        AccumulateGrad(a, Permute(output.Grad(), inverse));
+        std::vector<float> grad = internal::AcquireBuffer(a.numel());
+        kernels::GatherStrided(a.shape(), strides, output.GradData().data(),
+                               grad.data());
+        AccumulateGrad(a, std::move(grad));
       });
 }
 
@@ -698,16 +785,15 @@ Tensor Squeeze(const Tensor& a, int64_t dim) {
 Tensor BroadcastTo(const Tensor& a, const Shape& shape) {
   D2_CHECK(a.defined());
   if (a.shape() == shape) return a;
-  const Shape in_shape = a.shape();
   return Dispatch(
       "BroadcastTo", shape, {a},
       [shape, as = kernels::BroadcastStrides(a.shape(), shape)](
           const exec::StepIo& io) {
         kernels::GatherStrided(shape, as, io.inputs[0], io.output);
       },
-      [a, in_shape](const Tensor& output) {
+      [a](const Tensor& output) {
         if (!a.RequiresGrad()) return;
-        AccumulateGrad(a, ReduceToShape(output.Grad(), in_shape));
+        AccumulateUnbroadcast(a, output.GradData(), output.shape());
       });
 }
 
@@ -751,12 +837,19 @@ Tensor Concat(const std::vector<Tensor>& tensors, int64_t dim) {
           offset += size;
         }
       },
-      [inputs = tensors, d](const Tensor& output) {
+      [inputs = tensors, outer, total, inner, d](const Tensor& output) {
+        const float* g = output.GradData().data();
         int64_t offset = 0;
         for (const Tensor& t : inputs) {
           const int64_t size = t.size(d);
           if (t.RequiresGrad()) {
-            AccumulateGrad(t, Slice(output.Grad(), d, offset, offset + size));
+            std::vector<float> grad = internal::AcquireBuffer(t.numel());
+            for (int64_t o = 0; o < outer; ++o) {
+              const float* src = g + (o * total + offset) * inner;
+              std::copy(src, src + size * inner,
+                        grad.data() + o * size * inner);
+            }
+            AccumulateGrad(t, std::move(grad));
           }
           offset += size;
         }
@@ -810,7 +903,7 @@ Tensor Slice(const Tensor& a, int64_t dim, int64_t start, int64_t end) {
           float* dst = grad.data() + (o * in_size + start) * inner;
           std::copy(src, src + out_size * inner, dst);
         }
-        AccumulateGrad(a, Tensor(in_shape, std::move(grad)));
+        AccumulateGrad(a, std::move(grad));
       });
 }
 
@@ -872,7 +965,7 @@ Tensor EmbeddingLookup(const Tensor& weight,
                 g[i * static_cast<size_t>(width) + static_cast<size_t>(c)];
           }
         }
-        AccumulateGrad(weight, Tensor({vocab, width}, std::move(grad)));
+        AccumulateGrad(weight, std::move(grad));
       },
       /*zero_output=*/false, &indices);
 }

@@ -315,16 +315,69 @@ NoGradGuard::~NoGradGuard() { g_no_grad_active = previous_; }
 
 bool NoGradGuard::Active() { return g_no_grad_active; }
 
-void AccumulateGrad(const Tensor& target, const Tensor& delta) {
+namespace {
+
+// The gradient `target` accumulates a delta of `delta_size` elements into.
+// Before the first write it checks that no arena is active on the thread.
+std::vector<float>& GradFor(const Tensor& target, size_t delta_size) {
+  D2_CHECK(target.defined());
+  internal::TensorImpl& impl = *target.impl();
+  D2_CHECK_EQ(delta_size, impl.data.size())
+      << "grad of " << delta_size << " elements does not match tensor shape "
+      << ShapeToString(impl.shape);
+  if (impl.grad.empty()) {
+    D2_CHECK(ArenaGuard::Active() == nullptr)
+        << "gradient written under an ArenaGuard: Backward() must not run in "
+           "an inference scope";
+  }
+  return impl.grad;
+}
+
+void AddInto(std::vector<float>& grad, const std::vector<float>& delta) {
+  float* dst = grad.data();
+  const float* src = delta.data();
+  for (size_t i = 0; i < grad.size(); ++i) dst[i] += src[i];
+}
+
+}  // namespace
+
+void AccumulateGrad(const Tensor& target, std::vector<float>&& delta) {
+  std::vector<float>& grad = GradFor(target, delta.size());
+  if (grad.empty()) {
+    grad = std::move(delta);
+  } else {
+    AddInto(grad, delta);
+  }
+}
+
+void AccumulateGrad(const Tensor& target, const std::vector<float>& delta) {
+  std::vector<float>& grad = GradFor(target, delta.size());
+  if (grad.empty()) {
+    grad = delta;
+  } else {
+    AddInto(grad, delta);
+  }
+}
+
+void AccumulateGrad(const Tensor& target, Tensor delta) {
   D2_CHECK(target.defined());
   D2_CHECK(delta.defined());
   D2_CHECK(target.shape() == delta.shape())
       << "grad shape " << ShapeToString(delta.shape())
       << " does not match tensor shape " << ShapeToString(target.shape());
-  auto& impl = *target.impl();
-  if (impl.grad.empty()) impl.grad.assign(impl.data.size(), 0.0f);
-  const std::vector<float>& src = delta.Data();
-  for (size_t i = 0; i < src.size(); ++i) impl.grad[i] += src[i];
+  internal::TensorImpl& impl = *delta.impl();
+  if (delta.impl().use_count() == 1 && impl.arena == nullptr) {
+    AccumulateGrad(target, std::move(impl.data));
+  } else {
+    AccumulateGrad(target, impl.data);
+  }
+}
+
+float* GradAccumulator(const Tensor& target) {
+  const size_t n = static_cast<size_t>(target.numel());
+  std::vector<float>& grad = GradFor(target, n);
+  if (grad.empty()) grad.assign(n, 0.0f);
+  return grad.data();
 }
 
 }  // namespace d2stgnn

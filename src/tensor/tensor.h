@@ -218,9 +218,26 @@ class NoGradGuard {
   bool previous_;
 };
 
-/// Adds `delta` into the grad buffer of `target` (allocating zeros first if
-/// needed). Shapes must match. Used by op backward implementations.
-void AccumulateGrad(const Tensor& target, const Tensor& delta);
+/// Gradient accumulation, used by op backward implementations. The first
+/// write to `target`'s gradient adopts the delta: an owned buffer (an
+/// rvalue) is moved in, a borrowed one is copied. Later writes add the delta
+/// elementwise. The delta must have one element per element of `target`.
+///
+/// Backward never runs under an ArenaGuard (only inference runs under one,
+/// and it records no tape), so an arena buffer can never become a gradient;
+/// the first write to a gradient checks this.
+void AccumulateGrad(const Tensor& target, std::vector<float>&& delta);
+void AccumulateGrad(const Tensor& target, const std::vector<float>& delta);
+
+/// Tensor form: the delta's shape must equal `target`'s. Its buffer is
+/// adopted when this handle is the delta's only owner and it is not arena
+/// storage, and copied otherwise.
+void AccumulateGrad(const Tensor& target, Tensor delta);
+
+/// The gradient buffer of `target` for kernels that accumulate into it in
+/// place (MatMul's backward): zero-filled on first touch, under the same
+/// no-arena check as AccumulateGrad.
+float* GradAccumulator(const Tensor& target);
 
 }  // namespace d2stgnn
 

@@ -5,6 +5,8 @@
 #include <unistd.h>
 
 #include <csignal>
+#include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -13,6 +15,8 @@
 #include "common/rng.h"
 #include "data/sliding_window.h"
 #include "nn/linear.h"
+#include "tensor/buffer_arena.h"
+#include "tensor/kernels.h"
 #include "tensor/ops.h"
 #include "train/checkpoint.h"
 
@@ -74,6 +78,32 @@ TEST(DeathTest, ItemOnMultiElementAborts) {
 // Crash safety: SIGKILL the process mid-checkpoint-write and assert the
 // previously committed checkpoint is still fully loadable (the atomic
 // temp+rename protocol never exposes a torn file under the final name).
+TEST(DeathTest, StridedWalkBeyondMaxRankAborts) {
+  // Reversing [2, 2, ..., 2] leaves no two dimensions to merge.
+  const Shape shape(kernels::kMaxWalkRank + 1, 2);
+  const Tensor a(shape);
+  std::vector<int64_t> identity(shape.size());
+  std::vector<int64_t> reversed(shape.size());
+  for (size_t d = 0; d < shape.size(); ++d) {
+    identity[d] = static_cast<int64_t>(d);
+    reversed[d] = static_cast<int64_t>(shape.size() - 1 - d);
+  }
+  // The same rank coalesces to one dimension when the order is kept.
+  EXPECT_EQ(Permute(a, identity).numel(), a.numel());
+  EXPECT_DEATH(Permute(a, reversed), "strided walk over .* keeps more than");
+}
+
+TEST(DeathTest, BackwardUnderArenaGuardAborts) {
+  Tensor w = Tensor::Ones({2, 2}).SetRequiresGrad(true);
+  const Tensor loss = Sum(MatMul(w, w));
+  EXPECT_DEATH(
+      {
+        ArenaGuard guard(std::make_shared<BufferArena>());
+        loss.Backward();
+      },
+      "gradient written under an ArenaGuard");
+}
+
 TEST(DeathTest, SigkillMidCheckpointWriteKeepsPreviousLoadable) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const std::string path =

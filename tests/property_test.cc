@@ -1,7 +1,9 @@
 // Parameterized property tests: invariants swept over shapes and model
 // configurations.
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <ostream>
 #include <string>
 #include <tuple>
@@ -18,6 +20,7 @@
 #include "graph/transition.h"
 #include "metrics/metrics.h"
 #include "tensor/grad_check.h"
+#include "tensor/kernels.h"
 #include "tensor/kernels/backend.h"
 #include "tensor/kernels/registry.h"
 #include "tensor/ops.h"
@@ -390,6 +393,213 @@ TEST_P(PresetProperty, ReadingsMatchFamily) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllFour, PresetProperty, ::testing::Range(0, 4));
+
+// ---------------------------------------------------------------------------
+// Strided walks: GatherStrided and EwiseBinaryBroadcast run a coalesced row
+// walk. Its output must equal a per-element odometer (ForEachBroadcastPair)
+// bit for bit, on every backend and at 1 and 4 threads, for inputs that
+// hold NaN, +-Inf and -0. Large cases exceed kEwiseGrain with odd sizes, so
+// ParallelFor chunk boundaries fall inside rows.
+
+std::vector<float> MixedSpecials(int64_t n, Rng& rng) {
+  const float specials[] = {std::nanf(""), INFINITY, -INFINITY, -0.0f, 0.0f};
+  std::vector<float> v = rng.UniformVector(n, -3.0f, 3.0f);
+  for (float& x : v) {
+    if (rng.Uniform() < 0.1f) x = specials[rng.UniformInt(5)];
+  }
+  return v;
+}
+
+float ApplyReference(kernels::BinaryKind kind, float x, float y) {
+  switch (kind) {
+    case kernels::BinaryKind::kAdd:
+      return x + y;
+    case kernels::BinaryKind::kSub:
+      return x - y;
+    case kernels::BinaryKind::kMul:
+      return x * y;
+    case kernels::BinaryKind::kDiv:
+      return x / y;
+  }
+  return 0.0f;
+}
+
+std::vector<const kernels::KernelBackend*> AllBackends() {
+  std::vector<const kernels::KernelBackend*> backends = {
+      &kernels::ScalarBackend()};
+  if (kernels::Avx2BackendOrNull() != nullptr) {
+    backends.push_back(kernels::Avx2BackendOrNull());
+  }
+  return backends;
+}
+
+::testing::AssertionResult BitwiseEqual(const std::vector<float>& want,
+                                        const std::vector<float>& got) {
+  if (want.size() != got.size()) {
+    return ::testing::AssertionFailure() << "size " << got.size() << " vs "
+                                         << want.size();
+  }
+  for (size_t i = 0; i < want.size(); ++i) {
+    if (std::memcmp(&want[i], &got[i], sizeof(float)) != 0) {
+      return ::testing::AssertionFailure()
+             << "first difference at flat index " << i << ": " << got[i]
+             << " vs " << want[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+class StridedWalkProperty : public ::testing::Test {
+ protected:
+  void SetUp() override { threads_ = GetNumThreads(); }
+  void TearDown() override { SetNumThreads(threads_); }
+
+  // a (shape_a) kind b (shape_b) for every kind and backend at 1 and 4
+  // threads, against the odometer.
+  void CheckBinary(const Shape& shape_a, const Shape& shape_b) {
+    const Shape out = BroadcastShapes(shape_a, shape_b);
+    const std::vector<int64_t> as = kernels::BroadcastStrides(shape_a, out);
+    const std::vector<int64_t> bs = kernels::BroadcastStrides(shape_b, out);
+    const std::vector<float> a = MixedSpecials(NumElements(shape_a), rng_);
+    const std::vector<float> b = MixedSpecials(NumElements(shape_b), rng_);
+    const size_t n = static_cast<size_t>(NumElements(out));
+    for (const kernels::BinaryKind kind :
+         {kernels::BinaryKind::kAdd, kernels::BinaryKind::kSub,
+          kernels::BinaryKind::kMul, kernels::BinaryKind::kDiv}) {
+      std::vector<float> want(n);
+      kernels::ForEachBroadcastPair(
+          out, as, bs, [&](int64_t i, int64_t ao, int64_t bo) {
+            want[static_cast<size_t>(i)] = ApplyReference(
+                kind, a[static_cast<size_t>(ao)], b[static_cast<size_t>(bo)]);
+          });
+      for (const kernels::KernelBackend* backend : AllBackends()) {
+        for (const int threads : {1, 4}) {
+          SetNumThreads(threads);
+          std::vector<float> got(n, 12345.0f);
+          kernels::EwiseBinaryBroadcast(*backend, kind, out, as, bs, a.data(),
+                                        b.data(), got.data());
+          EXPECT_TRUE(BitwiseEqual(want, got))
+              << ShapeToString(shape_a) << " op" << static_cast<int>(kind)
+              << " " << ShapeToString(shape_b) << " on " << backend->name
+              << " at " << threads << " threads";
+        }
+      }
+    }
+  }
+
+  // out[flat] = src[strided offset] at 1 and 4 threads, against the
+  // odometer.
+  void CheckGather(const Shape& out, const std::vector<int64_t>& strides,
+                   const std::vector<float>& src) {
+    const size_t n = static_cast<size_t>(NumElements(out));
+    std::vector<float> want(n);
+    kernels::ForEachBroadcastPair(
+        out, strides, std::vector<int64_t>(out.size(), 0),
+        [&](int64_t i, int64_t so, int64_t) {
+          want[static_cast<size_t>(i)] = src[static_cast<size_t>(so)];
+        });
+    for (const int threads : {1, 4}) {
+      SetNumThreads(threads);
+      std::vector<float> got(n, 12345.0f);
+      kernels::GatherStrided(out, strides, src.data(), got.data());
+      EXPECT_TRUE(BitwiseEqual(want, got))
+          << "gather to " << ShapeToString(out) << " at " << threads
+          << " threads";
+    }
+  }
+
+  // A random shape of `rank` dims, about a third of them unit, grown until
+  // it holds at least `min_elements` (unit dims stay unit).
+  Shape RandomShape(int64_t rank, int64_t min_elements) {
+    Shape shape(static_cast<size_t>(rank));
+    for (int64_t& d : shape) {
+      d = rng_.Uniform() < 0.35f ? 1 : 2 + rng_.UniformInt(6);
+    }
+    if (rank == 0) return shape;
+    std::vector<size_t> growable;
+    for (size_t d = 0; d < shape.size(); ++d) {
+      if (shape[d] != 1) growable.push_back(d);
+    }
+    if (growable.empty()) return shape;
+    while (NumElements(shape) < min_elements) {
+      ++shape[growable[static_cast<size_t>(
+          rng_.UniformInt(static_cast<int64_t>(growable.size())))]];
+    }
+    return shape;
+  }
+
+  // `out` with each dim independently set to 1 (p = 0.4) and, at random,
+  // some leading dims dropped: an operand that broadcasts to `out`.
+  Shape BroadcastOperand(const Shape& out) {
+    Shape shape = out;
+    for (int64_t& d : shape) {
+      if (rng_.Uniform() < 0.4f) d = 1;
+    }
+    const int64_t drop =
+        rng_.UniformInt(static_cast<int64_t>(shape.size()) + 1);
+    shape.erase(shape.begin(), shape.begin() + drop);
+    return shape;
+  }
+
+  Rng rng_{2024};
+  int threads_ = 1;
+};
+
+TEST_F(StridedWalkProperty, RandomBroadcastsMatchElementWalk) {
+  const int64_t large = 2 * kernels::kEwiseGrain + 37;
+  for (int trial = 0; trial < 60; ++trial) {
+    const int64_t rank = trial % 7;
+    const Shape out = RandomShape(rank, trial % 3 == 0 ? large : 1);
+    // Two-sided: both operands broadcast.
+    CheckBinary(BroadcastOperand(out), BroadcastOperand(out));
+    // One-sided: one operand has the full output shape.
+    const Shape partial = BroadcastOperand(out);
+    if (trial % 2 == 0) {
+      CheckBinary(out, partial);
+    } else {
+      CheckBinary(partial, out);
+    }
+    // BroadcastTo: a gather with zero strides on the broadcast dims.
+    const Shape src_shape = BroadcastOperand(out);
+    CheckGather(out, kernels::BroadcastStrides(src_shape, out),
+                MixedSpecials(NumElements(src_shape), rng_));
+  }
+}
+
+TEST_F(StridedWalkProperty, FixedBroadcastsMatchElementWalk) {
+  const std::vector<ShapePair> pairs = {
+      {{16, 12, 12, 16}, {16, 12, 12, 1}},  // estimation-gate broadcast
+      {{16, 12, 12, 1}, {16, 12, 12, 16}},
+      {{16, 12, 12, 16}, {16}},  // bias pattern (kAdd: backend bias_add)
+      {{16, 12, 12, 16}, {12, 1, 16}},
+      {{4, 1, 6, 1}, {1, 5, 1, 7}},
+      {{9, 1, 1, 2000}, {1, 3, 5, 1}},
+      {{}, {3, 4}},
+      {{3, 4}, {}},
+      {{1}, {1}},
+      {{1, 1, 1}, {1}},
+      {{2, 1, 3}, {1}},
+  };
+  for (const auto& [a, b] : pairs) CheckBinary(a, b);
+}
+
+TEST_F(StridedWalkProperty, EveryRankFourPermutationMatchesElementWalk) {
+  for (const Shape& in : {Shape{16, 12, 12, 16}, Shape{5, 1, 7, 9},
+                          Shape{3, 2, 1, 4000}}) {
+    const std::vector<float> src = MixedSpecials(NumElements(in), rng_);
+    const std::vector<int64_t> in_strides = RowMajorStrides(in);
+    std::vector<int64_t> perm = {0, 1, 2, 3};
+    do {
+      Shape out(4);
+      std::vector<int64_t> strides(4);
+      for (size_t d = 0; d < 4; ++d) {
+        out[d] = in[static_cast<size_t>(perm[d])];
+        strides[d] = in_strides[static_cast<size_t>(perm[d])];
+      }
+      CheckGather(out, strides, src);
+    } while (std::next_permutation(perm.begin(), perm.end()));
+  }
+}
 
 }  // namespace
 }  // namespace d2stgnn

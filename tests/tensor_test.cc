@@ -1,6 +1,8 @@
 #include "tensor/tensor.h"
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -351,6 +353,113 @@ TEST_F(GradCheckTest, BroadcastToReduce) {
   auto loss = [&] { return Sum(Abs(BroadcastTo(a, {3, 4}))); };
   auto result = CheckGradients(loss, {a}, rng_);
   EXPECT_TRUE(result.ok) << result.max_relative_error;
+}
+
+// ---------------------------------------------------------------------------
+// Gradient adoption: the first write to a gradient adopts the delta (moves
+// an owned buffer, copies a borrowed one); later writes add into it.
+
+TEST(TensorGradAdoption, BorrowedDeltaIsCopiedAndOutputGradKept) {
+  Tensor p = Tensor::Full({2, 3}, 1.0f).SetRequiresGrad(true);
+  Tensor q = Tensor::Full({2, 3}, 2.0f).SetRequiresGrad(true);
+  Tensor w({2, 3}, {1.0f, -2.0f, 3.0f, -4.0f, 5.0f, -6.0f});
+  // Add's backward hands its output gradient to both inputs as is.
+  Tensor out = Add(p, q);
+  Sum(Mul(out, w)).Backward();
+  EXPECT_EQ(out.GradData(), w.Data());
+  EXPECT_EQ(p.GradData(), w.Data());
+  EXPECT_EQ(q.GradData(), w.Data());
+  EXPECT_NE(p.GradData().data(), out.GradData().data());
+  EXPECT_NE(q.GradData().data(), out.GradData().data());
+  EXPECT_NE(p.GradData().data(), q.GradData().data());
+}
+
+TEST(TensorGradAdoption, LeafWithThreeConsumersGetsTheirExactSum) {
+  Tensor x = Tensor::Full({3, 3}, 0.5f).SetRequiresGrad(true);
+  Tensor four = MulScalar(Tensor::Eye(3), 4.0f);
+  // Consumers add 1 (borrowed, through Reshape), 2 (owned, MulScalar) and
+  // 4 (accumulated in place by MatMul) to every element.
+  Tensor loss = Add(Add(Sum(Reshape(x, {9})), Sum(MulScalar(x, 2.0f))),
+                    Sum(MatMul(x, four)));
+  loss.Backward();
+  for (float g : x.GradData()) EXPECT_EQ(g, 7.0f);
+}
+
+TEST(TensorGradAdoption, SameTensorOnBothSides) {
+  Tensor x({2, 2}, {1.0f, 2.0f, 3.0f, 4.0f});
+  x.SetRequiresGrad(true);
+  Sum(Add(x, x)).Backward();
+  for (float g : x.GradData()) EXPECT_EQ(g, 2.0f);
+
+  // d/dx sum(x x) = 1 x^T + x^T 1: element (r, c) is row c's sum plus
+  // column r's sum.
+  x.ZeroGrad();
+  Sum(MatMul(x, x)).Backward();
+  const std::vector<float> want = {3.0f + 4.0f, 7.0f + 4.0f, 3.0f + 6.0f,
+                                   7.0f + 6.0f};
+  EXPECT_EQ(x.GradData(), want);
+}
+
+TEST(TensorGradAdoption, SecondBackwardAddsOntoAdoptedBuffer) {
+  Tensor x({3}, {1.0f, -2.0f, 0.5f});
+  x.SetRequiresGrad(true);
+  Tensor loss = Sum(x);  // adopts an owned buffer of ones
+  loss.Backward();
+  loss.Backward();
+  for (float g : x.GradData()) EXPECT_EQ(g, 2.0f);
+
+  // Through a pass-through node the interior gradient accumulates too (the
+  // root is re-seeded, every other gradient is not): 1, then 1 + 2.
+  Tensor y({3}, {1.0f, -2.0f, 0.5f});
+  y.SetRequiresGrad(true);
+  Tensor chained = Sum(Reshape(y, {3, 1}));
+  chained.Backward();
+  chained.Backward();
+  for (float g : y.GradData()) EXPECT_EQ(g, 3.0f);
+}
+
+// A graph in which the parameters have several consumers and the
+// pass-through backwards (Permute, Slice, Concat, SumDim, Reshape,
+// BroadcastTo, broadcast Add/Sub) all run.
+Tensor AdoptionLoss(const Tensor& x, const Tensor& w, const Tensor& bias) {
+  const Tensor h = Add(MatMul(x, w), bias);  // [2, 3, 4]
+  const Tensor p = Permute(h, {0, 2, 1});    // [2, 4, 3]
+  const Tensor c = Concat({Slice(p, 1, 0, 2), Tanh(p)}, 1);  // [2, 6, 3]
+  const Tensor s = Sum(c, 1, /*keepdim=*/false);             // [2, 3]
+  const Tensor r = Reshape(MatMul(h, w), {2, 12});
+  const Tensor bb = Reshape(BroadcastTo(bias, {2, 3, 4}), {2, 12});
+  return Add(Sum(Mul(s, s)), Sum(Mul(Sub(r, bb), r)));
+}
+
+TEST(TensorGradAdoption, ZeroGradThenNewStepMatchesFreshModelBitwise) {
+  Rng rng(5);
+  const Tensor x = Tensor::Randn({2, 3, 4}, rng);
+  const Tensor w0 = Tensor::Randn({4, 4}, rng);
+  const Tensor b0 = Tensor::Randn({4}, rng);
+
+  Tensor w = w0.Clone().SetRequiresGrad(true);
+  Tensor b = b0.Clone().SetRequiresGrad(true);
+  AdoptionLoss(x, w, b).Backward();
+  w.ZeroGrad();
+  b.ZeroGrad();
+  AdoptionLoss(x, w, b).Backward();
+
+  Tensor fresh_w = w0.Clone().SetRequiresGrad(true);
+  Tensor fresh_b = b0.Clone().SetRequiresGrad(true);
+  AdoptionLoss(x, fresh_w, fresh_b).Backward();
+
+  ASSERT_EQ(w.GradData().size(), fresh_w.GradData().size());
+  ASSERT_EQ(b.GradData().size(), fresh_b.GradData().size());
+  EXPECT_EQ(0, std::memcmp(w.GradData().data(), fresh_w.GradData().data(),
+                           w.GradData().size() * sizeof(float)));
+  EXPECT_EQ(0, std::memcmp(b.GradData().data(), fresh_b.GradData().data(),
+                           b.GradData().size() * sizeof(float)));
+}
+
+TEST(TensorGradAdoption, FirstTouchKeepsNegativeZero) {
+  Tensor x = Tensor::Ones({2}).SetRequiresGrad(true);
+  Sum(MulScalar(x, -0.0f)).Backward();
+  for (float g : x.GradData()) EXPECT_TRUE(std::signbit(g)) << g;
 }
 
 }  // namespace
