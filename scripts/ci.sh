@@ -30,8 +30,10 @@
 #      reload touched exactly one lane), never timing.
 #   4. Plan replay        — the capture/plan/replay suite under TSan
 #      (level-parallel replays, concurrent plan-serving submitters; the
-#      Release run happened in stage 1, where the plan-vs-eager latency
-#      floor is asserted), then the canonical repo-root artifacts:
+#      Release run happened in stage 1, where
+#      ExecSessionTest.PlanReplayTakesNoPerOpBuffers checks by counting
+#      arena buffers, not by timing, that a replay skips the per-op
+#      eager work), then the canonical repo-root artifacts:
 #      `run_experiment specs/serving_sweep.spec` (BENCH_serving.json, gated
 #      on bench/baselines/serving.json), `run_experiment specs/fleet.spec`
 #      (BENCH_fleet.json, gated on the tenant-isolation bounds in

@@ -39,8 +39,9 @@ enum class ReplayStatus {
   kStaleConstants,
   /// The active kernel backend differs from the one the plan was captured
   /// under. The plan is valid, but only on its own backend — the caller
-  /// must capture a fresh plan (the session keys its plan cache by backend
-  /// name, so this is a programming-error guard, not a routine path).
+  /// must capture a fresh plan (the session drops its plan cache on a
+  /// backend switch before replaying, so this is a guard, not a routine
+  /// path).
   kBackendMismatch,
 };
 

@@ -126,69 +126,73 @@ data::Batch InferenceSession::AssembleBatch(
 
 Tensor InferenceSession::Predict(const data::Batch& batch) {
   std::lock_guard<std::mutex> lock(mu_);
+  DropForeignPlansLocked();
   NoGradGuard no_grad;
   std::optional<ArenaGuard> arena_scope;
   if (arena_ != nullptr) arena_scope.emplace(arena_);
-  if (const float* out = TryReplayLocked(batch)) {
-    const Shape& shape =
-        ShardLocked().plans.at(batch.batch_size)->plan().output_shape();
-    Tensor prediction(shape);
-    std::copy(out, out + NumElements(shape), prediction.Data().begin());
-    return prediction;
+  Tensor eager;
+  const exec::PlanExecutor* replayed = ForwardLocked(batch, &eager);
+  if (replayed == nullptr) return eager;
+  const Shape& shape = replayed->plan().output_shape();
+  Tensor prediction(shape);
+  std::copy(replayed->output(), replayed->output() + NumElements(shape),
+            prediction.Data().begin());
+  return prediction;
+}
+
+const exec::PlanExecutor* InferenceSession::ForwardLocked(
+    const data::Batch& batch, Tensor* eager) {
+  const auto it =
+      batch.x.defined() ? plans_.find(batch.batch_size) : plans_.end();
+  if (it != plans_.end()) {
+    exec::PlanExecutor& executor = *it->second.executor;
+    const std::vector<exec::InputBinding> inputs = {
+        {batch.x.Data().data(), batch.x.numel()}};
+    const std::vector<const std::vector<int64_t>*> index_inputs = {
+        &batch.time_of_day, &batch.day_of_week};
+    std::string error;
+    switch (executor.Run(inputs, index_inputs,
+                         exec::ReplayMode::kLevelParallel, &error)) {
+      case exec::ReplayStatus::kOk:
+        ++stats_.plan_replays;
+        return &executor;
+      case exec::ReplayStatus::kBindingMismatch:
+        // A batch with this batch size but different geometry (input_len /
+        // nodes) than the plan captured; the eager path handles it.
+        D2_LOG(WARNING) << "infer: plan binding mismatch, running eager: "
+                        << error;
+        break;
+      case exec::ReplayStatus::kStaleConstants:
+      case exec::ReplayStatus::kBackendMismatch:
+        // Parameter storage was reassigned, or the backend switched under
+        // the plan: every cached plan is stale alike, so drop them all and
+        // serve eagerly until the next Warmup recaptures.
+        D2_LOG(WARNING) << "infer: dropping " << plans_.size()
+                        << " execution plan(s): " << error;
+        DropPlansLocked();
+        break;
+    }
   }
   ++stats_.eager_forwards;
-  return scaler_.InverseTransform(model_->Forward(batch));
-}
-
-InferenceSession::BackendPlans& InferenceSession::ShardLocked() {
-  return shards_[kernels::ActiveBackend().name];
-}
-
-const float* InferenceSession::TryReplayLocked(const data::Batch& batch) {
-  if (!options_.use_plans || !batch.x.defined()) return nullptr;
-  BackendPlans& shard = ShardLocked();
-  const auto it = shard.plans.find(batch.batch_size);
-  if (it == shard.plans.end()) return nullptr;
-  exec::PlanExecutor& executor = *it->second;
-
-  std::vector<exec::InputBinding> inputs;
-  inputs.push_back(exec::InputBinding{batch.x.Data().data(), batch.x.numel()});
-  const std::vector<const std::vector<int64_t>*> index_inputs = {
-      &batch.time_of_day, &batch.day_of_week};
-  std::string error;
-  switch (executor.Run(inputs, index_inputs, exec::ReplayMode::kLevelParallel,
-                       &error)) {
-    case exec::ReplayStatus::kOk:
-      ++stats_.plan_replays;
-      return executor.output();
-    case exec::ReplayStatus::kStaleConstants: {
-      // Parameter storage was reassigned; every cached plan (in every
-      // backend shard) captured the same parameters, so drop them all and
-      // fall back to eager (the next Warmup rebuilds).
-      int64_t dropped = 0;
-      for (const auto& [name, s] : shards_) {
-        dropped += static_cast<int64_t>(s.plans.size());
-      }
-      D2_LOG(WARNING) << "infer: dropping " << dropped
-                      << " stale execution plan(s): " << error;
-      stats_.plan_invalidations += dropped;
-      shards_.clear();  // the reports described the dropped plans
-      return nullptr;
-    }
-    case exec::ReplayStatus::kBindingMismatch:
-      // A batch with this batch size but different geometry (input_len /
-      // nodes) than the plan captured; the eager path handles it.
-      D2_LOG(WARNING) << "infer: plan binding mismatch, running eager: "
-                      << error;
-      return nullptr;
-    case exec::ReplayStatus::kBackendMismatch:
-      // Should be unreachable — the cache is sharded by backend name — but
-      // the executor's own guard stays authoritative: log and run eager.
-      D2_LOG(WARNING) << "infer: plan backend mismatch, running eager: "
-                      << error;
-      return nullptr;
-  }
+  *eager = scaler_.InverseTransform(model_->Forward(batch));
   return nullptr;
+}
+
+void InferenceSession::DropPlansLocked() const {
+  stats_.plan_invalidations += static_cast<int64_t>(plans_.size());
+  plans_.clear();
+}
+
+void InferenceSession::DropForeignPlansLocked() const {
+  if (plans_.empty()) return;
+  const std::string& captured =
+      plans_.begin()->second.executor->plan().backend_name();
+  const char* active = kernels::ActiveBackend().name;
+  if (captured == active) return;
+  D2_LOG(WARNING) << "infer: kernel backend is now " << active
+                  << "; dropping " << plans_.size() << " plan(s) captured "
+                  << "under " << captured;
+  DropPlansLocked();
 }
 
 ForecastRequest InferenceSession::BlankRequest() const {
@@ -219,50 +223,29 @@ bool InferenceSession::CapturePlanLocked(int64_t batch_size) {
   }
   D2_LOG(INFO) << "infer: captured batch-" << batch_size << " "
                << plan->Summary();
+  std::optional<exec::VerifierReport> report;
   if (options_.verify_plans) {
-    exec::VerifierReport report = exec::VerifyPlan(*plan);
+    report = exec::VerifyPlan(*plan);
     ++stats_.plans_verified;
     // Test seam: a scripted "infer.plan_verify" fault stands in for a
     // verifier rejection, so the verify-reject -> eager-fallback -> repair
     // accounting is testable with plans that are in fact clean.
-    if (report.ok() && fault::ConsumeFault("infer.plan_verify")) {
-      report.errors = 1;
+    if (report->ok() && fault::ConsumeFault("infer.plan_verify")) {
+      report->errors = 1;
     }
-    if (!report.ok()) {
-      stats_.plan_verifier_errors += report.errors;
+    if (!report->ok()) {
+      stats_.plan_verifier_errors += report->errors;
       D2_LOG(ERROR) << "infer: batch-" << batch_size
                     << " plan rejected by the static verifier; serving "
                     << "eagerly\n"
-                    << report.ToString();
+                    << report->ToString();
       return false;
     }
-    ShardLocked().verify_reports[batch_size] = std::move(report);
   }
-  ShardLocked().plans[batch_size] =
-      std::make_unique<exec::PlanExecutor>(std::move(plan));
+  plans_[batch_size] = CachedPlan{
+      std::make_unique<exec::PlanExecutor>(std::move(plan)), std::move(report)};
   ++stats_.plans_built;
   return true;
-}
-
-void InferenceSession::VerifyCachedPlanLocked(int64_t batch_size) {
-  BackendPlans& shard = ShardLocked();
-  const auto it = shard.plans.find(batch_size);
-  if (it == shard.plans.end() ||
-      shard.verify_reports.find(batch_size) != shard.verify_reports.end()) {
-    return;
-  }
-  exec::VerifierReport report = exec::VerifyPlan(it->second->plan());
-  ++stats_.plans_verified;
-  if (!report.ok()) {
-    stats_.plan_verifier_errors += report.errors;
-    ++stats_.plan_invalidations;
-    D2_LOG(ERROR) << "infer: cached batch-" << batch_size
-                  << " plan rejected by the static verifier; dropping it\n"
-                  << report.ToString();
-    shard.plans.erase(it);
-    return;
-  }
-  shard.verify_reports[batch_size] = std::move(report);
 }
 
 std::vector<Forecast> InferenceSession::PredictRequests(
@@ -289,6 +272,7 @@ std::vector<Forecast> InferenceSession::PredictRequests(
   const int64_t n = options_.num_nodes;
   const int64_t num_valid = static_cast<int64_t>(valid.size());
   std::lock_guard<std::mutex> lock(mu_);
+  DropForeignPlansLocked();
   NoGradGuard no_grad;
   std::optional<ArenaGuard> arena_scope;
   if (arena_ != nullptr) arena_scope.emplace(arena_);
@@ -297,26 +281,22 @@ std::vector<Forecast> InferenceSession::PredictRequests(
   // plan is padded with blank requests up to the nearest plan size — model
   // forwards are batch-independent (asserted by the parity tests), so the
   // padding rows only cost compute and are dropped below.
-  int64_t plan_size = 0;
-  if (options_.use_plans) {
-    const BackendPlans& shard = ShardLocked();
-    const auto it = shard.plans.lower_bound(num_valid);
-    if (it != shard.plans.end()) plan_size = it->first;
-  }
+  const auto planned = plans_.lower_bound(num_valid);
+  const int64_t plan_size =
+      planned != plans_.end() ? planned->first : num_valid;
   if (plan_size > num_valid) {
     batch_requests.resize(static_cast<size_t>(plan_size), BlankRequest());
   }
   const data::Batch batch = AssembleBatch(batch_requests);
-  const float* pd = plan_size > 0 ? TryReplayLocked(batch) : nullptr;
-  Tensor prediction;  // keeps the eager result alive for the copy below
-  if (pd != nullptr) {
+  Tensor eager;  // keeps the eager result alive for the copy below
+  const exec::PlanExecutor* replayed = ForwardLocked(batch, &eager);
+  const float* pd = nullptr;
+  if (replayed != nullptr) {
     if (plan_size > num_valid) ++stats_.padded_replays;
+    pd = replayed->output();
   } else {
-    prediction =
-        scaler_.InverseTransform(model_->Forward(batch));  // [B, Tf, N, 1]
-    ++stats_.eager_forwards;
-    D2_CHECK_EQ(prediction.numel(), batch.batch_size * tf * n);
-    pd = prediction.Data().data();
+    D2_CHECK_EQ(eager.numel(), batch.batch_size * tf * n);
+    pd = eager.Data().data();
   }
   for (size_t k = 0; k < valid.size(); ++k) {
     Forecast& out = results[valid[k]];
@@ -338,14 +318,9 @@ void InferenceSession::Warmup(int64_t batch_size, int64_t runs) {
   D2_CHECK_GT(batch_size, 0);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (options_.use_plans) {
-      if (ShardLocked().plans.find(batch_size) == ShardLocked().plans.end()) {
-        CapturePlanLocked(batch_size);  // eager forward also warms the pool
-      } else if (options_.verify_plans) {
-        // Cache hit: a plan captured before verification was enabled (or
-        // whose report was dropped) gets verified here.
-        VerifyCachedPlanLocked(batch_size);
-      }
+    DropForeignPlansLocked();
+    if (options_.use_plans && plans_.find(batch_size) == plans_.end()) {
+      CapturePlanLocked(batch_size);  // eager forward also warms the pool
     }
   }
   const std::vector<ForecastRequest> requests(
@@ -365,28 +340,27 @@ SessionStats InferenceSession::session_stats() const {
 
 std::vector<int64_t> InferenceSession::planned_batch_sizes() const {
   std::lock_guard<std::mutex> lock(mu_);
+  DropForeignPlansLocked();
   std::vector<int64_t> sizes;
-  const auto it = shards_.find(kernels::ActiveBackend().name);
-  if (it == shards_.end()) return sizes;
-  sizes.reserve(it->second.plans.size());
-  for (const auto& [size, executor] : it->second.plans) sizes.push_back(size);
+  sizes.reserve(plans_.size());
+  for (const auto& [size, entry] : plans_) sizes.push_back(size);
   return sizes;
 }
 
 std::map<int64_t, exec::VerifierReport> InferenceSession::verifier_reports()
     const {
   std::lock_guard<std::mutex> lock(mu_);
-  const auto it = shards_.find(kernels::ActiveBackend().name);
-  if (it == shards_.end()) return {};
-  return it->second.verify_reports;
+  DropForeignPlansLocked();
+  std::map<int64_t, exec::VerifierReport> reports;
+  for (const auto& [size, entry] : plans_) {
+    if (entry.report.has_value()) reports.emplace(size, *entry.report);
+  }
+  return reports;
 }
 
 void InferenceSession::InvalidatePlans() {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [name, shard] : shards_) {
-    stats_.plan_invalidations += static_cast<int64_t>(shard.plans.size());
-  }
-  shards_.clear();
+  DropPlansLocked();
 }
 
 }  // namespace d2stgnn::infer

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -24,9 +25,10 @@
 // inference builds no autograd tape and allocates no new tensor buffers.
 // Warmup additionally captures the forward into an ExecutionPlan per batch
 // size; matching requests then replay the plan (kernels only — no shape
-// checks, no dispatch, no Tensor churn) with bitwise-identical results.
-// Sessions are the unit the serving core (FleetServer, and BatchingServer,
-// its one-model front door) composes over: each model lane owns one.
+// checks, no dispatch, no Tensor churn) with bitwise-identical results; a
+// kernel-backend switch drops the plans until the next Warmup. Sessions are
+// the unit the serving core (FleetServer, and BatchingServer, its one-model
+// front door) composes over: each model lane owns one.
 
 namespace d2stgnn::infer {
 
@@ -100,7 +102,7 @@ struct SessionStats {
   int64_t plan_replays = 0;      ///< forwards served from a plan
   int64_t padded_replays = 0;    ///< of which padded up to the plan size
   int64_t eager_forwards = 0;    ///< forwards that ran the eager path
-  int64_t plan_invalidations = 0;  ///< plans dropped (stale constants)
+  int64_t plan_invalidations = 0;  ///< plans dropped (stale, backend switch)
   int64_t plans_verified = 0;    ///< static verifier runs over captured plans
   int64_t plan_verifier_errors = 0;  ///< error diagnostics across those runs
 };
@@ -168,14 +170,14 @@ class InferenceSession {
   /// Plan-cache counters (a consistent snapshot).
   SessionStats session_stats() const;
 
-  /// Batch sizes with a captured plan under the *active* kernel backend,
-  /// ascending. Plans captured under other backends are cached separately
-  /// and invisible here until that backend is active again.
+  /// Batch sizes with a captured plan, ascending. After a kernel-backend
+  /// switch the cache is dropped here (as in Predict*, Warmup and
+  /// verifier_reports) and stays empty until the next Warmup.
   std::vector<int64_t> planned_batch_sizes() const;
 
-  /// Verifier reports for the active backend's cached plans, keyed by batch
-  /// size. Empty when verify_plans is off; entries disappear with their
-  /// plans (invalidation, staleness). Reports of *rejected* plans are not
+  /// Verifier reports of the cached plans, keyed by batch size. Empty when
+  /// verify_plans is off; entries disappear with their plans (invalidation,
+  /// staleness, backend switch). Reports of *rejected* plans are not
   /// kept — their error counts surface in
   /// SessionStats::plan_verifier_errors.
   std::map<int64_t, exec::VerifierReport> verifier_reports() const;
@@ -202,46 +204,39 @@ class InferenceSession {
   /// session keeps serving eagerly.
   bool CapturePlanLocked(int64_t batch_size);
 
-  /// Verifies the already-cached plan for `batch_size` (cache-hit path:
-  /// plans captured before verification was enabled, or whose report was
-  /// dropped). Requires mu_ held. A failing plan is dropped and counted as
-  /// an invalidation.
-  void VerifyCachedPlanLocked(int64_t batch_size);
+  /// Replays `batch` from the cached plan of its size and returns the
+  /// executor (prediction in output(), shaped plan().output_shape()), or
+  /// runs the eager forward into `*eager` and returns null. Requires mu_
+  /// held, under the caller's no-grad and arena scopes.
+  const exec::PlanExecutor* ForwardLocked(const data::Batch& batch,
+                                          Tensor* eager);
 
-  /// Replays the cached plan for `batch`'s batch size, if any. Requires mu_
-  /// held. Returns the output pointer (plan output shape) or null when no
-  /// plan matches — a stale plan is dropped and counted, then null.
-  const float* TryReplayLocked(const data::Batch& batch);
+  /// Drops every cached plan, counted as invalidations. Requires mu_ held.
+  void DropPlansLocked() const;
+
+  /// DropPlansLocked when the plans were captured under another kernel
+  /// backend than the active one. Requires mu_ held.
+  void DropForeignPlansLocked() const;
 
   /// A blank (all-zero window) request sized for this session.
   ForecastRequest BlankRequest() const;
 
-  /// One backend's slice of the plan cache. Plans bind the kernel backend
-  /// they were captured under (exec/plan.h backend_name), so the cache is
-  /// sharded by backend name: switching backends mid-session never replays
-  /// a foreign plan, and switching back reuses the earlier captures.
-  struct BackendPlans {
-    /// Captured plans keyed by batch size (ordered: padding picks the
-    /// nearest size >= the request count).
-    std::map<int64_t, std::unique_ptr<exec::PlanExecutor>> plans;
-    /// Verifier reports for `plans`, same keys; cleared whenever the
-    /// matching plans are dropped so a stale report can never describe a
-    /// live plan.
-    std::map<int64_t, exec::VerifierReport> verify_reports;
+  /// A plan and, when verify_plans is on, the report that admitted it.
+  struct CachedPlan {
+    std::unique_ptr<exec::PlanExecutor> executor;
+    std::optional<exec::VerifierReport> report;
   };
-
-  /// The cache shard of the currently active kernel backend (created on
-  /// first use). Requires mu_ held.
-  BackendPlans& ShardLocked();
 
   mutable std::mutex mu_;
   std::unique_ptr<train::ForecastingModel> model_;
   data::StandardScaler scaler_;
   SessionOptions options_;
   std::shared_ptr<BufferArena> arena_;  ///< null when use_arena is off
-  /// Plan-cache shards keyed by kernel backend name.
-  std::map<std::string, BackendPlans> shards_;
-  SessionStats stats_;
+  /// Plans by batch size (padding picks the nearest size >= the request
+  /// count), all of one backend. Mutable like stats_: the const readers
+  /// also drop a switched-away backend's plans.
+  mutable std::map<int64_t, CachedPlan> plans_;
+  mutable SessionStats stats_;
 };
 
 }  // namespace d2stgnn::infer

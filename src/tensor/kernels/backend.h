@@ -54,7 +54,8 @@ struct UnaryParams {
 /// that cannot vectorize an entry delegates to the scalar implementation).
 struct KernelBackend {
   /// Stable identity: "scalar" or "avx2". Captured plans record it and replay
-  /// only under the same backend; the session plan cache keys on it.
+  /// only under the same backend; a session drops its plan cache when the
+  /// active backend's name differs from its plans'.
   const char* name;
 
   /// out[i] = kind(a[i]) for i in [begin, end).

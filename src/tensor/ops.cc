@@ -199,22 +199,32 @@ void AccumulateUnbroadcast(const Tensor& x, Grad&& g, const Shape& from) {
   }
 }
 
+// kind(a, b) over buffers of shapes `as` and `bs` into `out`, of their
+// broadcast shape `shape`: the kernel BinaryOp's forward runs for those
+// shapes, so the bits match the op form.
+void BinaryKernel(kernels::BinaryKind kind, const float* a, const Shape& as,
+                  const float* b, const Shape& bs, const Shape& shape,
+                  float* out) {
+  const kernels::KernelBackend& backend = kernels::ActiveBackend();
+  if (as == bs) {
+    kernels::EwiseBinary(backend, kind, a, b, out, NumElements(shape));
+  } else {
+    kernels::EwiseBinaryBroadcast(backend, kind, shape,
+                                  kernels::BroadcastStrides(as, shape),
+                                  kernels::BroadcastStrides(bs, shape), a, b,
+                                  out);
+  }
+}
+
 // kind(g, x) for the gradient `g` of an output of shape `out` and an
 // operand x that broadcasts to it: the kernels the op form (Mul(g, x),
 // Div(g, x)) runs, so the bits match it.
 std::vector<float> GradOp(kernels::BinaryKind kind,
                           const std::vector<float>& g, const Shape& out,
                           const Tensor& x) {
-  const kernels::KernelBackend& backend = kernels::ActiveBackend();
   std::vector<float> r = internal::AcquireBuffer(NumElements(out));
-  if (x.shape() == out) {
-    kernels::EwiseBinary(backend, kind, g.data(), x.Data().data(), r.data(),
-                         NumElements(out));
-  } else {
-    kernels::EwiseBinaryBroadcast(backend, kind, out, RowMajorStrides(out),
-                                  kernels::BroadcastStrides(x.shape(), out),
-                                  g.data(), x.Data().data(), r.data());
-  }
+  BinaryKernel(kind, g.data(), out, x.Data().data(), x.shape(), out,
+               r.data());
   return r;
 }
 
@@ -319,9 +329,24 @@ Tensor Div(const Tensor& a, const Tensor& b) {
               out.shape());
         }
         if (b.RequiresGrad()) {
-          // d/db (a/b) = -a / b^2
-          Tensor gb = Mul(out.Grad(), Div(a, Mul(b, b)));
-          AccumulateGrad(b, ReduceToShape(MulScalar(gb, -1.0f), b.shape()));
+          // d/db (a/b) = -g * a / b^2, with the kernels of the op form
+          // MulScalar(Mul(g, Div(a, Mul(b, b))), -1) summed to b's shape.
+          const kernels::KernelBackend& backend = kernels::ActiveBackend();
+          const Shape& shape = out.shape();
+          const int64_t n = NumElements(shape);
+          std::vector<float> bb = internal::AcquireBuffer(b.numel());
+          kernels::EwiseBinary(backend, kernels::BinaryKind::kMul,
+                               b.Data().data(), b.Data().data(), bb.data(),
+                               b.numel());
+          std::vector<float> gb = internal::AcquireBuffer(n);
+          BinaryKernel(kernels::BinaryKind::kDiv, a.Data().data(), a.shape(),
+                       bb.data(), b.shape(), shape, gb.data());
+          kernels::EwiseBinary(backend, kernels::BinaryKind::kMul,
+                               out.GradData().data(), gb.data(), gb.data(),
+                               n);
+          kernels::EwiseUnary(backend, kernels::UnaryKind::kMulScalar,
+                              {-1.0f, 0.0f}, gb.data(), gb.data(), n);
+          AccumulateUnbroadcast(b, std::move(gb), shape);
         }
       });
 }
@@ -659,13 +684,28 @@ Tensor Softmax(const Tensor& a, int64_t dim) {
         kernels::SoftmaxKernel(*backend, io.inputs[0], io.output, outer, size,
                                inner);
       },
-      [a, d](const Tensor& output) {
+      [a, d, outer, size, inner](const Tensor& output) {
         if (!a.RequiresGrad()) return;
-        // dx = y * (g - sum(g * y, dim))
-        const Tensor g = output.Grad();
-        const Tensor y = Tensor(output.shape(), output.Data());
-        const Tensor dot = Sum(Mul(g, y), d, /*keepdim=*/true);
-        AccumulateGrad(a, Mul(y, Sub(g, dot)));
+        // dx = y * (g - sum(g * y, dim)), with the kernels of the op form
+        // Mul(y, Sub(g, Sum(Mul(g, y), dim, keepdim))).
+        const kernels::KernelBackend& backend = kernels::ActiveBackend();
+        const Shape& shape = a.shape();
+        const int64_t n = NumElements(shape);
+        const float* g = output.GradData().data();
+        const float* y = output.Data().data();
+        std::vector<float> dx = internal::AcquireBuffer(n);
+        kernels::EwiseBinary(backend, kernels::BinaryKind::kMul, g, y,
+                             dx.data(), n);
+        Shape kept = shape;
+        kept[static_cast<size_t>(d)] = 1;
+        std::vector<float> dot = internal::AcquireBuffer(outer * inner);
+        kernels::ReduceSumDim(backend, dx.data(), dot.data(), outer, size,
+                              inner);
+        BinaryKernel(kernels::BinaryKind::kSub, g, shape, dot.data(), kept,
+                     shape, dx.data());
+        kernels::EwiseBinary(backend, kernels::BinaryKind::kMul, y, dx.data(),
+                             dx.data(), n);
+        AccumulateGrad(a, std::move(dx));
       });
 }
 

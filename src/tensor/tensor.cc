@@ -359,20 +359,6 @@ void AccumulateGrad(const Tensor& target, const std::vector<float>& delta) {
   }
 }
 
-void AccumulateGrad(const Tensor& target, Tensor delta) {
-  D2_CHECK(target.defined());
-  D2_CHECK(delta.defined());
-  D2_CHECK(target.shape() == delta.shape())
-      << "grad shape " << ShapeToString(delta.shape())
-      << " does not match tensor shape " << ShapeToString(target.shape());
-  internal::TensorImpl& impl = *delta.impl();
-  if (delta.impl().use_count() == 1 && impl.arena == nullptr) {
-    AccumulateGrad(target, std::move(impl.data));
-  } else {
-    AccumulateGrad(target, impl.data);
-  }
-}
-
 float* GradAccumulator(const Tensor& target) {
   const size_t n = static_cast<size_t>(target.numel());
   std::vector<float>& grad = GradFor(target, n);

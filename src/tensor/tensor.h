@@ -229,11 +229,6 @@ class NoGradGuard {
 void AccumulateGrad(const Tensor& target, std::vector<float>&& delta);
 void AccumulateGrad(const Tensor& target, const std::vector<float>& delta);
 
-/// Tensor form: the delta's shape must equal `target`'s. Its buffer is
-/// adopted when this handle is the delta's only owner and it is not arena
-/// storage, and copied otherwise.
-void AccumulateGrad(const Tensor& target, Tensor delta);
-
 /// The gradient buffer of `target` for kernels that accumulate into it in
 /// place (MatMul's backward): zero-filled on first touch, under the same
 /// no-arena check as AccumulateGrad.

@@ -3,21 +3,26 @@
 // declared ulp/relative tolerances across lane-boundary sizes (1, 7, 8, 9,
 // 63, 64, 65 — below, at, and past the 8-float AVX2 lane and the 64-float
 // unroll), forced-backend end-to-end forecast deltas on the paper's model,
-// and cross-backend plan replay rejection (executor, verifier, and the
-// session's per-backend plan-cache sharding).
+// cross-backend plan replay rejection (executor, verifier, and the session
+// dropping its plan cache on a backend switch), and the buffer-form
+// backwards' bitwise parity with their op compositions on both backends.
 //
 // Every avx2-dependent test skips cleanly on hosts without AVX2+FMA, so the
 // suite is green on any x86 or non-x86 machine.
 
 #include "tensor/kernels/registry.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <iterator>
 #include <limits>
 #include <memory>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -613,13 +618,18 @@ TEST_F(BackendSessionTest, CorruptBackendNameIsCaughtStaticallyAndAtReplay) {
             exec::ReplayStatus::kBackendMismatch);
 }
 
-// The session keys its plan cache by backend: after a backend switch the old
-// shard is invisible (requests fall back to eager instead of replaying — or
-// rejecting — a foreign-backend plan), a Warmup captures a fresh plan into
-// the new shard, and switching back replays the original shard bitwise.
-TEST_F(BackendSessionTest, SessionShardsPlanCacheByBackend) {
+bool SameBits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// The plan cache holds plans of the active backend only: a backend switch
+// drops them (counted as invalidations), requests serve eagerly until the
+// next Warmup captures under the new backend, and switching back drops the
+// new plans in turn.
+TEST_F(BackendSessionTest, BackendSwitchDropsThePlanCache) {
   if (kernels::Avx2BackendOrNull() == nullptr) {
-    GTEST_SKIP() << "AVX2+FMA unavailable; single shard only";
+    GTEST_SKIP() << "AVX2+FMA unavailable; one backend only";
   }
   SetNumThreads(1);
   infer::SessionOptions options = Options();
@@ -633,42 +643,165 @@ TEST_F(BackendSessionTest, SessionShardsPlanCacheByBackend) {
   session->Warmup(/*batch_size=*/4, /*runs=*/1);
   EXPECT_EQ(session->session_stats().plans_built, 1);
   EXPECT_EQ(session->planned_batch_sizes(), std::vector<int64_t>{4});
+  EXPECT_EQ(session->verifier_reports().size(), 1u);
   const std::vector<infer::Forecast> scalar_served =
       session->PredictRequests(requests);
 
   {
     kernels::ScopedBackendOverride inner("avx2");
     ASSERT_TRUE(inner.engaged());
-    // The scalar shard is invisible here: no planned sizes, and a request
-    // serves eagerly instead of touching the foreign-backend plan.
-    EXPECT_EQ(session->planned_batch_sizes(), std::vector<int64_t>{});
     const infer::SessionStats pre = session->session_stats();
+    EXPECT_EQ(session->planned_batch_sizes(), std::vector<int64_t>{});
+    EXPECT_TRUE(session->verifier_reports().empty());
+    EXPECT_EQ(session->session_stats().plan_invalidations,
+              pre.plan_invalidations + 1);
+
+    // Served eagerly, bitwise what a plan-free avx2 session serves.
     const std::vector<infer::Forecast> eager_served =
         session->PredictRequests(requests);
     EXPECT_EQ(session->session_stats().eager_forwards,
               pre.eager_forwards + 1);
     EXPECT_EQ(session->session_stats().plan_replays, pre.plan_replays);
-    ASSERT_EQ(eager_served.size(), scalar_served.size());
-    for (size_t i = 0; i < eager_served.size(); ++i) {
+    infer::SessionOptions eager_options = options;
+    eager_options.use_plans = false;
+    auto reference =
+        infer::InferenceSession::Wrap(NewModel(7), scaler_, eager_options);
+    ASSERT_NE(reference, nullptr);
+    const std::vector<infer::Forecast> expected =
+        reference->PredictRequests(requests);
+    ASSERT_EQ(eager_served.size(), expected.size());
+    for (size_t i = 0; i < expected.size(); ++i) {
       ASSERT_TRUE(eager_served[i].ok) << eager_served[i].error;
+      EXPECT_TRUE(SameBits(eager_served[i].values, expected[i].values))
+          << "request " << i;
     }
 
-    // Warming up under avx2 captures into the avx2 shard.
+    // Warmup captures one avx2 plan, which then serves.
     session->Warmup(/*batch_size=*/4, /*runs=*/1);
     EXPECT_EQ(session->session_stats().plans_built, 2);
     EXPECT_EQ(session->planned_batch_sizes(), std::vector<int64_t>{4});
+    EXPECT_EQ(session->verifier_reports().size(), 1u);
   }
 
-  // Back on scalar, the original shard replays bitwise — no recapture.
+  // Back on scalar: the avx2 plan is dropped, and a fresh capture replays
+  // bitwise what the first scalar plan served.
   const infer::SessionStats before = session->session_stats();
+  EXPECT_EQ(session->planned_batch_sizes(), std::vector<int64_t>{});
+  EXPECT_EQ(session->session_stats().plan_invalidations,
+            before.plan_invalidations + 1);
+  session->Warmup(/*batch_size=*/4, /*runs=*/1);
+  EXPECT_EQ(session->session_stats().plans_built, before.plans_built + 1);
+  const int64_t replays = session->session_stats().plan_replays;
   const std::vector<infer::Forecast> again =
       session->PredictRequests(requests);
-  EXPECT_EQ(session->session_stats().plans_built, before.plans_built);
+  EXPECT_EQ(session->session_stats().plan_replays, replays + 1);
   ASSERT_EQ(again.size(), scalar_served.size());
   for (size_t i = 0; i < again.size(); ++i) {
-    EXPECT_EQ(again[i].values, scalar_served[i].values) << "request " << i;
+    EXPECT_TRUE(SameBits(again[i].values, scalar_served[i].values))
+        << "request " << i;
   }
 }
+
+// Softmax's and Div's backwards run on raw buffers; they must produce the
+// bits of the op composition they replace, kept here as the reference, on
+// either backend at 1 and 4 threads, with NaN, +-Inf and +-0 in the inputs.
+class BackendBufferBackwardTest
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {
+ protected:
+  void SetUp() override {
+    original_threads_ = GetNumThreads();
+    const std::string& backend = std::get<0>(GetParam());
+    if (backend == "avx2" && kernels::Avx2BackendOrNull() == nullptr) {
+      GTEST_SKIP() << "AVX2+FMA unavailable";
+    }
+    override_ = std::make_unique<kernels::ScopedBackendOverride>(backend);
+    ASSERT_TRUE(override_->engaged());
+    SetNumThreads(std::get<1>(GetParam()));
+  }
+
+  void TearDown() override {
+    override_.reset();
+    SetNumThreads(original_threads_);
+  }
+
+  // Normal values with NaN, +-Inf and +-0 each at up to 8 random places
+  // (one per 20 entries, so a scalar stays finite).
+  static Tensor WithSpecials(const Shape& shape, Rng& rng) {
+    Tensor t = Tensor::Randn(shape, rng);
+    std::vector<float>& v = t.Data();
+    const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                              std::numeric_limits<float>::infinity(),
+                              -std::numeric_limits<float>::infinity(), 0.0f,
+                              -0.0f};
+    const int64_t n = static_cast<int64_t>(v.size());
+    const int64_t each = std::min<int64_t>(8, n / 20);
+    for (const float special : specials) {
+      for (int64_t k = 0; k < each; ++k) {
+        v[static_cast<size_t>(rng.UniformInt(n))] = special;
+      }
+    }
+    return t;
+  }
+
+  // Backpropagates into `y` an output gradient with specials in it (through
+  // Sum(Mul(y, w)), so y's gradient is exactly w) and returns it.
+  static Tensor Backprop(const Tensor& y, Rng& rng) {
+    Sum(Mul(y, WithSpecials(y.shape(), rng))).Backward();
+    return Tensor(y.shape(), y.GradData());
+  }
+
+ private:
+  int original_threads_ = 1;
+  std::unique_ptr<kernels::ScopedBackendOverride> override_;
+};
+
+TEST_P(BackendBufferBackwardTest, SoftmaxMatchesOpFormOnEveryDim) {
+  const Shape shape = {4, 6, 10, 96};
+  for (int64_t d = 0; d < 4; ++d) {
+    Rng rng(100 + static_cast<uint64_t>(d));
+    Tensor a = WithSpecials(shape, rng).SetRequiresGrad(true);
+    const Tensor y = Softmax(a, d);
+    const Tensor g = Backprop(y, rng);
+
+    NoGradGuard no_grad;
+    const Tensor yv(y.shape(), y.Data());
+    const Tensor want = Mul(yv, Sub(g, Sum(Mul(g, yv), d, /*keepdim=*/true)));
+    EXPECT_TRUE(SameBits(a.GradData(), want.Data())) << "dim " << d;
+  }
+}
+
+TEST_P(BackendBufferBackwardTest, DivDivisorMatchesOpForm) {
+  const Shape dense = {160, 144};
+  // (dividend, divisor): dense, [N,1], [1,D], scalar, lower rank, and both
+  // sides broadcasting.
+  const std::vector<std::pair<Shape, Shape>> cases = {
+      {dense, dense},      {dense, {160, 1}}, {dense, {1, 144}},
+      {dense, {}},         {dense, {144}},    {{1, 144}, {160, 1}},
+  };
+  for (size_t c = 0; c < cases.size(); ++c) {
+    Rng rng(200 + c);
+    Tensor a = WithSpecials(cases[c].first, rng).SetRequiresGrad(true);
+    Tensor b = WithSpecials(cases[c].second, rng).SetRequiresGrad(true);
+    const Tensor g = Backprop(Div(a, b), rng);
+
+    NoGradGuard no_grad;
+    const Tensor want = ReduceToShape(
+        MulScalar(Mul(g, Div(a, Mul(b, b))), -1.0f), b.shape());
+    EXPECT_TRUE(SameBits(b.GradData(), want.Data())) << "case " << c;
+    EXPECT_TRUE(SameBits(a.GradData(),
+                         ReduceToShape(Div(g, b), a.shape()).Data()))
+        << "case " << c;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BackendsThreads, BackendBufferBackwardTest,
+    ::testing::Combine(::testing::Values("scalar", "avx2"),
+                       ::testing::Values(1, 4)),
+    [](const auto& info) {
+      return std::get<0>(info.param) + "_" +
+             std::to_string(std::get<1>(info.param)) + "threads";
+    });
 
 }  // namespace
 }  // namespace d2stgnn

@@ -12,6 +12,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -115,7 +116,9 @@ Tensor BadDouble(const Tensor& a) {
   return MakeOpResult("BadDouble", a.shape(), std::move(out), {a},
                       [a](const Tensor& output) {
                         if (!a.RequiresGrad()) return;
-                        AccumulateGrad(a, MulScalar(output.Grad(), 3.0f));
+                        std::vector<float> grad = output.GradData();
+                        for (float& g : grad) g *= 3.0f;
+                        AccumulateGrad(a, std::move(grad));
                       });
 }
 
