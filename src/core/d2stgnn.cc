@@ -28,6 +28,16 @@ DecoupledLayerConfig LayerConfigFrom(const D2StgnnConfig& c) {
   return lc;
 }
 
+// The localized transitions (Eq. 4) of the first k_s powers of `p`.
+std::vector<Tensor> LocalizedPowers(const Tensor& p, int64_t k_s,
+                                    int64_t k_t) {
+  std::vector<Tensor> localized;
+  for (const Tensor& power : graph::TransitionPowers(p, k_s)) {
+    localized.push_back(graph::LocalizedTransition(power, k_t));
+  }
+  return localized;
+}
+
 }  // namespace
 
 D2Stgnn::D2Stgnn(const D2StgnnConfig& config, const Tensor& adjacency,
@@ -59,11 +69,7 @@ D2Stgnn::D2Stgnn(const D2StgnnConfig& config, const Tensor& adjacency,
     p_forward_ = graph::ForwardTransition(adjacency);
     p_backward_ = graph::BackwardTransition(adjacency);
     for (const Tensor& p : {p_forward_, p_backward_}) {
-      std::vector<Tensor> localized;
-      for (const Tensor& power : graph::TransitionPowers(p, config.k_s)) {
-        localized.push_back(graph::LocalizedTransition(power, config.k_t));
-      }
-      static_localized_.push_back(std::move(localized));
+      static_localized_.push_back(LocalizedPowers(p, config.k_s, config.k_t));
     }
   }
 
@@ -117,22 +123,14 @@ Tensor D2Stgnn::Forward(const data::Batch& batch) {
     const auto [p_f_dy, p_b_dy] = dynamic_graph_->Forward(
         x, day_last, week_last, e_u, e_d, p_forward_, p_backward_);
     for (const Tensor& p : {p_f_dy, p_b_dy}) {
-      std::vector<Tensor> localized;
-      for (const Tensor& power : graph::TransitionPowers(p, config_.k_s)) {
-        localized.push_back(graph::LocalizedTransition(power, config_.k_t));
-      }
-      supports.push_back(std::move(localized));
+      supports.push_back(LocalizedPowers(p, config_.k_s, config_.k_t));
     }
   } else {
     supports = static_localized_;
   }
   if (config_.use_adaptive) {
-    const Tensor p_apt = AdaptiveTransition();
-    std::vector<Tensor> localized;
-    for (const Tensor& power : graph::TransitionPowers(p_apt, config_.k_s)) {
-      localized.push_back(graph::LocalizedTransition(power, config_.k_t));
-    }
-    supports.push_back(std::move(localized));
+    supports.push_back(
+        LocalizedPowers(AdaptiveTransition(), config_.k_s, config_.k_t));
   }
 
   // Stack the decoupled layers, summing forecast hidden states (Eq. 15).

@@ -68,41 +68,34 @@ BlockOutput DiffusionBlock::Forward(
     transformed.push_back(Relu(frame_fc_[static_cast<size_t>(j)]->Forward(padded)));
   }
 
-  // Eqs. 6 & 8 per step: H_t = sum_s sum_k (P^lc_s)^k X^lc_t W_{s,k}.
-  std::vector<Tensor> hidden_steps;
-  hidden_steps.reserve(static_cast<size_t>(steps));
-  for (int64_t t = 0; t < steps; ++t) {
-    // X^lc_t: frames [t-kt+1 .. t] stacked on the node axis, earliest
-    // first (matching the k_t blocks of the localized transition). The
-    // frame at padded index t + j2 (original t - kt + 1 + j2) uses the
-    // transform with offset j = kt - 1 - j2.
-    std::vector<Tensor> rows;
-    rows.reserve(static_cast<size_t>(k_t_));
-    for (int64_t j2 = 0; j2 < k_t_; ++j2) {
-      const Tensor frame = Reshape(
-          Slice(transformed[static_cast<size_t>(k_t_ - 1 - j2)], 1, t + j2,
-                t + j2 + 1),
-          {batch, nodes, hidden_dim_});
-      rows.push_back(frame);
-    }
-    const Tensor x_lc = Concat(rows, 1);  // [B, kt*N, d]
-
-    Tensor h_t;
-    for (size_t s = 0; s < localized_supports.size(); ++s) {
-      D2_CHECK_EQ(static_cast<int64_t>(localized_supports[s].size()), k_s_);
-      for (int64_t k = 0; k < k_s_; ++k) {
-        Tensor p = localized_supports[s][static_cast<size_t>(k)];
-        if (p.dim() == 2) p = Unsqueeze(p, 0);  // broadcast over batch
-        const Tensor conv = MatMul(
-            MatMul(p, x_lc),
-            conv_weight_[s * static_cast<size_t>(k_s_) +
-                         static_cast<size_t>(k)]);
-        h_t = h_t.defined() ? Add(h_t, conv) : conv;
-      }
-    }
-    hidden_steps.push_back(h_t);  // [B, N, d]
+  // X^lc for every step at once, [B, T, kt*N, d]: step t stacks frames
+  // [t-kt+1 .. t] on the node axis, earliest first (matching the k_t blocks
+  // of the localized transition). Block j2 of every step is one Slice of
+  // the padded sequence: padded index t + j2 (original t - kt + 1 + j2)
+  // uses the transform with offset j = kt - 1 - j2.
+  std::vector<Tensor> blocks;
+  blocks.reserve(static_cast<size_t>(k_t_));
+  for (int64_t j2 = 0; j2 < k_t_; ++j2) {
+    blocks.push_back(Slice(transformed[static_cast<size_t>(k_t_ - 1 - j2)], 1,
+                           j2, j2 + steps));
   }
-  const Tensor hidden = Stack(hidden_steps, 1);  // [B, T, N, d]
+  const Tensor x_lc = Concat(blocks, 2);
+
+  // Eqs. 6 & 8 over the whole window: H = sum_s sum_k (P^lc_s)^k X^lc W_{s,k}.
+  // A [N, kt*N] support broadcasts over batch and steps, a batched
+  // [B, N, kt*N] one over steps.
+  Tensor hidden;  // [B, T, N, d]
+  for (size_t s = 0; s < localized_supports.size(); ++s) {
+    D2_CHECK_EQ(static_cast<int64_t>(localized_supports[s].size()), k_s_);
+    for (int64_t k = 0; k < k_s_; ++k) {
+      Tensor p = localized_supports[s][static_cast<size_t>(k)];
+      if (p.dim() == 3) p = Unsqueeze(p, 1);
+      const Tensor conv = MatMul(
+          MatMul(p, x_lc),
+          conv_weight_[s * static_cast<size_t>(k_s_) + static_cast<size_t>(k)]);
+      hidden = hidden.defined() ? Add(hidden, conv) : conv;
+    }
+  }
 
   BlockOutput out;
   out.hidden_sequence = hidden;
@@ -113,7 +106,7 @@ BlockOutput DiffusionBlock::Forward(
   if (autoregressive_) {
     std::vector<Tensor> window;
     for (int64_t j = std::max<int64_t>(0, steps - k_t_); j < steps; ++j) {
-      window.push_back(hidden_steps[static_cast<size_t>(j)]);
+      window.push_back(Select(hidden, 1, j));
     }
     while (static_cast<int64_t>(window.size()) < k_t_) {
       window.insert(window.begin(),
@@ -131,7 +124,7 @@ BlockOutput DiffusionBlock::Forward(
     }
     out.hidden_forecast = Stack(future, 1);  // [B, Tf, N, d]
   } else {
-    const Tensor last = hidden_steps.back();  // [B, N, d]
+    const Tensor last = Select(hidden, 1, steps - 1);  // [B, N, d]
     Tensor flat =
         forecast_fc2_->Forward(Relu(forecast_fc1_->Forward(last)));
     flat = Reshape(flat, {batch, nodes, horizon_, hidden_dim_});

@@ -23,11 +23,12 @@ struct BlockOutput {
 };
 
 /// The diffusion model: a spatial-temporal localized convolutional layer
-/// (paper Sec. 5.1, Eqs. 4–9). For each time step t it builds the localized
-/// feature matrix X^lc_t from the last k_t frames — each frame passed
-/// through its own non-linear transform W_{k'} (Eq. 5) — and convolves it
-/// with the k_s powers of every localized transition matrix, each (support,
-/// order) pair owning its output weight (Eq. 8).
+/// (paper Sec. 5.1, Eqs. 4–9). Every time step t's localized feature matrix
+/// X^lc_t stacks the last k_t frames — each frame passed through its own
+/// non-linear transform W_{k'} (Eq. 5) — and is convolved with the k_s
+/// powers of every localized transition matrix, each (support, order) pair
+/// owning its output weight (Eq. 8). The convolution runs once over the
+/// whole window: one MatMul pair per (support, order).
 class DiffusionBlock : public nn::Module {
  public:
   /// `num_supports` is the number of transition matrices (2 static/dynamic

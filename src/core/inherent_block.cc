@@ -54,20 +54,21 @@ BlockOutput InherentBlock::Forward(const Tensor& x) const {
   D2_CHECK_EQ(x.size(3), hidden_dim_);
 
   // Short-term dependencies: GRU over time, every node independent (Eq. 10).
-  std::vector<Tensor> gru_states;
-  gru_states.reserve(static_cast<size_t>(steps));
-  Tensor state = Tensor::Zeros({batch, nodes, hidden_dim_});
-  for (int64_t t = 0; t < steps; ++t) {
-    const Tensor frame =
-        Reshape(Slice(x, 1, t, t + 1), {batch, nodes, hidden_dim_});
-    if (use_gru_) {
-      state = gru_->Forward(frame, state);
-    } else {
-      state = Relu(input_fc_->Forward(frame));  // w/o gru: plain projection
+  // The w/o-gru ablation is a plain projection of the whole window.
+  Tensor recurrent;  // [B, T, N, d]
+  Tensor state;      // the GRU's last state, [B, N, d]
+  if (use_gru_) {
+    state = Tensor::Zeros({batch, nodes, hidden_dim_});
+    std::vector<Tensor> gru_states;
+    gru_states.reserve(static_cast<size_t>(steps));
+    for (int64_t t = 0; t < steps; ++t) {
+      state = gru_->Forward(Select(x, 1, t), state);
+      gru_states.push_back(state);
     }
-    gru_states.push_back(state);
+    recurrent = Stack(gru_states, 1);
+  } else {
+    recurrent = Relu(input_fc_->Forward(x));
   }
-  Tensor recurrent = Stack(gru_states, 1);  // [B, T, N, d]
 
   // Long-term dependencies: positional encoding (Eq. 12) + multi-head
   // self-attention over the time axis per node (Eq. 11).
@@ -93,7 +94,8 @@ BlockOutput InherentBlock::Forward(const Tensor& x) const {
   if (autoregressive_) {
     std::vector<Tensor> future;
     future.reserve(static_cast<size_t>(horizon_));
-    Tensor roll_state = gru_states.back();
+    Tensor roll_state =
+        use_gru_ ? state : Select(recurrent, 1, steps - 1);  // [B, N, d]
     for (int64_t f = 0; f < horizon_; ++f) {
       const Tensor next_input = Relu(roll_fc_->Forward(roll_state));
       if (use_gru_) {
@@ -105,8 +107,7 @@ BlockOutput InherentBlock::Forward(const Tensor& x) const {
     }
     out.hidden_forecast = Stack(future, 1);  // [B, Tf, N, d]
   } else {
-    const Tensor last =
-        Reshape(Slice(hidden, 1, steps - 1, steps), {batch, nodes, hidden_dim_});
+    const Tensor last = Select(hidden, 1, steps - 1);
     Tensor flat = forecast_fc2_->Forward(Relu(forecast_fc1_->Forward(last)));
     flat = Reshape(flat, {batch, nodes, horizon_, hidden_dim_});
     out.hidden_forecast = Permute(flat, {0, 2, 1, 3});

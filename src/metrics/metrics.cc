@@ -8,33 +8,22 @@
 
 namespace d2stgnn::metrics {
 
-MetricSet ComputeMetrics(const Tensor& prediction, const Tensor& truth,
-                         float null_value) {
-  D2_CHECK(prediction.defined());
-  D2_CHECK(truth.defined());
-  D2_CHECK(prediction.shape() == truth.shape())
-      << "metric shapes differ: " << ShapeToString(prediction.shape())
-      << " vs " << ShapeToString(truth.shape());
-
-  const std::vector<float>& p = prediction.Data();
-  const std::vector<float>& t = truth.Data();
-  double abs_sum = 0.0;
-  double sq_sum = 0.0;
-  double ape_sum = 0.0;
-  int64_t count = 0;
-  int64_t ape_count = 0;
-  for (size_t i = 0; i < t.size(); ++i) {
-    if (t[i] == null_value) continue;
-    const double err = static_cast<double>(p[i]) - t[i];
+void MetricAccumulator::Add(const float* prediction, const float* truth,
+                            int64_t n, float null_value) {
+  for (int64_t i = 0; i < n; ++i) {
+    if (truth[i] == null_value) continue;
+    const double err = static_cast<double>(prediction[i]) - truth[i];
     abs_sum += std::fabs(err);
     sq_sum += err * err;
     ++count;
-    if (std::fabs(t[i]) > 1e-2f) {
-      ape_sum += std::fabs(err) / std::fabs(t[i]);
+    if (std::fabs(truth[i]) > 1e-2f) {
+      ape_sum += std::fabs(err) / std::fabs(truth[i]);
       ++ape_count;
     }
   }
+}
 
+MetricSet MetricAccumulator::Finish() const {
   MetricSet m;
   m.count = count;
   if (count > 0) {
@@ -43,6 +32,19 @@ MetricSet ComputeMetrics(const Tensor& prediction, const Tensor& truth,
   }
   if (ape_count > 0) m.mape = ape_sum / static_cast<double>(ape_count);
   return m;
+}
+
+MetricSet ComputeMetrics(const Tensor& prediction, const Tensor& truth,
+                         float null_value) {
+  D2_CHECK(prediction.defined());
+  D2_CHECK(truth.defined());
+  D2_CHECK(prediction.shape() == truth.shape())
+      << "metric shapes differ: " << ShapeToString(prediction.shape())
+      << " vs " << ShapeToString(truth.shape());
+  MetricAccumulator acc;
+  acc.Add(prediction.Data().data(), truth.Data().data(), truth.numel(),
+          null_value);
+  return acc.Finish();
 }
 
 double Percentile(const std::vector<double>& samples, double pct) {

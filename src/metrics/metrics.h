@@ -16,6 +16,22 @@ struct MetricSet {
   int64_t count = 0;  ///< number of unmasked entries
 };
 
+/// Sufficient statistics of the masked metrics. Entries added over several
+/// calls give the metrics of all of them at once, so a multi-batch pass
+/// reports exactly the metrics of its concatenated batches.
+struct MetricAccumulator {
+  double abs_sum = 0.0;
+  double sq_sum = 0.0;
+  double ape_sum = 0.0;
+  int64_t count = 0;      ///< unmasked entries
+  int64_t ape_count = 0;  ///< unmasked entries with |truth| > 1e-2
+
+  /// Adds `n` prediction/truth pairs, skipping truths equal to `null_value`.
+  void Add(const float* prediction, const float* truth, int64_t n,
+           float null_value);
+  MetricSet Finish() const;
+};
+
 /// Computes masked MAE/RMSE/MAPE between same-shape tensors. Entries whose
 /// ground truth equals `null_value` (sensor failures, standard METR-LA
 /// convention) are excluded from every metric; MAPE additionally skips

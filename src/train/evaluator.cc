@@ -1,7 +1,6 @@
 #include "train/evaluator.h"
 
 #include <chrono>
-#include <cmath>
 
 #include "common/check.h"
 #include "tensor/buffer_arena.h"
@@ -10,46 +9,12 @@
 namespace d2stgnn::train {
 namespace {
 
-// Accumulates sufficient statistics for masked metrics.
-struct Accumulator {
-  double abs_sum = 0.0;
-  double sq_sum = 0.0;
-  double ape_sum = 0.0;
-  int64_t count = 0;
-  int64_t ape_count = 0;
-
-  void Add(const float* pred, const float* truth, int64_t n,
-           float null_value) {
-    for (int64_t i = 0; i < n; ++i) {
-      if (truth[i] == null_value) continue;
-      const double err = static_cast<double>(pred[i]) - truth[i];
-      abs_sum += std::fabs(err);
-      sq_sum += err * err;
-      ++count;
-      if (std::fabs(truth[i]) > 1e-2f) {
-        ape_sum += std::fabs(err) / std::fabs(truth[i]);
-        ++ape_count;
-      }
-    }
-  }
-
-  metrics::MetricSet Finish() const {
-    metrics::MetricSet m;
-    m.count = count;
-    if (count > 0) {
-      m.mae = abs_sum / static_cast<double>(count);
-      m.rmse = std::sqrt(sq_sum / static_cast<double>(count));
-    }
-    if (ape_count > 0) m.mape = ape_sum / static_cast<double>(ape_count);
-    return m;
-  }
-};
-
 // Adds one [B, Tf, N, ...] prediction/truth pair into per-horizon
 // accumulators.
 void AccumulateHorizons(const Tensor& prediction, const Tensor& truth,
                         const std::vector<int64_t>& horizons,
-                        float null_value, std::vector<Accumulator>* accs) {
+                        float null_value,
+                        std::vector<metrics::MetricAccumulator>* accs) {
   D2_CHECK(prediction.shape() == truth.shape());
   D2_CHECK_GE(prediction.dim(), 3);
   const int64_t batch = prediction.size(0);
@@ -82,7 +47,7 @@ std::vector<HorizonMetrics> EvaluateHorizons(
   // Inference mode: no tape, and after the first batch every forward reuses
   // the first batch's buffers instead of allocating.
   InferenceModeGuard inference_mode;
-  std::vector<Accumulator> accs(horizons.size());
+  std::vector<metrics::MetricAccumulator> accs(horizons.size());
   std::vector<double> forward_ms;
   // Batch assembly runs on the pool; Forward stays sequential (models are
   // not required to be reentrant) but its kernels parallelize internally.
@@ -114,7 +79,7 @@ std::vector<HorizonMetrics> EvaluateHorizons(
 std::vector<HorizonMetrics> EvaluatePredictionHorizons(
     const Tensor& prediction, const Tensor& truth,
     const std::vector<int64_t>& horizons, float null_value) {
-  std::vector<Accumulator> accs(horizons.size());
+  std::vector<metrics::MetricAccumulator> accs(horizons.size());
   AccumulateHorizons(prediction, truth, horizons, null_value, &accs);
   std::vector<HorizonMetrics> out(horizons.size());
   for (size_t h = 0; h < horizons.size(); ++h) {

@@ -479,31 +479,19 @@ metrics::MetricSet Trainer::Evaluate(data::WindowDataLoader* loader) const {
   // Validation runs in inference mode: no tape, buffers pooled across
   // batches within this pass.
   InferenceModeGuard inference_mode;
-  // Accumulate sufficient statistics across batches.
-  double abs_sum = 0.0;
-  double sq_sum = 0.0;
-  double ape_sum = 0.0;
-  int64_t count = 0;
+  // Sum the raw statistics across batches, so the result is the metrics of
+  // the concatenated batches.
+  metrics::MetricAccumulator acc;
   const std::vector<data::Batch> batches = loader->AssembleAllBatches();
   for (const data::Batch& batch : batches) {
     const Tensor prediction =
         scaler_->InverseTransform(model_->Forward(batch));
-    const metrics::MetricSet m = metrics::ComputeMetrics(
-        prediction, batch.y, options_.null_value);
-    abs_sum += m.mae * static_cast<double>(m.count);
-    sq_sum += m.rmse * m.rmse * static_cast<double>(m.count);
-    ape_sum += m.mape * static_cast<double>(m.count);
-    count += m.count;
+    D2_CHECK(prediction.shape() == batch.y.shape());
+    acc.Add(prediction.Data().data(), batch.y.Data().data(),
+            batch.y.numel(), options_.null_value);
   }
   model_->SetTraining(true);
-  metrics::MetricSet total;
-  total.count = count;
-  if (count > 0) {
-    total.mae = abs_sum / static_cast<double>(count);
-    total.rmse = std::sqrt(sq_sum / static_cast<double>(count));
-    total.mape = ape_sum / static_cast<double>(count);
-  }
-  return total;
+  return acc.Finish();
 }
 
 }  // namespace d2stgnn::train

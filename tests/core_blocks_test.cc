@@ -1,6 +1,7 @@
 #include "core/decoupled_layer.h"
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -135,6 +136,135 @@ TEST(DiffusionBlockTest, AcceptsBatchedDynamicSupports) {
   const BlockOutput out = block.Forward(f.x, supports);
   EXPECT_EQ(out.hidden_sequence.shape(),
             (Shape{kBatch, kSteps, kNodes, kDim}));
+}
+
+// The diffusion block's forward with the convolution run step by step, one
+// MatMul pair per (step, support, order), from `block`'s own parameters:
+// the bitwise reference for the whole-window form.
+BlockOutput PerStepDiffusionReference(
+    const DiffusionBlock& block, int64_t k_s, int64_t num_supports,
+    int64_t horizon, bool autoregressive, const Tensor& x,
+    const std::vector<std::vector<Tensor>>& supports) {
+  const std::vector<Tensor> params = block.Parameters();
+  const int64_t k_t = block.k_t();
+  const int64_t batch = x.size(0);
+  const int64_t steps = x.size(1);
+  const int64_t nodes = x.size(2);
+  const int64_t dim = x.size(3);
+  // Parameters: W_conv[s*k_s + k], then (weight, bias) of frame_fc[0..kt),
+  // forecast_fc1, forecast_fc2, backcast_fc1, backcast_fc2.
+  const size_t linear0 = static_cast<size_t>(num_supports * k_s);
+  const auto linear = [&](size_t index, const Tensor& in) {
+    const size_t w = linear0 + 2 * index;
+    return Add(MatMul(in, params[w]), params[w + 1]);
+  };
+  const size_t fc1 = static_cast<size_t>(k_t);
+
+  std::vector<Tensor> transformed;
+  const Tensor padded = PadFront(x, 1, k_t - 1);
+  for (int64_t j = 0; j < k_t; ++j) {
+    transformed.push_back(Relu(linear(static_cast<size_t>(j), padded)));
+  }
+  std::vector<Tensor> hidden_steps;
+  for (int64_t t = 0; t < steps; ++t) {
+    std::vector<Tensor> rows;
+    for (int64_t j2 = 0; j2 < k_t; ++j2) {
+      rows.push_back(Reshape(
+          Slice(transformed[static_cast<size_t>(k_t - 1 - j2)], 1, t + j2,
+                t + j2 + 1),
+          {batch, nodes, dim}));
+    }
+    const Tensor x_lc = Concat(rows, 1);
+    Tensor h_t;
+    for (size_t s = 0; s < supports.size(); ++s) {
+      for (int64_t k = 0; k < k_s; ++k) {
+        Tensor p = supports[s][static_cast<size_t>(k)];
+        if (p.dim() == 2) p = Unsqueeze(p, 0);
+        const Tensor conv = MatMul(
+            MatMul(p, x_lc),
+            params[s * static_cast<size_t>(k_s) + static_cast<size_t>(k)]);
+        h_t = h_t.defined() ? Add(h_t, conv) : conv;
+      }
+    }
+    hidden_steps.push_back(h_t);
+  }
+  BlockOutput out;
+  out.hidden_sequence = Stack(hidden_steps, 1);
+  if (autoregressive) {
+    std::vector<Tensor> window;
+    for (int64_t j = std::max<int64_t>(0, steps - k_t); j < steps; ++j) {
+      window.push_back(hidden_steps[static_cast<size_t>(j)]);
+    }
+    while (static_cast<int64_t>(window.size()) < k_t) {
+      window.insert(window.begin(), Tensor::Zeros({batch, nodes, dim}));
+    }
+    std::vector<Tensor> future;
+    for (int64_t f = 0; f < horizon; ++f) {
+      const Tensor next =
+          linear(fc1 + 1, Relu(linear(fc1, Concat(window, -1))));
+      future.push_back(next);
+      window.erase(window.begin());
+      window.push_back(next);
+    }
+    out.hidden_forecast = Stack(future, 1);
+  } else {
+    Tensor flat =
+        linear(fc1 + 1, Relu(linear(fc1, hidden_steps.back())));
+    flat = Reshape(flat, {batch, nodes, horizon, dim});
+    out.hidden_forecast = Permute(flat, {0, 2, 1, 3});
+  }
+  out.backcast =
+      linear(fc1 + 3, Relu(linear(fc1 + 2, out.hidden_sequence)));
+  return out;
+}
+
+void ExpectBitwiseEqual(const Tensor& a, const Tensor& b) {
+  ASSERT_EQ(a.shape(), b.shape());
+  EXPECT_EQ(std::memcmp(a.Data().data(), b.Data().data(),
+                        a.Data().size() * sizeof(float)),
+            0);
+}
+
+TEST(DiffusionBlockTest, WholeWindowMatchesPerStepLoopBitwise) {
+  constexpr int64_t kOrders = 2;
+  constexpr int64_t kHorizon = 3;
+  Fixture f;
+  Rng rng(29);
+  // Per-sample transitions for the batched case: row-stochastic [B, N, N].
+  const Tensor dynamic =
+      Softmax(Tensor::Randn({kBatch, kNodes, kNodes}, rng), -1);
+  const Tensor x_short = Slice(f.x, 1, 0, 2);  // shorter than k_t = 3
+  NoGradGuard no_grad;
+  for (const bool batched : {false, true}) {
+    for (const int64_t k_t : {1, 2, 3}) {
+      std::vector<std::vector<Tensor>> supports;
+      for (const Tensor& p : {batched ? dynamic : f.p,
+                              batched ? Transpose(dynamic, 1, 2)
+                                      : Transpose(f.p, 0, 1)}) {
+        std::vector<Tensor> localized;
+        for (const Tensor& power : graph::TransitionPowers(p, kOrders)) {
+          localized.push_back(graph::LocalizedTransition(power, k_t));
+        }
+        supports.push_back(std::move(localized));
+      }
+      for (const bool autoregressive : {true, false}) {
+        DiffusionBlock block(kDim, kOrders, k_t, /*num_supports=*/2,
+                             kHorizon, autoregressive, rng);
+        for (const Tensor& x : {f.x, x_short}) {
+          SCOPED_TRACE(testing::Message()
+                       << "batched=" << batched << " k_t=" << k_t
+                       << " autoregressive=" << autoregressive
+                       << " steps=" << x.size(1));
+          const BlockOutput got = block.Forward(x, supports);
+          const BlockOutput want = PerStepDiffusionReference(
+              block, kOrders, 2, kHorizon, autoregressive, x, supports);
+          ExpectBitwiseEqual(got.hidden_sequence, want.hidden_sequence);
+          ExpectBitwiseEqual(got.hidden_forecast, want.hidden_forecast);
+          ExpectBitwiseEqual(got.backcast, want.backcast);
+        }
+      }
+    }
+  }
 }
 
 TEST(InherentBlockTest, OutputShapesAllVariants) {
@@ -284,23 +414,33 @@ TEST(DecoupledLayerTest, SwitchVariantRuns) {
 }
 
 TEST(DiffusionBlockTest, GradCheckThroughConvolution) {
-  // End-to-end finite-difference check through the localized convolution.
+  // End-to-end finite-difference check through the localized convolution,
+  // with a static support and a batched one that requires grad: the batched
+  // support's gradient sums all T steps of each sample in one MatMul
+  // backward.
   Rng rng(23);
-  Tensor x = Tensor::Randn({1, 3, 4, 4}, rng).SetRequiresGrad(true);
+  Tensor x = Tensor::Randn({2, 3, 4, 4}, rng).SetRequiresGrad(true);
   graph::SensorNetworkOptions options;
   options.num_nodes = 4;
   options.neighbors = 2;
   const auto net = graph::BuildRandomSensorNetwork(options, rng);
   const Tensor p = graph::ForwardTransition(net.adjacency);
+  Tensor dynamic = graph::LocalizedTransition(
+      Softmax(Tensor::Randn({2, 4, 4}, rng), -1), 2);
+  dynamic.SetRequiresGrad(true);
   std::vector<std::vector<Tensor>> supports = {
-      {graph::LocalizedTransition(p, 2)}};
-  DiffusionBlock block(4, 1, 2, 1, 2, true, rng);
+      {graph::LocalizedTransition(p, 2)}, {dynamic}};
+  DiffusionBlock block(4, 1, 2, 2, 2, true, rng);
   auto loss = [&] {
     const BlockOutput out = block.Forward(x, supports);
     return Add(Sum(Abs(out.hidden_forecast)), Sum(Abs(out.backcast)));
   };
-  std::vector<Tensor> params = {x};
-  auto result = CheckGradients(loss, params, rng, 1e-2f, 3e-2f, 12);
+  auto result = CheckGradients(loss, {x}, rng, 1e-2f, 3e-2f, 12);
+  EXPECT_TRUE(result.ok) << result.max_relative_error;
+  // A support entry feeds every step's convolution, so a 1e-2 nudge moves
+  // enough activations across ReLU/Abs kinks to swamp the central
+  // difference; 1e-3 stays on one linear piece.
+  result = CheckGradients(loss, {dynamic}, rng, 1e-3f, 3e-2f, 16);
   EXPECT_TRUE(result.ok) << result.max_relative_error;
 }
 

@@ -130,6 +130,49 @@ TEST_F(TrainerTest, EvaluateIsDeterministicAndNoGrad) {
   }
 }
 
+TEST_F(TrainerTest, EvaluateReportsMetricsOfConcatenatedBatches) {
+  // Near-zero truths (0 < |y| <= 1e-2) count in MAE but not in MAPE. With
+  // them only in the second batch's windows the two batches differ in their
+  // MAPE-to-MAE entry ratios, and the pass must still report the metrics of
+  // all entries at once.
+  data::TimeSeriesDataset dataset = traffic_.dataset;
+  std::vector<float> values = dataset.values.Data();
+  const int64_t nodes = dataset.num_nodes();
+  for (int64_t t = 100; t < 130; ++t) {
+    for (int64_t n = 0; n < 3; ++n) {
+      values[static_cast<size_t>(t * nodes + n)] = 0.005f;
+    }
+  }
+  dataset.values = Tensor(dataset.values.shape(), std::move(values));
+  data::WindowDataLoader loader(&dataset, &scaler_, {0, 1, 100, 101}, 12, 12,
+                                /*batch_size=*/2);
+  const std::vector<data::Batch> batches = loader.AssembleAllBatches();
+  ASSERT_EQ(batches.size(), 2u);
+
+  Rng rng(8);
+  TinyModel model(6, 12, rng);
+  train::Trainer trainer(&model, &scaler_, train::TrainerOptions{});
+  const Tensor predictions =
+      train::CollectPredictions(&model, &scaler_, &loader);
+  std::vector<metrics::MetricAccumulator> per_batch(batches.size());
+  for (size_t b = 0; b < batches.size(); ++b) {
+    const int64_t first = 2 * static_cast<int64_t>(b);
+    const Tensor y = batches[b].y;
+    per_batch[b].Add(Slice(predictions, 0, first, first + 2).Data().data(),
+                     y.Data().data(), y.numel(), 0.0f);
+  }
+  ASSERT_EQ(per_batch[0].ape_count, per_batch[0].count);
+  ASSERT_LT(per_batch[1].ape_count, per_batch[1].count);
+
+  const metrics::MetricSet want = metrics::ComputeMetrics(
+      predictions, Concat({batches[0].y, batches[1].y}, 0));
+  const metrics::MetricSet got = trainer.Evaluate(&loader);
+  EXPECT_EQ(got.count, want.count);
+  EXPECT_DOUBLE_EQ(got.mae, want.mae);
+  EXPECT_DOUBLE_EQ(got.rmse, want.rmse);
+  EXPECT_DOUBLE_EQ(got.mape, want.mape);
+}
+
 TEST_F(TrainerTest, EvaluateHorizonsOrdersDegradation) {
   // After training, later horizons cannot be (much) easier than earlier
   // ones on this data; mostly this asserts the per-horizon slicing indexes
