@@ -47,6 +47,29 @@ Tensor DcgruCell::Forward(const Tensor& x, const Tensor& h,
   return Add(Mul(u, h), Mul(Sub(Tensor::Scalar(1.0f), u), c));
 }
 
+Tensor RollOutDcgru(const data::Batch& batch, const DcgruCell& encoder,
+                    const DcgruCell& decoder, const nn::Linear& out_proj,
+                    const std::vector<Tensor>& supports, int64_t output_len) {
+  const int64_t b = batch.batch_size;
+  const int64_t nodes = batch.num_nodes();
+  Tensor h = Tensor::Zeros({b, nodes, encoder.hidden_dim()});
+  for (int64_t t = 0; t < batch.input_len; ++t) {
+    const Tensor frame = Reshape(Slice(batch.x, 1, t, t + 1),
+                                 {b, nodes, data::kInputFeatures});
+    h = encoder.Forward(frame, h, supports);
+  }
+
+  Tensor prev = Tensor::Zeros({b, nodes, 1});
+  std::vector<Tensor> outputs;
+  outputs.reserve(static_cast<size_t>(output_len));
+  for (int64_t f = 0; f < output_len; ++f) {
+    h = decoder.Forward(prev, h, supports);
+    prev = out_proj.Forward(h);  // [B, N, 1]
+    outputs.push_back(prev);
+  }
+  return Stack(outputs, 1);  // [B, Tf, N, 1]
+}
+
 Dcrnn::Dcrnn(int64_t num_nodes, int64_t hidden_dim, int64_t output_len,
              const Tensor& adjacency, int64_t max_diffusion_step, Rng& rng)
     : ForecastingModel("dcrnn"),
@@ -68,28 +91,9 @@ Dcrnn::Dcrnn(int64_t num_nodes, int64_t hidden_dim, int64_t output_len,
 }
 
 Tensor Dcrnn::Forward(const data::Batch& batch) {
-  const int64_t b = batch.batch_size;
-  const int64_t steps = batch.input_len;
   D2_CHECK_EQ(batch.num_nodes(), num_nodes_);
-
-  Tensor h = Tensor::Zeros({b, num_nodes_, encoder_.hidden_dim()});
-  for (int64_t t = 0; t < steps; ++t) {
-    const Tensor frame =
-        Reshape(Slice(batch.x, 1, t, t + 1), {b, num_nodes_, data::kInputFeatures});
-    h = encoder_.Forward(frame, h, supports_);
-  }
-
-  // Autoregressive decoding (GO symbol = zeros, as in the official code's
-  // inference mode).
-  Tensor prev = Tensor::Zeros({b, num_nodes_, 1});
-  std::vector<Tensor> outputs;
-  outputs.reserve(static_cast<size_t>(output_len_));
-  for (int64_t f = 0; f < output_len_; ++f) {
-    h = decoder_.Forward(prev, h, supports_);
-    prev = out_proj_.Forward(h);  // [B, N, 1]
-    outputs.push_back(prev);
-  }
-  return Stack(outputs, 1);  // [B, Tf, N, 1]
+  return RollOutDcgru(batch, encoder_, decoder_, out_proj_, supports_,
+                      output_len_);
 }
 
 }  // namespace d2stgnn::baselines

@@ -49,6 +49,16 @@ class DcgruCell : public nn::Module {
   DiffusionConv candidate_;  // -> hidden
 };
 
+/// The DCGRU encoder-decoder roll-out of DCRNN and DGCRN: `encoder` reads
+/// the input window of `batch` frame by frame from a zero state, then
+/// `decoder` runs `output_len` steps autoregressively on its own
+/// predictions, each projected by `out_proj` (GO symbol = zeros, as in the
+/// official code's inference mode). Both cells diffuse over `supports`.
+/// Returns [B, output_len, N, 1].
+Tensor RollOutDcgru(const data::Batch& batch, const DcgruCell& encoder,
+                    const DcgruCell& decoder, const nn::Linear& out_proj,
+                    const std::vector<Tensor>& supports, int64_t output_len);
+
 /// DCRNN baseline: sequence-to-sequence DCGRU encoder-decoder modelling
 /// traffic as a diffusion process on the road graph (paper Sec. 6.1). The
 /// decoder runs autoregressively on its own predictions (scheduled sampling

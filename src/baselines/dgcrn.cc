@@ -72,23 +72,8 @@ Tensor Dgcrn::Forward(const data::Batch& batch) {
   } else {
     supports = static_supports_;
   }
-
-  Tensor h = Tensor::Zeros({b, num_nodes_, encoder_.hidden_dim()});
-  for (int64_t t = 0; t < steps; ++t) {
-    const Tensor frame =
-        Reshape(Slice(batch.x, 1, t, t + 1), {b, num_nodes_, data::kInputFeatures});
-    h = encoder_.Forward(frame, h, supports);
-  }
-
-  Tensor prev = Tensor::Zeros({b, num_nodes_, 1});
-  std::vector<Tensor> outputs;
-  outputs.reserve(static_cast<size_t>(output_len_));
-  for (int64_t f = 0; f < output_len_; ++f) {
-    h = decoder_.Forward(prev, h, supports);
-    prev = out_proj_.Forward(h);
-    outputs.push_back(prev);
-  }
-  return Stack(outputs, 1);
+  return RollOutDcgru(batch, encoder_, decoder_, out_proj_, supports,
+                      output_len_);
 }
 
 }  // namespace d2stgnn::baselines

@@ -105,9 +105,4 @@ void Rng::SetState(const RngState& state) {
   cached_normal_ = state.cached_normal;
 }
 
-Rng& GlobalRng() {
-  static Rng rng(42);
-  return rng;
-}
-
 }  // namespace d2stgnn

@@ -65,10 +65,6 @@ class Rng {
   float cached_normal_ = 0.0f;
 };
 
-/// Returns the process-wide default generator (seed 42). Prefer passing an
-/// explicit Rng; this exists for convenience in examples.
-Rng& GlobalRng();
-
 }  // namespace d2stgnn
 
 #endif  // D2STGNN_COMMON_RNG_H_

@@ -57,27 +57,21 @@ BlockOutput DiffusionBlock::Forward(
   D2_CHECK_LE(localized_supports.size(),
               conv_weight_.size() / static_cast<size_t>(k_s_));
 
-  // Eq. 5: per-offset non-linear frame transforms, computed once for the
-  // whole sequence. transformed[j] holds sigma(X W_j) where j is the offset
-  // back from the target step. The sequence is zero-padded in front so
-  // every step owns a full k_t window.
-  std::vector<Tensor> transformed;
-  transformed.reserve(static_cast<size_t>(k_t_));
+  // Eq. 5 and X^lc for every step at once, [B, T, kt*N, d]: step t stacks
+  // frames [t-kt+1 .. t] on the node axis, earliest first (matching the k_t
+  // blocks of the localized transition). The sequence is zero-padded in
+  // front so every step owns a full k_t window. Block j2 of every step is
+  // one Slice of the padded sequence, padded index t + j2 (original
+  // t - kt + 1 + j2), passed through sigma(X W_j) with j = kt - 1 - j2 the
+  // offset back from the target step; each transform runs only on the T
+  // frames its block keeps.
   const Tensor padded = PadFront(x, 1, k_t_ - 1);  // [B, T+kt-1, N, d]
-  for (int64_t j = 0; j < k_t_; ++j) {
-    transformed.push_back(Relu(frame_fc_[static_cast<size_t>(j)]->Forward(padded)));
-  }
-
-  // X^lc for every step at once, [B, T, kt*N, d]: step t stacks frames
-  // [t-kt+1 .. t] on the node axis, earliest first (matching the k_t blocks
-  // of the localized transition). Block j2 of every step is one Slice of
-  // the padded sequence: padded index t + j2 (original t - kt + 1 + j2)
-  // uses the transform with offset j = kt - 1 - j2.
   std::vector<Tensor> blocks;
   blocks.reserve(static_cast<size_t>(k_t_));
   for (int64_t j2 = 0; j2 < k_t_; ++j2) {
-    blocks.push_back(Slice(transformed[static_cast<size_t>(k_t_ - 1 - j2)], 1,
-                           j2, j2 + steps));
+    const nn::Linear& frame_fc =
+        *frame_fc_[static_cast<size_t>(k_t_ - 1 - j2)];
+    blocks.push_back(Relu(frame_fc.Forward(Slice(padded, 1, j2, j2 + steps))));
   }
   const Tensor x_lc = Concat(blocks, 2);
 

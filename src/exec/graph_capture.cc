@@ -38,12 +38,6 @@ void RecordStep(const char* op, std::vector<Tensor> inputs,
   capture->Record(std::move(recorded));
 }
 
-void MarkCaptureUnsupported(const char* reason) {
-  GraphCapture* capture = g_active_capture;
-  if (capture == nullptr) return;
-  capture->MarkUnsupported(reason);
-}
-
 }  // namespace internal
 
 GraphCapture::GraphCapture() {
@@ -84,20 +78,12 @@ void GraphCapture::Record(Recorded recorded) {
   recorded_.push_back(std::move(recorded));
 }
 
-void GraphCapture::MarkUnsupported(const char* reason) {
-  if (unsupported_.empty()) unsupported_ = reason;
-}
-
 std::shared_ptr<const ExecutionPlan> GraphCapture::Finish(
     const Tensor& output) {
   D2_CHECK(!finished_) << "GraphCapture::Finish called twice";
   finished_ = true;
   if (g_active_capture == this) g_active_capture = nullptr;
 
-  if (!unsupported_.empty()) {
-    error_ = "capture unsupported: " + unsupported_;
-    return nullptr;
-  }
   D2_CHECK(output.defined()) << "Finish: undefined output";
 
   // Producer lookup by impl address. Addresses are unique across recorded

@@ -53,11 +53,6 @@ void RecordStep(const char* op, std::vector<Tensor> inputs,
                 bool zero_output = false,
                 const std::vector<int64_t>* indices = nullptr);
 
-/// Poisons the active capture: the op being dispatched has no replay
-/// closure (e.g. Dropout in training mode). The eager result is still
-/// correct; Finish() will fail with `reason`.
-void MarkCaptureUnsupported(const char* reason);
-
 }  // namespace internal
 
 class GraphCapture {
@@ -81,8 +76,8 @@ class GraphCapture {
                       const std::vector<int64_t>& indices);
 
   /// Resolves the recorded steps against `output` and builds the plan.
-  /// Returns null if the forward used an op capture does not support or
-  /// the output was not produced by a recorded op; error() says why.
+  /// Returns null if the output was not produced by a recorded op; error()
+  /// says why.
   /// Recording stops either way; Finish may be called once.
   std::shared_ptr<const ExecutionPlan> Finish(const Tensor& output);
 
@@ -113,12 +108,10 @@ class GraphCapture {
   };
 
   void Record(Recorded recorded);
-  void MarkUnsupported(const char* reason);
 
   std::vector<Recorded> recorded_;
   std::vector<FloatBinding> float_bindings_;
   std::vector<IndexBinding> index_bindings_;
-  std::string unsupported_;
   std::string error_;
   bool finished_ = false;
 
@@ -126,7 +119,6 @@ class GraphCapture {
                                    const Tensor&,
                                    std::function<void(const StepIo&)>, bool,
                                    const std::vector<int64_t>*);
-  friend void internal::MarkCaptureUnsupported(const char*);
 };
 
 }  // namespace d2stgnn::exec

@@ -37,13 +37,6 @@ Tensor BackwardTransition(const Tensor& adjacency) {
   return RowNormalize(Transpose(adjacency, 0, 1));
 }
 
-Tensor MatrixPower(const Tensor& p, int64_t k) {
-  D2_CHECK_GE(k, 1);
-  Tensor result = p;
-  for (int64_t i = 1; i < k; ++i) result = MatMul(result, p);
-  return result;
-}
-
 std::vector<Tensor> TransitionPowers(const Tensor& p, int64_t k_max) {
   D2_CHECK_GE(k_max, 1);
   std::vector<Tensor> powers;

@@ -14,9 +14,6 @@ Tensor ForwardTransition(const Tensor& adjacency);
 /// Backward transition matrix P_b = A^T / rowsum(A^T).
 Tensor BackwardTransition(const Tensor& adjacency);
 
-/// P^k by repeated (differentiable) matrix multiplication; k >= 1.
-Tensor MatrixPower(const Tensor& p, int64_t k);
-
 /// Returns {P^1, ..., P^k_max}. Differentiable (used for the self-adaptive
 /// transition matrix P_apt whose entries carry gradients).
 std::vector<Tensor> TransitionPowers(const Tensor& p, int64_t k_max);

@@ -29,7 +29,7 @@ InferenceSession::InferenceSession(
     std::unique_ptr<train::ForecastingModel> model,
     const data::StandardScaler& scaler, const SessionOptions& options)
     : model_(std::move(model)), scaler_(scaler), options_(options) {
-  model_->SetTraining(false);  // frozen: no dropout, no tape (see Predict)
+  model_->SetTraining(false);  // frozen: inference mode, no tape (see Predict)
   if (options_.use_arena) arena_ = std::make_shared<BufferArena>();
 }
 

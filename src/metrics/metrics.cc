@@ -104,35 +104,4 @@ Tensor MaskedMaeLoss(const Tensor& prediction, const Tensor& truth,
   return MulScalar(Sum(Mul(abs_err, mask)), 1.0f / static_cast<float>(valid));
 }
 
-Tensor MseLoss(const Tensor& prediction, const Tensor& truth) {
-  D2_CHECK(prediction.shape() == truth.shape());
-  Tensor diff = Sub(prediction, truth);
-  return Mean(Mul(diff, diff));
-}
-
-Tensor MaskedHuberLoss(const Tensor& prediction, const Tensor& truth,
-                       float delta, float null_value) {
-  D2_CHECK(prediction.shape() == truth.shape());
-  D2_CHECK_GT(delta, 0.0f);
-  std::vector<float> mask_data(truth.Data().size());
-  double valid = 0.0;
-  const std::vector<float>& t = truth.Data();
-  for (size_t i = 0; i < t.size(); ++i) {
-    mask_data[i] = (t[i] == null_value) ? 0.0f : 1.0f;
-    valid += mask_data[i];
-  }
-  if (valid == 0.0) return Sum(MulScalar(prediction, 0.0f));
-  Tensor mask(truth.shape(), std::move(mask_data));
-
-  // huber(e) = 0.5 e^2                for |e| <= delta
-  //          = delta (|e| - delta/2)  otherwise
-  // expressed with Clamp: 0.5 c^2 + delta (|e| - |c|) with c = clamp(e).
-  const Tensor err = Sub(prediction, truth);
-  const Tensor clamped = Clamp(err, -delta, delta);
-  const Tensor quadratic = MulScalar(Mul(clamped, clamped), 0.5f);
-  const Tensor linear = MulScalar(Sub(Abs(err), Abs(clamped)), delta);
-  const Tensor loss = Add(quadratic, linear);
-  return MulScalar(Sum(Mul(loss, mask)), 1.0f / static_cast<float>(valid));
-}
-
 }  // namespace d2stgnn::metrics

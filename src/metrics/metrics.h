@@ -45,10 +45,6 @@ MetricSet ComputeMetrics(const Tensor& prediction, const Tensor& truth,
 Tensor MaskedMaeLoss(const Tensor& prediction, const Tensor& truth,
                      float null_value = 0.0f);
 
-/// Differentiable (unmasked) mean-squared-error loss, for baselines that
-/// train on MSE.
-Tensor MseLoss(const Tensor& prediction, const Tensor& truth);
-
 /// The `pct`-th percentile (0..100) of `samples` with linear interpolation
 /// between order statistics (the "linear"/type-7 estimator NumPy defaults
 /// to). 0 for an empty sample vector. Does not require sorted input.
@@ -68,13 +64,6 @@ struct LatencyStats {
 /// Computes LatencyStats over `samples` (any unit; callers pass ms). All
 /// zeros for an empty vector.
 LatencyStats SummarizeLatencies(const std::vector<double>& samples);
-
-/// Differentiable masked Huber (smooth-L1) loss with threshold `delta`:
-/// quadratic within |err| <= delta, linear outside. Some traffic baselines
-/// (e.g. DGCRN's benchmark code) train flow datasets with it because flow
-/// outliers otherwise dominate.
-Tensor MaskedHuberLoss(const Tensor& prediction, const Tensor& truth,
-                       float delta = 1.0f, float null_value = 0.0f);
 
 }  // namespace d2stgnn::metrics
 

@@ -38,8 +38,4 @@ Tensor XavierNormal(const Shape& shape, Rng& rng, float gain) {
   return Tensor::Randn(shape, rng, 0.0f, stddev);
 }
 
-Tensor UniformInit(const Shape& shape, Rng& rng, float bound) {
-  return Tensor::Rand(shape, rng, -bound, bound);
-}
-
 }  // namespace d2stgnn::nn

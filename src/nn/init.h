@@ -15,9 +15,6 @@ Tensor XavierUniform(const Shape& shape, Rng& rng, float gain = 1.0f);
 /// Xavier/Glorot normal initialization: N(0, gain^2 * 2/(fan_in+fan_out)).
 Tensor XavierNormal(const Shape& shape, Rng& rng, float gain = 1.0f);
 
-/// Uniform in [-bound, bound].
-Tensor UniformInit(const Shape& shape, Rng& rng, float bound);
-
 }  // namespace d2stgnn::nn
 
 #endif  // D2STGNN_NN_INIT_H_

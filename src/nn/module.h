@@ -40,7 +40,7 @@ class Module {
   /// Clears the gradients of every parameter in the tree.
   void ZeroGrad();
 
-  /// Switches training mode (affects dropout etc.) for the whole tree.
+  /// Switches training mode for the whole tree.
   void SetTraining(bool training);
 
   /// True while in training mode (the default).

@@ -15,7 +15,7 @@ namespace d2stgnn::optim {
 /// state vectors (e.g. Adam's first/second moments), one inner vector per
 /// parameter, each sized like the parameter it tracks.
 struct OptimizerState {
-  std::string type;  ///< "adam", "sgd", ...
+  std::string type;  ///< optimizer kind, e.g. "adam"
   int64_t step_count = 0;
   float learning_rate = 0.0f;
   std::vector<std::pair<std::string, std::vector<std::vector<float>>>> slots;

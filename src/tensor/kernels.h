@@ -185,17 +185,6 @@ double ReduceSumAll(const KernelBackend& backend, const float* a, int64_t n);
 void ReduceSumDim(const KernelBackend& backend, const float* a, float* out,
                   int64_t outer, int64_t size, int64_t inner);
 
-/// Extremum over the middle extent: sign = +1 for max, -1 for min. Writes
-/// the winning value to `out` and the first winning middle-index to `arg`.
-/// Comparison-only — shared across backends.
-void ExtremumDim(const float* a, float* out, int64_t* arg, int64_t outer,
-                 int64_t size, int64_t inner, float sign);
-
-/// Scatters `g` back through ExtremumDim: grad[o, arg[o,i], i] += g[o, i].
-/// `grad` must be zero-filled.
-void ExtremumDimGrad(const float* g, const int64_t* arg, float* grad,
-                     int64_t outer, int64_t size, int64_t inner);
-
 // ---------------------------------------------------------------------------
 // Softmax.
 

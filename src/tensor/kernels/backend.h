@@ -18,36 +18,26 @@
 
 namespace d2stgnn::kernels {
 
-/// Elementwise unary ops routed through the backend table. Parameters (the
-/// scalar of AddScalar, the slope of LeakyRelu, the clamp bounds) travel in
-/// UnaryParams so the closure crossing the table stays a plain function
-/// pointer.
+/// Elementwise unary ops routed through the backend table. The scalar of
+/// AddScalar and MulScalar travels in UnaryParams so the closure crossing the
+/// table stays a plain function pointer.
 enum class UnaryKind : int {
-  kAddScalar,   // x + p0
-  kMulScalar,   // x * p0
-  kPowScalar,   // pow(x, p0)
-  kRelu,        // x > 0 ? x : 0
-  kLeakyRelu,   // x > 0 ? x : p0 * x
-  kSigmoid,     // 1 / (1 + exp(-x)), tail-stable
-  kTanh,        // tanh(x)
-  kExp,         // exp(x)
-  kLog,         // log(x)
-  kSqrt,        // sqrt(x)
-  kAbs,         // |x|
-  kGelu,        // tanh-approximated GELU
-  kClamp,       // min(p1, max(p0, x))
+  kAddScalar,  // x + p0
+  kMulScalar,  // x * p0
+  kRelu,       // x > 0 ? x : 0
+  kSigmoid,    // 1 / (1 + exp(-x)), tail-stable
+  kTanh,       // tanh(x)
+  kAbs,        // |x|
 };
 
 enum class BinaryKind : int {
   kAdd,  // x + y
   kSub,  // x - y
   kMul,  // x * y
-  kDiv,  // x / y
 };
 
 struct UnaryParams {
   float p0 = 0.0f;
-  float p1 = 0.0f;
 };
 
 /// Serial range kernels of one backend. All pointers are non-null (a backend
@@ -107,14 +97,10 @@ struct KernelBackend {
 
 /// Max units-in-last-place divergence per element for a unary op. 0 means
 /// bitwise parity (the op is an exactly-rounded instruction sequence).
-/// PowScalar delegates to scalar in every backend, hence 0.
 inline constexpr int UnaryMaxUlp(UnaryKind kind) {
   switch (kind) {
     case UnaryKind::kSigmoid:
     case UnaryKind::kTanh:
-    case UnaryKind::kExp:
-    case UnaryKind::kLog:
-    case UnaryKind::kGelu:
       return 8;  // polynomial vector-math approximations
     default:
       return 0;

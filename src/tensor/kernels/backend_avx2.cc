@@ -8,17 +8,16 @@
 //
 // Accuracy contract (enforced by kernel_backend_test against the tolerance
 // table in backend.h):
-//  - add/sub/mul/div/sqrt/abs/relu/leaky-relu/clamp/add-scalar/mul-scalar,
-//    bias_add and reduce_sum_dim are exactly-rounded instruction sequences in
-//    scalar per-element order — bitwise identical to the scalar backend.
-//  - exp/log/sigmoid/tanh/gelu use Cephes-style polynomial vector math with a
-//    declared max-ulp bound. Remainder lanes use masked loads/stores of the
-//    same vector formula — never a scalar-libm fallback — so per-element
-//    results are independent of where a chunk boundary falls.
+//  - add/sub/mul/abs/relu/add-scalar/mul-scalar, bias_add and
+//    reduce_sum_dim are exactly-rounded instruction sequences in scalar
+//    per-element order — bitwise identical to the scalar backend.
+//  - sigmoid/tanh (and softmax's exp) use Cephes-style polynomial vector
+//    math with a declared max-ulp bound. Remainder lanes use masked
+//    loads/stores of the same vector formula — never a scalar-libm
+//    fallback — so per-element results are independent of where a chunk
+//    boundary falls.
 //  - matmul uses FMA accumulation (one rounding where scalar has two) and
 //    reduce_sum uses four double lanes; both carry relative tolerances.
-//  - pow-scalar delegates to the scalar backend (std::pow semantics are not
-//    worth re-deriving in vector form).
 // Inputs are assumed finite; NaN/Inf propagation in the polynomial paths is
 // unspecified (the denormal tail of exp flushes to zero).
 
@@ -27,7 +26,6 @@
 #include <immintrin.h>
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "common/align.h"
@@ -82,54 +80,6 @@ inline __m256 ExpPs(__m256 x) {
   return _mm256_andnot_ps(underflow, y);
 }
 
-/// log(x) via exponent extraction and a degree-9 polynomial on the mantissa.
-/// log(0) = -inf and log(x < 0) = NaN, matching std::log.
-inline __m256 LogPs(__m256 x) {
-  const __m256 one = _mm256_set1_ps(1.0f);
-  const __m256 zero = _mm256_setzero_ps();
-  const __m256 is_zero = _mm256_cmp_ps(x, zero, _CMP_EQ_OQ);
-  const __m256 is_neg = _mm256_cmp_ps(x, zero, _CMP_LT_OQ);
-
-  x = _mm256_max_ps(x, _mm256_set1_ps(1.17549435e-38f));
-  __m256i xi = _mm256_castps_si256(x);
-  __m256 e = _mm256_cvtepi32_ps(_mm256_sub_epi32(
-      _mm256_srli_epi32(xi, 23), _mm256_set1_epi32(127)));
-  e = _mm256_add_ps(e, one);
-  // Mantissa in [0.5, 1).
-  x = _mm256_and_ps(x,
-                    _mm256_castsi256_ps(_mm256_set1_epi32(~0x7f800000)));
-  x = _mm256_or_ps(x, _mm256_set1_ps(0.5f));
-
-  const __m256 below = _mm256_cmp_ps(
-      x, _mm256_set1_ps(0.707106781186547524f), _CMP_LT_OQ);
-  const __m256 shifted = _mm256_and_ps(x, below);
-  x = _mm256_sub_ps(x, one);
-  e = _mm256_sub_ps(e, _mm256_and_ps(one, below));
-  x = _mm256_add_ps(x, shifted);
-
-  const __m256 z = _mm256_mul_ps(x, x);
-  __m256 y = _mm256_set1_ps(7.0376836292e-2f);
-  y = _mm256_fmadd_ps(y, x, _mm256_set1_ps(-1.1514610310e-1f));
-  y = _mm256_fmadd_ps(y, x, _mm256_set1_ps(1.1676998740e-1f));
-  y = _mm256_fmadd_ps(y, x, _mm256_set1_ps(-1.2420140846e-1f));
-  y = _mm256_fmadd_ps(y, x, _mm256_set1_ps(1.4249322787e-1f));
-  y = _mm256_fmadd_ps(y, x, _mm256_set1_ps(-1.6668057665e-1f));
-  y = _mm256_fmadd_ps(y, x, _mm256_set1_ps(2.0000714765e-1f));
-  y = _mm256_fmadd_ps(y, x, _mm256_set1_ps(-2.4999993993e-1f));
-  y = _mm256_fmadd_ps(y, x, _mm256_set1_ps(3.3333331174e-1f));
-  y = _mm256_mul_ps(_mm256_mul_ps(y, x), z);
-  y = _mm256_fmadd_ps(e, _mm256_set1_ps(-2.12194440e-4f), y);
-  y = _mm256_fnmadd_ps(z, _mm256_set1_ps(0.5f), y);
-  x = _mm256_add_ps(x, y);
-  x = _mm256_fmadd_ps(e, _mm256_set1_ps(0.693359375f), x);
-
-  x = _mm256_blendv_ps(x, _mm256_set1_ps(
-                              -std::numeric_limits<float>::infinity()),
-                       is_zero);
-  return _mm256_blendv_ps(
-      x, _mm256_set1_ps(std::numeric_limits<float>::quiet_NaN()), is_neg);
-}
-
 /// tanh(x): odd polynomial below |x| = 0.625, 1 - 2/(exp(2|x|)+1) above —
 /// the small-|x| polynomial avoids the cancellation the exp identity has
 /// near zero.
@@ -169,18 +119,6 @@ inline __m256 SigmoidPs(__m256 x) {
   const __m256 nonneg =
       _mm256_cmp_ps(x, _mm256_setzero_ps(), _CMP_GE_OQ);
   return _mm256_blendv_ps(neg, pos, nonneg);
-}
-
-/// tanh-approximated GELU, same constants as the scalar reference.
-inline __m256 GeluPs(__m256 x) {
-  const __m256 x3 = _mm256_mul_ps(_mm256_mul_ps(x, x), x);
-  const __m256 inner = _mm256_mul_ps(
-      _mm256_set1_ps(0.7978845608f),
-      _mm256_add_ps(x, _mm256_mul_ps(_mm256_set1_ps(0.044715f), x3)));
-  const __m256 t = TanhPs(inner);
-  return _mm256_mul_ps(
-      _mm256_mul_ps(_mm256_set1_ps(0.5f), x),
-      _mm256_add_ps(_mm256_set1_ps(1.0f), t));
 }
 
 // ---------------------------------------------------------------------------
@@ -238,49 +176,19 @@ void Avx2EwiseUnary(UnaryKind kind, UnaryParams params, const float* a,
         return _mm256_max_ps(x, zero);
       });
     }
-    case UnaryKind::kLeakyRelu: {
-      const __m256 slope = _mm256_set1_ps(params.p0);
-      const __m256 zero = _mm256_setzero_ps();
-      return RunUnaryV(a, out, begin, end, [slope, zero](__m256 x) {
-        const __m256 pos = _mm256_cmp_ps(x, zero, _CMP_GT_OQ);
-        return _mm256_blendv_ps(_mm256_mul_ps(slope, x), x, pos);
-      });
-    }
     case UnaryKind::kSigmoid:
       return RunUnaryV(a, out, begin, end,
                        [](__m256 x) { return SigmoidPs(x); });
     case UnaryKind::kTanh:
       return RunUnaryV(a, out, begin, end,
                        [](__m256 x) { return TanhPs(x); });
-    case UnaryKind::kExp:
-      return RunUnaryV(a, out, begin, end,
-                       [](__m256 x) { return ExpPs(x); });
-    case UnaryKind::kLog:
-      return RunUnaryV(a, out, begin, end,
-                       [](__m256 x) { return LogPs(x); });
-    case UnaryKind::kSqrt:
-      return RunUnaryV(a, out, begin, end,
-                       [](__m256 x) { return _mm256_sqrt_ps(x); });
     case UnaryKind::kAbs: {
       const __m256 sign_bit = _mm256_set1_ps(-0.0f);
       return RunUnaryV(a, out, begin, end, [sign_bit](__m256 x) {
         return _mm256_andnot_ps(sign_bit, x);
       });
     }
-    case UnaryKind::kGelu:
-      return RunUnaryV(a, out, begin, end,
-                       [](__m256 x) { return GeluPs(x); });
-    case UnaryKind::kClamp: {
-      const __m256 lo = _mm256_set1_ps(params.p0);
-      const __m256 hi = _mm256_set1_ps(params.p1);
-      return RunUnaryV(a, out, begin, end, [lo, hi](__m256 x) {
-        return _mm256_min_ps(hi, _mm256_max_ps(x, lo));
-      });
-    }
-    case UnaryKind::kPowScalar:
-      break;  // std::pow semantics — delegate to the reference.
   }
-  ScalarBackend().ewise_unary(kind, params, a, out, begin, end);
 }
 
 void Avx2EwiseBinary(BinaryKind kind, const float* a, const float* b,
@@ -297,10 +205,6 @@ void Avx2EwiseBinary(BinaryKind kind, const float* a, const float* b,
     case BinaryKind::kMul:
       return RunBinaryV(a, b, out, begin, end, [](__m256 x, __m256 y) {
         return _mm256_mul_ps(x, y);
-      });
-    case BinaryKind::kDiv:
-      return RunBinaryV(a, b, out, begin, end, [](__m256 x, __m256 y) {
-        return _mm256_div_ps(x, y);
       });
   }
 }

@@ -26,21 +26,14 @@ void RunUnary(const float* a, float* out, int64_t begin, int64_t end, Fn fn) {
 void ScalarEwiseUnary(UnaryKind kind, UnaryParams params, const float* a,
                       float* out, int64_t begin, int64_t end) {
   const float p0 = params.p0;
-  const float p1 = params.p1;
   switch (kind) {
     case UnaryKind::kAddScalar:
       return RunUnary(a, out, begin, end, [p0](float x) { return x + p0; });
     case UnaryKind::kMulScalar:
       return RunUnary(a, out, begin, end, [p0](float x) { return x * p0; });
-    case UnaryKind::kPowScalar:
-      return RunUnary(a, out, begin, end,
-                      [p0](float x) { return std::pow(x, p0); });
     case UnaryKind::kRelu:
       return RunUnary(a, out, begin, end,
                       [](float x) { return x > 0.0f ? x : 0.0f; });
-    case UnaryKind::kLeakyRelu:
-      return RunUnary(a, out, begin, end,
-                      [p0](float x) { return x > 0.0f ? x : p0 * x; });
     case UnaryKind::kSigmoid:
       return RunUnary(a, out, begin, end, [](float x) {
         // Stable in both tails.
@@ -51,30 +44,9 @@ void ScalarEwiseUnary(UnaryKind kind, UnaryParams params, const float* a,
     case UnaryKind::kTanh:
       return RunUnary(a, out, begin, end,
                       [](float x) { return std::tanh(x); });
-    case UnaryKind::kExp:
-      return RunUnary(a, out, begin, end,
-                      [](float x) { return std::exp(x); });
-    case UnaryKind::kLog:
-      return RunUnary(a, out, begin, end,
-                      [](float x) { return std::log(x); });
-    case UnaryKind::kSqrt:
-      return RunUnary(a, out, begin, end,
-                      [](float x) { return std::sqrt(x); });
     case UnaryKind::kAbs:
       return RunUnary(a, out, begin, end,
                       [](float x) { return std::fabs(x); });
-    case UnaryKind::kGelu:
-      return RunUnary(a, out, begin, end, [](float x) {
-        // tanh approximation: 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3))).
-        constexpr float kC = 0.7978845608f;  // sqrt(2/pi)
-        constexpr float kCubic = 0.044715f;
-        const float inner = kC * (x + kCubic * x * x * x);
-        return 0.5f * x * (1.0f + std::tanh(inner));
-      });
-    case UnaryKind::kClamp:
-      return RunUnary(a, out, begin, end, [p0, p1](float x) {
-        return std::min(p1, std::max(p0, x));
-      });
   }
 }
 
@@ -89,9 +61,6 @@ void ScalarEwiseBinary(BinaryKind kind, const float* a, const float* b,
       return;
     case BinaryKind::kMul:
       for (int64_t i = begin; i < end; ++i) out[i] = a[i] * b[i];
-      return;
-    case BinaryKind::kDiv:
-      for (int64_t i = begin; i < end; ++i) out[i] = a[i] / b[i];
       return;
   }
 }

@@ -218,9 +218,6 @@ void EwiseBinaryBroadcast(const KernelBackend& backend, BinaryKind kind,
     case BinaryKind::kMul:
       BroadcastWalk(std::multiplies<float>(), w, a, b, out, n);
       return;
-    case BinaryKind::kDiv:
-      BroadcastWalk(std::divides<float>(), w, a, b, out, n);
-      return;
   }
 }
 
@@ -416,41 +413,6 @@ void ReduceSumDim(const KernelBackend& backend, const float* a, float* out,
     for (int64_t o = lo; o < hi; ++o) {
       backend.reduce_sum_dim_slice(a + o * size * inner, out + o * inner,
                                    size, inner);
-    }
-  });
-}
-
-void ExtremumDim(const float* a, float* out, int64_t* arg, int64_t outer,
-                 int64_t size, int64_t inner, float sign) {
-  ParallelFor(0, outer, OuterGrain(size * inner), [&](int64_t lo, int64_t hi) {
-    for (int64_t o = lo; o < hi; ++o) {
-      for (int64_t i = 0; i < inner; ++i) {
-        const int64_t base = o * size * inner + i;
-        float best = a[base];
-        int64_t best_s = 0;
-        for (int64_t s = 1; s < size; ++s) {
-          const float v = a[base + s * inner];
-          if (sign * v > sign * best) {
-            best = v;
-            best_s = s;
-          }
-        }
-        out[o * inner + i] = best;
-        arg[o * inner + i] = best_s;
-      }
-    }
-  });
-}
-
-void ExtremumDimGrad(const float* g, const int64_t* arg, float* grad,
-                     int64_t outer, int64_t size, int64_t inner) {
-  // Each (o, i) scatters to a distinct slot, so outer-parallelism is safe.
-  ParallelFor(0, outer, OuterGrain(size * inner), [&](int64_t lo, int64_t hi) {
-    for (int64_t o = lo; o < hi; ++o) {
-      for (int64_t i = 0; i < inner; ++i) {
-        const int64_t flat = o * inner + i;
-        grad[o * size * inner + arg[flat] * inner + i] += g[flat];
-      }
     }
   });
 }

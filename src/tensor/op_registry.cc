@@ -28,8 +28,8 @@ Tensor WeightedSum(const Tensor& t) {
   return Sum(Mul(t, FixedWeights(t.shape())));
 }
 
-// Leaf with |value| in [0.6, 1.4] and random sign: clear of the kinks and
-// poles at 0 that Relu/Abs/Div/Log-style ops have, at the default eps=1e-2.
+// Leaf with |value| in [0.6, 1.4] and random sign: clear of the kinks at 0
+// that Relu/Abs-style ops have, at the default eps=1e-2.
 Tensor SignedLeaf(const Shape& shape, Rng& rng) {
   Tensor t = Tensor::Rand(shape, rng, 0.6f, 1.4f);
   for (float& v : t.Data()) {
@@ -38,13 +38,8 @@ Tensor SignedLeaf(const Shape& shape, Rng& rng) {
   return t.SetRequiresGrad(true);
 }
 
-// Leaf with values in [0.5, 1.5] (for Log, Sqrt, PowScalar, Div divisors).
-Tensor PositiveLeaf(const Shape& shape, Rng& rng) {
-  return Tensor::Rand(shape, rng, 0.5f, 1.5f).SetRequiresGrad(true);
-}
-
 // Leaf with handpicked data, for ops whose derivative jumps at data-driven
-// thresholds (Relu, Max, Clamp, ...): entries stay several eps away from
+// thresholds (Relu, Abs): entries stay several eps away from
 // every kink so the finite difference never straddles one.
 Tensor FixedLeaf(const Shape& shape, std::vector<float> data) {
   return Tensor(shape, std::move(data)).SetRequiresGrad(true);
@@ -165,8 +160,8 @@ std::vector<std::string> ParseOpsHeaderOpNames(
 namespace {
 
 // One row per op name GraphCapture records (the Dispatch call sites in
-// ops.cc). Composed ops (Mean, Neg, Transpose, Unsqueeze, Squeeze, Stack,
-// Select, PadFront, Dropout) lower to these and never appear in plans under
+// ops.cc). Composed ops (Mean, Transpose, Unsqueeze, Squeeze, Stack,
+// Select, PadFront) lower to these and never appear in plans under
 // their own names.
 const std::map<std::string, PlanOpTraits>& PlanOpTable() {
   static const auto* table = new std::map<std::string, PlanOpTraits>{
@@ -174,28 +169,18 @@ const std::map<std::string, PlanOpTraits>& PlanOpTable() {
       {"Add", {}},
       {"Sub", {}},
       {"Mul", {}},
-      {"Div", {}},
       // Elementwise unary (scalar-parameterized included).
       {"AddScalar", {}},
       {"MulScalar", {}},
-      {"PowScalar", {}},
       {"Relu", {}},
-      {"LeakyRelu", {}},
       {"Sigmoid", {}},
       {"Tanh", {}},
-      {"Exp", {}},
-      {"Log", {}},
-      {"Sqrt", {}},
       {"Abs", {}},
-      {"Gelu", {}},
-      {"Clamp", {}},
       // Linear algebra: BatchedMatMul accumulates into its output.
       {"MatMul", {/*accumulates=*/true, /*indexed=*/false, /*pure_copy=*/false}},
       // Reductions.
       {"Sum", {}},
       {"SumDim", {}},
-      {"Max", {}},
-      {"Min", {}},
       {"Softmax", {}},
       // Shape ops. Reshape replays as a verbatim std::copy.
       {"Reshape", {/*accumulates=*/false, /*indexed=*/false, /*pure_copy=*/true}},
@@ -254,15 +239,6 @@ OpGradCheckRegistry::OpGradCheckRegistry() {
     c.loss = [a, b]() { return WeightedSum(Mul(a, b)); };
     return c;
   });
-  Register("Div", [](Rng& rng) {
-    OpGradCheckCase c;
-    c.op = "Div";
-    Tensor a = SignedLeaf({2, 3}, rng);
-    Tensor b = PositiveLeaf({3}, rng);  // divisor clear of 0
-    c.params = {a, b};
-    c.loss = [a, b]() { return WeightedSum(Div(a, b)); };
-    return c;
-  });
   Register("AddScalar", [](Rng& rng) {
     return UnaryCase("AddScalar", SignedLeaf({2, 3}, rng),
                      [](const Tensor& x) { return AddScalar(x, 0.7f); });
@@ -271,25 +247,11 @@ OpGradCheckRegistry::OpGradCheckRegistry() {
     return UnaryCase("MulScalar", SignedLeaf({2, 3}, rng),
                      [](const Tensor& x) { return MulScalar(x, -1.3f); });
   });
-  Register("PowScalar", [](Rng& rng) {
-    return UnaryCase("PowScalar", PositiveLeaf({2, 3}, rng),
-                     [](const Tensor& x) { return PowScalar(x, 1.7f); });
-  });
-
   // --- Elementwise unary ops. ---
-  Register("Neg", [](Rng& rng) {
-    return UnaryCase("Neg", SignedLeaf({2, 3}, rng),
-                     [](const Tensor& x) { return Neg(x); });
-  });
   Register("Relu", [](Rng&) {
     return UnaryCase("Relu",
                      FixedLeaf({2, 3}, {-1.2f, 0.8f, -0.4f, 1.5f, 0.6f, -0.9f}),
                      [](const Tensor& x) { return Relu(x); });
-  });
-  Register("LeakyRelu", [](Rng&) {
-    return UnaryCase("LeakyRelu",
-                     FixedLeaf({2, 3}, {-1.1f, 0.7f, -0.5f, 1.4f, 0.3f, -0.8f}),
-                     [](const Tensor& x) { return LeakyRelu(x, 0.1f); });
   });
   Register("Sigmoid", [](Rng& rng) {
     return UnaryCase("Sigmoid", SignedLeaf({2, 3}, rng),
@@ -299,34 +261,11 @@ OpGradCheckRegistry::OpGradCheckRegistry() {
     return UnaryCase("Tanh", SignedLeaf({2, 3}, rng),
                      [](const Tensor& x) { return Tanh(x); });
   });
-  Register("Exp", [](Rng& rng) {
-    return UnaryCase("Exp", SignedLeaf({2, 3}, rng),
-                     [](const Tensor& x) { return Exp(x); });
-  });
-  Register("Log", [](Rng& rng) {
-    return UnaryCase("Log", PositiveLeaf({2, 3}, rng),
-                     [](const Tensor& x) { return Log(x); });
-  });
-  Register("Sqrt", [](Rng& rng) {
-    return UnaryCase("Sqrt", PositiveLeaf({2, 3}, rng),
-                     [](const Tensor& x) { return Sqrt(x); });
-  });
   Register("Abs", [](Rng&) {
     return UnaryCase("Abs",
                      FixedLeaf({2, 3}, {-1.3f, 0.9f, -0.6f, 1.2f, 0.4f, -0.7f}),
                      [](const Tensor& x) { return Abs(x); });
   });
-  Register("Gelu", [](Rng& rng) {
-    return UnaryCase("Gelu", SignedLeaf({2, 3}, rng),
-                     [](const Tensor& x) { return Gelu(x); });
-  });
-  Register("Clamp", [](Rng&) {
-    // Entries at least 0.1 away from the clamp boundaries ±1.
-    return UnaryCase("Clamp",
-                     FixedLeaf({2, 3}, {-1.6f, -0.7f, -0.3f, 0.2f, 0.6f, 1.9f}),
-                     [](const Tensor& x) { return Clamp(x, -1.0f, 1.0f); });
-  });
-
   // --- Linear algebra. ---
   Register("MatMul", [](Rng& rng) {
     OpGradCheckCase c;
@@ -358,17 +297,6 @@ OpGradCheckRegistry::OpGradCheckRegistry() {
       return Add(Mean(x), WeightedSum(Mean(x, 0, /*keepdim=*/true)));
     };
     return c;
-  });
-  Register("Max", [](Rng&) {
-    // Entries separated by >= 0.4 so ±eps never flips the argmax.
-    return UnaryCase("Max",
-                     FixedLeaf({2, 3}, {0.9f, -1.7f, 2.3f, 0.4f, -0.8f, 1.6f}),
-                     [](const Tensor& x) { return Max(x, 1, false); });
-  });
-  Register("Min", [](Rng&) {
-    return UnaryCase("Min",
-                     FixedLeaf({2, 3}, {0.8f, -1.5f, 2.1f, 0.3f, -0.9f, 1.4f}),
-                     [](const Tensor& x) { return Min(x, 0, true); });
   });
   Register("Softmax", [](Rng& rng) {
     return UnaryCase("Softmax", SignedLeaf({2, 4}, rng),
@@ -435,7 +363,7 @@ OpGradCheckRegistry::OpGradCheckRegistry() {
                      [](const Tensor& x) { return ReduceToShape(x, {3, 1}); });
   });
 
-  // --- Indexing / regularization. ---
+  // --- Indexing. ---
   Register("EmbeddingLookup", [](Rng& rng) {
     OpGradCheckCase c;
     c.op = "EmbeddingLookup";
@@ -444,19 +372,6 @@ OpGradCheckRegistry::OpGradCheckRegistry() {
     // The repeated index 2 exercises the scatter-add in the backward.
     c.loss = [weight]() {
       return WeightedSum(EmbeddingLookup(weight, {0, 2, 2, 4}, {4}));
-    };
-    return c;
-  });
-  Register("Dropout", [](Rng& rng) {
-    OpGradCheckCase c;
-    c.op = "Dropout";
-    Tensor x = SignedLeaf({3, 4}, rng);
-    c.params = {x};
-    // A fresh fixed-seed generator per evaluation keeps the mask identical
-    // across the analytic and the perturbed re-evaluations.
-    c.loss = [x]() {
-      Rng mask_rng(123);
-      return WeightedSum(Dropout(x, 0.4f, /*training=*/true, mask_rng));
     };
     return c;
   });

@@ -28,7 +28,7 @@ struct OpGradCheckCase {
 };
 
 /// Builds a case from a seeded generator. Factories that need exact kink
-/// placement (Relu, Max, Clamp, ...) may ignore the generator and use fixed
+/// placement (Relu, Abs) may ignore the generator and use fixed
 /// data.
 using OpGradCheckFactory = std::function<OpGradCheckCase(Rng&)>;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <memory>
 #include <utility>
 
@@ -216,15 +215,14 @@ void BinaryKernel(kernels::BinaryKind kind, const float* a, const Shape& as,
   }
 }
 
-// kind(g, x) for the gradient `g` of an output of shape `out` and an
-// operand x that broadcasts to it: the kernels the op form (Mul(g, x),
-// Div(g, x)) runs, so the bits match it.
-std::vector<float> GradOp(kernels::BinaryKind kind,
-                          const std::vector<float>& g, const Shape& out,
-                          const Tensor& x) {
+// g * x for the gradient `g` of an output of shape `out` and an operand x
+// that broadcasts to it: the kernels the op form Mul(g, x) runs, so the bits
+// match it.
+std::vector<float> MulGrad(const std::vector<float>& g, const Shape& out,
+                           const Tensor& x) {
   std::vector<float> r = internal::AcquireBuffer(NumElements(out));
-  BinaryKernel(kind, g.data(), out, x.Data().data(), x.shape(), out,
-               r.data());
+  BinaryKernel(kernels::BinaryKind::kMul, g.data(), out, x.Data().data(),
+               x.shape(), out, r.data());
   return r;
 }
 
@@ -294,7 +292,7 @@ Tensor Sub(const Tensor& a, const Tensor& b) {
           const int64_t n = static_cast<int64_t>(g.size());
           std::vector<float> neg = internal::AcquireBuffer(n);
           kernels::EwiseUnary(kernels::ActiveBackend(),
-                              kernels::UnaryKind::kMulScalar, {-1.0f, 0.0f},
+                              kernels::UnaryKind::kMulScalar, {-1.0f},
                               g.data(), neg.data(), n);
           AccumulateUnbroadcast(b, std::move(neg), out.shape());
         }
@@ -307,71 +305,28 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
       [](const Tensor& out, const Tensor& a, const Tensor& b) {
         const std::vector<float>& g = out.GradData();
         const Shape& shape = out.shape();
-        const kernels::BinaryKind mul = kernels::BinaryKind::kMul;
         if (a.RequiresGrad()) {
-          AccumulateUnbroadcast(a, GradOp(mul, g, shape, b), shape);
+          AccumulateUnbroadcast(a, MulGrad(g, shape, b), shape);
         }
         if (b.RequiresGrad()) {
-          AccumulateUnbroadcast(b, GradOp(mul, g, shape, a), shape);
-        }
-      });
-}
-
-Tensor Div(const Tensor& a, const Tensor& b) {
-  return BinaryOp(
-      "Div", kernels::BinaryKind::kDiv, a, b,
-      [](const Tensor& out, const Tensor& a, const Tensor& b) {
-        if (a.RequiresGrad()) {
-          AccumulateUnbroadcast(
-              a,
-              GradOp(kernels::BinaryKind::kDiv, out.GradData(), out.shape(),
-                     b),
-              out.shape());
-        }
-        if (b.RequiresGrad()) {
-          // d/db (a/b) = -g * a / b^2, with the kernels of the op form
-          // MulScalar(Mul(g, Div(a, Mul(b, b))), -1) summed to b's shape.
-          const kernels::KernelBackend& backend = kernels::ActiveBackend();
-          const Shape& shape = out.shape();
-          const int64_t n = NumElements(shape);
-          std::vector<float> bb = internal::AcquireBuffer(b.numel());
-          kernels::EwiseBinary(backend, kernels::BinaryKind::kMul,
-                               b.Data().data(), b.Data().data(), bb.data(),
-                               b.numel());
-          std::vector<float> gb = internal::AcquireBuffer(n);
-          BinaryKernel(kernels::BinaryKind::kDiv, a.Data().data(), a.shape(),
-                       bb.data(), b.shape(), shape, gb.data());
-          kernels::EwiseBinary(backend, kernels::BinaryKind::kMul,
-                               out.GradData().data(), gb.data(), gb.data(),
-                               n);
-          kernels::EwiseUnary(backend, kernels::UnaryKind::kMulScalar,
-                              {-1.0f, 0.0f}, gb.data(), gb.data(), n);
-          AccumulateUnbroadcast(b, std::move(gb), shape);
+          AccumulateUnbroadcast(b, MulGrad(g, shape, a), shape);
         }
       });
 }
 
 Tensor AddScalar(const Tensor& a, float s) {
-  return UnaryOp("AddScalar", kernels::UnaryKind::kAddScalar, {s, 0.0f}, a,
+  return UnaryOp("AddScalar", kernels::UnaryKind::kAddScalar, {s}, a,
                  [](float, float, float g) { return g; });
 }
 
 Tensor MulScalar(const Tensor& a, float s) {
-  return UnaryOp("MulScalar", kernels::UnaryKind::kMulScalar, {s, 0.0f}, a,
+  return UnaryOp("MulScalar", kernels::UnaryKind::kMulScalar, {s}, a,
                  [s](float, float, float g) { return g * s; });
-}
-
-Tensor PowScalar(const Tensor& a, float exponent) {
-  return UnaryOp("PowScalar", kernels::UnaryKind::kPowScalar,
-                 {exponent, 0.0f}, a, [exponent](float x, float, float g) {
-                   return g * exponent * std::pow(x, exponent - 1.0f);
-                 });
 }
 
 Tensor operator+(const Tensor& a, const Tensor& b) { return Add(a, b); }
 Tensor operator-(const Tensor& a, const Tensor& b) { return Sub(a, b); }
 Tensor operator*(const Tensor& a, const Tensor& b) { return Mul(a, b); }
-Tensor operator/(const Tensor& a, const Tensor& b) { return Div(a, b); }
 Tensor operator+(const Tensor& a, float s) { return AddScalar(a, s); }
 Tensor operator-(const Tensor& a, float s) { return AddScalar(a, -s); }
 Tensor operator*(const Tensor& a, float s) { return MulScalar(a, s); }
@@ -381,25 +336,14 @@ Tensor operator-(float s, const Tensor& a) {
   return AddScalar(MulScalar(a, -1.0f), s);
 }
 Tensor operator*(float s, const Tensor& a) { return MulScalar(a, s); }
-Tensor operator-(const Tensor& a) { return Neg(a); }
 
 // ---------------------------------------------------------------------------
 // Unary ops.
-
-Tensor Neg(const Tensor& a) { return MulScalar(a, -1.0f); }
 
 Tensor Relu(const Tensor& a) {
   return UnaryOp(
       "Relu", kernels::UnaryKind::kRelu, {}, a,
       [](float x, float, float g) { return x > 0.0f ? g : 0.0f; });
-}
-
-Tensor LeakyRelu(const Tensor& a, float negative_slope) {
-  return UnaryOp("LeakyRelu", kernels::UnaryKind::kLeakyRelu,
-                 {negative_slope, 0.0f}, a,
-                 [negative_slope](float x, float, float g) {
-                   return x > 0.0f ? g : negative_slope * g;
-                 });
 }
 
 Tensor Sigmoid(const Tensor& a) {
@@ -414,49 +358,10 @@ Tensor Tanh(const Tensor& a) {
       [](float, float y, float g) { return g * (1.0f - y * y); });
 }
 
-Tensor Exp(const Tensor& a) {
-  return UnaryOp("Exp", kernels::UnaryKind::kExp, {}, a,
-                 [](float, float y, float g) { return g * y; });
-}
-
-Tensor Log(const Tensor& a) {
-  return UnaryOp("Log", kernels::UnaryKind::kLog, {}, a,
-                 [](float x, float, float g) { return g / x; });
-}
-
-Tensor Sqrt(const Tensor& a) {
-  return UnaryOp(
-      "Sqrt", kernels::UnaryKind::kSqrt, {}, a,
-      [](float, float y, float g) { return y > 0.0f ? 0.5f * g / y : 0.0f; });
-}
-
 Tensor Abs(const Tensor& a) {
   return UnaryOp("Abs", kernels::UnaryKind::kAbs, {}, a,
                  [](float x, float, float g) {
                    return x > 0.0f ? g : (x < 0.0f ? -g : 0.0f);
-                 });
-}
-
-Tensor Gelu(const Tensor& a) {
-  // tanh approximation: 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3))).
-  constexpr float kC = 0.7978845608f;  // sqrt(2/pi)
-  constexpr float kCubic = 0.044715f;
-  return UnaryOp(
-      "Gelu", kernels::UnaryKind::kGelu, {}, a,
-      [](float x, float, float g) {
-        const float inner = kC * (x + kCubic * x * x * x);
-        const float t = std::tanh(inner);
-        const float d_inner = kC * (1.0f + 3.0f * kCubic * x * x);
-        return g * (0.5f * (1.0f + t) +
-                    0.5f * x * (1.0f - t * t) * d_inner);
-      });
-}
-
-Tensor Clamp(const Tensor& a, float lo, float hi) {
-  D2_CHECK_LE(lo, hi);
-  return UnaryOp("Clamp", kernels::UnaryKind::kClamp, {lo, hi}, a,
-                 [lo, hi](float x, float, float g) {
-                   return (x >= lo && x <= hi) ? g : 0.0f;
                  });
 }
 
@@ -609,65 +514,6 @@ Tensor Mean(const Tensor& a, int64_t dim, bool keepdim) {
   const int64_t size = a.size(d);
   D2_CHECK_GT(size, 0);
   return MulScalar(Sum(a, d, keepdim), 1.0f / static_cast<float>(size));
-}
-
-namespace {
-
-// Shared extremum reduction: sign = +1 for Max, -1 for Min. Gradient flows
-// to the first extremal element of each reduced slice.
-//
-// The forward closure writes its argmax into a scratch it owns and reuses
-// across replays (one executor never runs concurrently with itself). The
-// backward recomputes the argmax from the input instead of reading that
-// scratch, so a replay of a captured plan cannot change the gradient of
-// the eager result it was captured from.
-Tensor ExtremumDim(const char* name, const Tensor& a, int64_t dim,
-                   bool keepdim, float sign) {
-  D2_CHECK(a.defined());
-  const int64_t d = NormalizeDim(dim, a.dim());
-  int64_t outer, size, inner;
-  SplitAtDim(a.shape(), d, &outer, &size, &inner);
-  D2_CHECK_GT(size, 0);
-
-  Shape out_shape = a.shape();
-  if (keepdim) {
-    out_shape[static_cast<size_t>(d)] = 1;
-  } else {
-    out_shape.erase(out_shape.begin() + d);
-  }
-
-  auto arg = std::make_shared<std::vector<int64_t>>(
-      static_cast<size_t>(outer * inner));
-  const Shape in_shape = a.shape();
-  return Dispatch(
-      name, out_shape, {a},
-      [outer, size, inner, sign, arg](const exec::StepIo& io) {
-        kernels::ExtremumDim(io.inputs[0], io.output, arg->data(), outer,
-                             size, inner, sign);
-      },
-      [a, outer, size, inner, sign, in_shape](const Tensor& output) {
-        if (!a.RequiresGrad()) return;
-        std::vector<int64_t> arg(static_cast<size_t>(outer * inner));
-        std::vector<float> extremum = internal::AcquireBuffer(outer * inner);
-        kernels::ExtremumDim(a.Data().data(), extremum.data(), arg.data(),
-                             outer, size, inner, sign);
-        // AcquireBuffer zero-fills; the scatter kernel needs that.
-        std::vector<float> grad =
-            internal::AcquireBuffer(NumElements(in_shape));
-        kernels::ExtremumDimGrad(output.GradData().data(), arg.data(),
-                                 grad.data(), outer, size, inner);
-        AccumulateGrad(a, std::move(grad));
-      });
-}
-
-}  // namespace
-
-Tensor Max(const Tensor& a, int64_t dim, bool keepdim) {
-  return ExtremumDim("Max", a, dim, keepdim, 1.0f);
-}
-
-Tensor Min(const Tensor& a, int64_t dim, bool keepdim) {
-  return ExtremumDim("Min", a, dim, keepdim, -1.0f);
 }
 
 Tensor Softmax(const Tensor& a, int64_t dim) {
@@ -964,7 +810,7 @@ Tensor PadFront(const Tensor& a, int64_t dim, int64_t count) {
 }
 
 // ---------------------------------------------------------------------------
-// Indexing / regularization.
+// Indexing.
 
 Tensor EmbeddingLookup(const Tensor& weight,
                        const std::vector<int64_t>& indices,
@@ -1008,24 +854,6 @@ Tensor EmbeddingLookup(const Tensor& weight,
         AccumulateGrad(weight, std::move(grad));
       },
       /*zero_output=*/false, &indices);
-}
-
-Tensor Dropout(const Tensor& a, float p, bool training, Rng& rng) {
-  D2_CHECK(a.defined());
-  D2_CHECK_GE(p, 0.0f);
-  D2_CHECK_LT(p, 1.0f);
-  if (!training || p == 0.0f) return a;
-  // A fresh mask per call cannot be baked into a plan; the identity path
-  // above (inference) captures fine.
-  exec::internal::MarkCaptureUnsupported("Dropout with training=true");
-  const float scale = 1.0f / (1.0f - p);
-  // Mask generation stays serial: it must consume `rng` in a reproducible
-  // order regardless of the thread count.
-  std::vector<float> mask =
-      internal::AcquireBuffer(static_cast<int64_t>(a.Data().size()));
-  for (auto& m : mask) m = rng.Uniform() < p ? 0.0f : scale;
-  Tensor mask_tensor(a.shape(), std::move(mask));
-  return Mul(a, mask_tensor);
 }
 
 }  // namespace d2stgnn

@@ -3,7 +3,6 @@
 
 #include <vector>
 
-#include "common/rng.h"
 #include "tensor/tensor.h"
 
 // Differentiable tensor operations. All functions return new tensors and,
@@ -30,17 +29,14 @@ Tensor ReduceToShape(const Tensor& t, const Shape& target);
 Tensor Add(const Tensor& a, const Tensor& b);
 Tensor Sub(const Tensor& a, const Tensor& b);
 Tensor Mul(const Tensor& a, const Tensor& b);
-Tensor Div(const Tensor& a, const Tensor& b);
 
-/// a + s, a * s, a ** e applied elementwise with a scalar.
+/// a + s and a * s applied elementwise with a scalar.
 Tensor AddScalar(const Tensor& a, float s);
 Tensor MulScalar(const Tensor& a, float s);
-Tensor PowScalar(const Tensor& a, float exponent);
 
 Tensor operator+(const Tensor& a, const Tensor& b);
 Tensor operator-(const Tensor& a, const Tensor& b);
 Tensor operator*(const Tensor& a, const Tensor& b);
-Tensor operator/(const Tensor& a, const Tensor& b);
 Tensor operator+(const Tensor& a, float s);
 Tensor operator-(const Tensor& a, float s);
 Tensor operator*(const Tensor& a, float s);
@@ -48,27 +44,14 @@ Tensor operator/(const Tensor& a, float s);
 Tensor operator+(float s, const Tensor& a);
 Tensor operator-(float s, const Tensor& a);
 Tensor operator*(float s, const Tensor& a);
-Tensor operator-(const Tensor& a);
 
 // ---------------------------------------------------------------------------
 // Elementwise unary ops.
 
-Tensor Neg(const Tensor& a);
 Tensor Relu(const Tensor& a);
-Tensor LeakyRelu(const Tensor& a, float negative_slope = 0.01f);
 Tensor Sigmoid(const Tensor& a);
 Tensor Tanh(const Tensor& a);
-Tensor Exp(const Tensor& a);
-Tensor Log(const Tensor& a);
-Tensor Sqrt(const Tensor& a);
 Tensor Abs(const Tensor& a);
-
-/// Gaussian error linear unit (tanh approximation).
-Tensor Gelu(const Tensor& a);
-
-/// Clamps every element to [lo, hi]. Gradient is passed through inside the
-/// range and zero outside (straight-through at the boundaries).
-Tensor Clamp(const Tensor& a, float lo, float hi);
 
 // ---------------------------------------------------------------------------
 // Linear algebra.
@@ -92,13 +75,6 @@ Tensor Sum(const Tensor& a, int64_t dim, bool keepdim);
 
 /// Mean over dimension `dim`.
 Tensor Mean(const Tensor& a, int64_t dim, bool keepdim);
-
-/// Maximum over dimension `dim`. Gradient flows to the (first) argmax
-/// element of each slice.
-Tensor Max(const Tensor& a, int64_t dim, bool keepdim);
-
-/// Minimum over dimension `dim` (gradient like Max).
-Tensor Min(const Tensor& a, int64_t dim, bool keepdim);
 
 /// Numerically stable softmax along `dim`.
 Tensor Softmax(const Tensor& a, int64_t dim);
@@ -141,17 +117,13 @@ Tensor Select(const Tensor& a, int64_t dim, int64_t index);
 Tensor PadFront(const Tensor& a, int64_t dim, int64_t count);
 
 // ---------------------------------------------------------------------------
-// Indexing / regularization.
+// Indexing.
 
 /// Gathers rows of `weight` ([num_embeddings, d]) by `indices` and returns a
 /// tensor of shape index_shape + [d]. Gradients scatter-add into `weight`.
 Tensor EmbeddingLookup(const Tensor& weight,
                        const std::vector<int64_t>& indices,
                        const Shape& index_shape);
-
-/// Inverted dropout: during training zeroes entries with probability `p` and
-/// rescales survivors by 1/(1-p); identity otherwise.
-Tensor Dropout(const Tensor& a, float p, bool training, Rng& rng);
 
 }  // namespace d2stgnn
 

@@ -1,6 +1,7 @@
 #include "baselines/registry.h"
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -174,6 +175,27 @@ TEST_F(BaselineTest, EveryDeepModelForwardShapeAndBackward) {
     EXPECT_GT(grad_mass, 0.0) << name;
     EXPECT_GT(model->ParameterCount(), 0) << name;
   }
+}
+
+// DGCRN-static is the DCRNN backbone: built from the same seed, the two
+// draw the same weights and run the same DCGRU roll-out.
+TEST_F(BaselineTest, StaticDgcrnForecastsBitwiseLikeDcrnn) {
+  baselines::ModelConfig config;
+  config.num_nodes = 8;
+  config.hidden_dim = 8;
+  const data::Batch batch = loader_->GetBatch(0);
+  std::vector<std::vector<float>> forecasts;
+  for (const char* name : {"DCRNN", "DGCRN-static"}) {
+    Rng rng(77);
+    auto model = baselines::MakeModel(
+        name, config, traffic_.dataset.network.adjacency, rng);
+    NoGradGuard no_grad;
+    forecasts.push_back(model->Forward(batch).Data());
+  }
+  ASSERT_EQ(forecasts[0].size(), forecasts[1].size());
+  EXPECT_EQ(std::memcmp(forecasts[0].data(), forecasts[1].data(),
+                        forecasts[0].size() * sizeof(float)),
+            0);
 }
 
 TEST_F(BaselineTest, DeepModelsLearnOnOneBatch) {

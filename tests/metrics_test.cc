@@ -125,16 +125,5 @@ TEST(SummarizeLatenciesTest, EmptyIsAllZero) {
   EXPECT_DOUBLE_EQ(stats.max, 0.0);
 }
 
-TEST(MseLossTest, ValueAndGrad) {
-  Tensor pred({2}, {1.0f, 3.0f});
-  pred.SetRequiresGrad(true);
-  Tensor truth({2}, {0.0f, 0.0f});
-  Tensor loss = MseLoss(pred, truth);
-  EXPECT_NEAR(loss.Item(), (1.0f + 9.0f) / 2.0f, 1e-6f);
-  loss.Backward();
-  EXPECT_NEAR(pred.Grad().At(0), 1.0f, 1e-5f);  // 2 * err / n
-  EXPECT_NEAR(pred.Grad().At(1), 3.0f, 1e-5f);
-}
-
 }  // namespace
 }  // namespace d2stgnn::metrics

@@ -9,7 +9,6 @@
 #include "nn/gru_cell.h"
 #include "nn/init.h"
 #include "nn/lstm_cell.h"
-#include "nn/mlp.h"
 #include "nn/positional_encoding.h"
 #include "tensor/grad_check.h"
 #include "tensor/ops.h"
@@ -44,14 +43,6 @@ TEST(LinearLayer, GradCheck) {
   auto loss = [&] { return Sum(Mul(layer.Forward(x), layer.Forward(x))); };
   auto result = CheckGradients(loss, params, rng);
   EXPECT_TRUE(result.ok) << result.max_relative_error;
-}
-
-TEST(MlpStack, BuildsRequestedDepth) {
-  Rng rng(3);
-  Mlp mlp({6, 4, 4, 1}, rng);
-  Tensor y = mlp.Forward(Tensor::Ones({2, 6}));
-  EXPECT_EQ(y.shape(), (Shape{2, 1}));
-  EXPECT_EQ(mlp.Parameters().size(), 6u);  // 3 layers x (W, b)
 }
 
 TEST(GruCellTest, StateShapePreserved) {
@@ -175,18 +166,36 @@ TEST(PositionalEncodingTest, AddsToSequence) {
   EXPECT_NEAR(y.At({1, 2, 0}), std::sin(2.0), 1e-5);
 }
 
+// Two Linear children under one parent: the smallest module tree.
+class TwoLayer : public Module {
+ public:
+  explicit TwoLayer(Rng& rng)
+      : Module("two_layer"), first_(3, 3, rng), second_(3, 3, rng) {
+    RegisterChild(&first_);
+    RegisterChild(&second_);
+  }
+  Tensor Forward(const Tensor& x) const {
+    return second_.Forward(Relu(first_.Forward(x)));
+  }
+
+ private:
+  Linear first_;
+  Linear second_;
+};
+
 TEST(ModuleTree, ParameterAggregationAndZeroGrad) {
   Rng rng(11);
-  Mlp mlp({3, 3, 3}, rng);
+  TwoLayer net(rng);
+  EXPECT_EQ(net.Parameters().size(), 4u);  // 2 layers x (W, b)
   Tensor x = Tensor::Ones({1, 3});
-  Sum(mlp.Forward(x)).Backward();
+  Sum(net.Forward(x)).Backward();
   bool any_grad = false;
-  for (const Tensor& p : mlp.Parameters()) {
+  for (const Tensor& p : net.Parameters()) {
     if (!p.GradData().empty()) any_grad = true;
   }
   EXPECT_TRUE(any_grad);
-  mlp.ZeroGrad();
-  for (const Tensor& p : mlp.Parameters()) {
+  net.ZeroGrad();
+  for (const Tensor& p : net.Parameters()) {
     EXPECT_TRUE(p.GradData().empty());
   }
 }

@@ -61,7 +61,7 @@ TEST(OpsHeaderParserTest, ExtractsDeclarationsOnly) {
 TEST(OpGradCheckRegistryTest, CoversEveryOpDeclaredInOpsHeader) {
   const std::vector<std::string> declared =
       ParseOpsHeaderOpNames(ReadOpsHeader());
-  ASSERT_GT(declared.size(), 30u) << "ops.h parse looks broken";
+  ASSERT_GT(declared.size(), 20u) << "ops.h parse looks broken";
 
   const OpGradCheckRegistry& registry = OpGradCheckRegistry::Instance();
   const std::vector<std::string>& allowlist =

@@ -4,8 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "optim/lr_scheduler.h"
-#include "optim/sgd.h"
 #include "tensor/ops.h"
 
 namespace d2stgnn::optim {
@@ -24,22 +22,6 @@ float MinimizeQuadratic(Opt& optimizer, Tensor& w, float target,
     optimizer.Step();
   }
   return std::fabs(w.At(0) - target);
-}
-
-TEST(SgdTest, ConvergesOnQuadratic) {
-  Tensor w = Tensor::Zeros({1}).SetRequiresGrad(true);
-  Sgd sgd({w}, 0.1f);
-  EXPECT_LT(MinimizeQuadratic(sgd, w, 3.0f, 50), 1e-3f);
-}
-
-TEST(SgdTest, MomentumAcceleratesConvergence) {
-  Tensor w1 = Tensor::Zeros({1}).SetRequiresGrad(true);
-  Tensor w2 = Tensor::Zeros({1}).SetRequiresGrad(true);
-  Sgd plain({w1}, 0.01f);
-  Sgd momentum({w2}, 0.01f, 0.9f);
-  const float err_plain = MinimizeQuadratic(plain, w1, 3.0f, 30);
-  const float err_momentum = MinimizeQuadratic(momentum, w2, 3.0f, 30);
-  EXPECT_LT(err_momentum, err_plain);
 }
 
 TEST(AdamTest, ConvergesOnQuadratic) {
@@ -98,18 +80,6 @@ TEST(ClipGradNorm, LeavesSmallGradientsAlone) {
   Sum(MulScalar(w, 0.1f)).Backward();
   ClipGradNorm({w}, 1.0f);
   EXPECT_NEAR(w.GradData()[0], 0.1f, 1e-6f);
-}
-
-TEST(StepDecaySchedulerTest, DecaysAtMilestones) {
-  StepDecayScheduler scheduler(1.0f, {5, 10}, 0.1f);
-  EXPECT_FLOAT_EQ(scheduler.LearningRateAt(0), 1.0f);
-  EXPECT_FLOAT_EQ(scheduler.LearningRateAt(4), 1.0f);
-  EXPECT_FLOAT_EQ(scheduler.LearningRateAt(5), 0.1f);
-  EXPECT_NEAR(scheduler.LearningRateAt(10), 0.01f, 1e-7f);
-  Tensor w = Tensor::Zeros({1}).SetRequiresGrad(true);
-  Adam adam({w}, 1.0f);
-  scheduler.Apply(adam, 7);
-  EXPECT_FLOAT_EQ(adam.learning_rate(), 0.1f);
 }
 
 }  // namespace

@@ -130,10 +130,6 @@ TEST_F(ParallelDeterminismTest, SumForwardBackwardParity) {
                  [](const std::vector<Tensor>& t) {
                    return Sum(t[0], 1, /*keepdim=*/false);
                  });
-  ExpectOpParity("MaxDim", {{9, 1000}},
-                 [](const std::vector<Tensor>& t) {
-                   return Max(t[0], 1, /*keepdim=*/false);
-                 });
 }
 
 TEST_F(ParallelDeterminismTest, ElementwiseForwardBackwardParity) {

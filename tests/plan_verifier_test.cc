@@ -242,7 +242,7 @@ TEST(PlanOpTraitsTest, TraitsMatchTheCaptureSurface) {
 TEST(PlanOpTraitsTest, PlanOpNamesIsSortedAndCoversTheVocabulary) {
   const std::vector<std::string> names = PlanOpNames();
   EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
-  EXPECT_EQ(names.size(), 29u);
+  EXPECT_EQ(names.size(), 19u);
   for (const std::string& name : names) {
     EXPECT_NE(FindPlanOpTraits(name), nullptr) << name;
   }

