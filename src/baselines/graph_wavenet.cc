@@ -6,6 +6,12 @@
 #include "tensor/ops.h"
 
 namespace d2stgnn::baselines {
+namespace {
+
+// Diffusion steps K: powers 1..K of every support.
+constexpr int64_t kDiffusionSteps = 2;
+
+}  // namespace
 
 GraphWaveNet::GraphWaveNet(int64_t num_nodes, int64_t output_len,
                            const Tensor& adjacency, const Options& options,
@@ -13,7 +19,6 @@ GraphWaveNet::GraphWaveNet(int64_t num_nodes, int64_t output_len,
     : ForecastingModel("graph_wavenet"),
       num_nodes_(num_nodes),
       output_len_(output_len),
-      options_(options),
       input_proj_(data::kInputFeatures, options.hidden_dim, rng),
       out_fc1_(options.skip_dim, options.skip_dim, rng),
       out_fc2_(options.skip_dim, output_len, rng) {
@@ -26,17 +31,15 @@ GraphWaveNet::GraphWaveNet(int64_t num_nodes, int64_t output_len,
     for (const Tensor& p : {graph::ForwardTransition(adjacency),
                             graph::BackwardTransition(adjacency)}) {
       for (const Tensor& power :
-           graph::TransitionPowers(p, options.diffusion_steps)) {
+           graph::TransitionPowers(p, kDiffusionSteps)) {
         static_supports_.push_back(power);
       }
     }
   }
-  if (options.adaptive) {
-    e1_ = RegisterParameter("E1",
-                            nn::XavierNormal({num_nodes, options.embed_dim}, rng));
-    e2_ = RegisterParameter("E2",
-                            nn::XavierNormal({num_nodes, options.embed_dim}, rng));
-  }
+  e1_ = RegisterParameter("E1",
+                          nn::XavierNormal({num_nodes, options.embed_dim}, rng));
+  e2_ = RegisterParameter("E2",
+                          nn::XavierNormal({num_nodes, options.embed_dim}, rng));
 
   const int64_t h = options.hidden_dim;
   int64_t dilation = 1;
@@ -55,8 +58,7 @@ GraphWaveNet::GraphWaveNet(int64_t num_nodes, int64_t output_len,
     // One weight per support power (static + adaptive powers), plus the
     // identity, mixed by gcn_out.
     const int64_t num_supports =
-        static_cast<int64_t>(static_supports_.size()) +
-        (options.adaptive ? options.diffusion_steps : 0);
+        static_cast<int64_t>(static_supports_.size()) + kDiffusionSteps;
     for (int64_t s = 0; s < num_supports; ++s) {
       layer.gcn_weights.push_back(
           RegisterParameter("W_gcn", nn::XavierUniform({h, h}, rng)));
@@ -81,11 +83,9 @@ Tensor GraphWaveNet::Forward(const data::Batch& batch) {
 
   // All supports for this forward pass.
   std::vector<Tensor> supports = static_supports_;
-  if (options_.adaptive) {
-    for (const Tensor& power :
-         graph::TransitionPowers(AdaptiveAdjacency(), options_.diffusion_steps)) {
-      supports.push_back(power);
-    }
+  for (const Tensor& power :
+       graph::TransitionPowers(AdaptiveAdjacency(), kDiffusionSteps)) {
+    supports.push_back(power);
   }
 
   Tensor x = input_proj_.Forward(batch.x);  // [B, T, N, h]

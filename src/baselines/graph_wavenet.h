@@ -14,8 +14,8 @@ namespace d2stgnn::baselines {
 /// Graph WaveNet baseline (Wu et al. 2019; paper Sec. 6.1): stacked gated
 /// dilated causal convolutions interleaved with graph convolutions over the
 /// double-transition supports plus a self-adaptive adjacency matrix learned
-/// from node embeddings, with residual and skip connections and a direct
-/// multi-step output head.
+/// from node embeddings (each with diffusion powers 1 and 2), with residual
+/// and skip connections and a direct multi-step output head.
 class GraphWaveNet : public train::ForecastingModel {
  public:
   struct Options {
@@ -23,8 +23,6 @@ class GraphWaveNet : public train::ForecastingModel {
     int64_t skip_dim = 32;         ///< skip channels
     int64_t embed_dim = 8;         ///< adaptive adjacency embedding
     int64_t num_layers = 3;        ///< dilations 1, 2, 4, ...
-    int64_t diffusion_steps = 2;   ///< K
-    bool adaptive = true;
   };
 
   GraphWaveNet(int64_t num_nodes, int64_t output_len, const Tensor& adjacency,
@@ -53,7 +51,6 @@ class GraphWaveNet : public train::ForecastingModel {
 
   int64_t num_nodes_;
   int64_t output_len_;
-  Options options_;
   std::vector<Tensor> static_supports_;  // powers of P_f, P_b
   Tensor e1_, e2_;                       // adaptive embeddings
   nn::Linear input_proj_;

@@ -6,8 +6,16 @@
 #include "common/check.h"
 
 namespace d2stgnn::baselines {
+namespace {
 
-LinearSvr::LinearSvr(const Options& options) : options_(options) {}
+constexpr float kEpsilon = 0.1f;  // insensitivity tube (z-scored units)
+constexpr float kL2 = 1e-4f;      // regularization strength
+constexpr float kLearningRate = 0.05f;
+constexpr int64_t kEpochs = 5;
+constexpr int64_t kMaxSamples = 20000;  // subsample cap per epoch
+constexpr uint64_t kSeed = 17;
+
+}  // namespace
 
 void LinearSvr::Fit(const data::TimeSeriesDataset& dataset,
                     int64_t train_steps, int64_t input_len,
@@ -33,14 +41,14 @@ void LinearSvr::Fit(const data::TimeSeriesDataset& dataset,
 
   const int64_t feat = input_len + 1;
   weights_.assign(static_cast<size_t>(output_len * feat), 0.0f);
-  Rng rng(options_.seed);
+  Rng rng(kSeed);
   const int64_t num_windows = train_steps - input_len - output_len + 1;
   const int64_t samples_per_epoch =
-      std::min<int64_t>(options_.max_samples, num_windows * n);
+      std::min<int64_t>(kMaxSamples, num_windows * n);
 
   std::vector<float> x(static_cast<size_t>(feat));
-  for (int64_t epoch = 0; epoch < options_.epochs; ++epoch) {
-    const float lr = options_.learning_rate /
+  for (int64_t epoch = 0; epoch < kEpochs; ++epoch) {
+    const float lr = kLearningRate /
                      (1.0f + 0.5f * static_cast<float>(epoch));
     for (int64_t s = 0; s < samples_per_epoch; ++s) {
       const int64_t w = rng.UniformInt(num_windows);
@@ -61,11 +69,11 @@ void LinearSvr::Fit(const data::TimeSeriesDataset& dataset,
         const float err = static_cast<float>(pred) - target;
         // Subgradient of the epsilon-insensitive loss + L2.
         float sign = 0.0f;
-        if (err > options_.epsilon) sign = 1.0f;
-        if (err < -options_.epsilon) sign = -1.0f;
+        if (err > kEpsilon) sign = 1.0f;
+        if (err < -kEpsilon) sign = -1.0f;
         for (int64_t f = 0; f < feat; ++f) {
           wt[f] -= lr * (sign * x[static_cast<size_t>(f)] +
-                         options_.l2 * wt[f]);
+                         kL2 * wt[f]);
         }
       }
     }

@@ -17,18 +17,6 @@ namespace d2stgnn::baselines {
 /// information — which is why it trails the graph models.
 class LinearSvr {
  public:
-  struct Options {
-    float epsilon = 0.1f;        ///< insensitivity tube (z-scored units)
-    float l2 = 1e-4f;            ///< regularization strength
-    float learning_rate = 0.05f;
-    int64_t epochs = 5;
-    int64_t max_samples = 20000;  ///< subsample cap per epoch
-    uint64_t seed = 17;
-  };
-
-  LinearSvr() : LinearSvr(Options()) {}
-  explicit LinearSvr(const Options& options);
-
   /// Trains on sliding windows starting in [0, train_steps - Th - Tf].
   void Fit(const data::TimeSeriesDataset& dataset, int64_t train_steps,
            int64_t input_len, int64_t output_len);
@@ -39,7 +27,6 @@ class LinearSvr {
                  int64_t output_len) const;
 
  private:
-  Options options_;
   int64_t input_len_ = 0;
   int64_t output_len_ = 0;
   float mean_ = 0.0f;

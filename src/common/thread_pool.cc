@@ -17,6 +17,22 @@ namespace {
 
 thread_local bool g_in_parallel_region = false;
 
+// Runs every chunk on the calling thread, in chunk order, with no job or
+// lock. InParallelRegion() reads true inside the chunks and its previous
+// value is restored afterwards, also when a chunk throws (the exception
+// propagates and skips the remaining chunks, as on the pooled path).
+void RunInline(int64_t begin, int64_t end, int64_t grain,
+               const std::function<void(int64_t, int64_t)>& fn) {
+  struct RegionFlag {
+    bool saved = g_in_parallel_region;
+    RegionFlag() { g_in_parallel_region = true; }
+    ~RegionFlag() { g_in_parallel_region = saved; }
+  } flag;
+  for (int64_t lo = begin; lo < end; lo += grain) {
+    fn(lo, std::min(end, lo + grain));
+  }
+}
+
 // One ParallelFor invocation: workers race on next_chunk, the caller waits
 // on chunks_done. Held by shared_ptr so a slow-to-wake worker can still
 // touch it after the caller returned.
@@ -75,9 +91,8 @@ class ThreadPool {
     return *pool;
   }
 
-  int num_threads() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return target_threads_;
+  int num_threads() const {
+    return target_threads_.load(std::memory_order_relaxed);
   }
 
   void set_num_threads(int n) {
@@ -85,8 +100,8 @@ class ThreadPool {
     std::vector<std::thread> to_join;
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      if (n == target_threads_) return;
-      target_threads_ = n;
+      if (n == target_threads_.load(std::memory_order_relaxed)) return;
+      target_threads_.store(n, std::memory_order_relaxed);
       // Retire the current workers; the next ParallelFor respawns.
       stop_epoch_ = true;
       cv_.notify_all();
@@ -104,33 +119,36 @@ class ThreadPool {
     const int64_t range = end - begin;
     if (range <= 0) return;
     if (grain <= 0) grain = std::max<int64_t>(1, (range + 63) / 64);
-    auto job = std::make_shared<Job>();
-    job->begin = begin;
-    job->end = end;
-    job->grain = grain;
-    job->num_chunks = (range + grain - 1) / grain;
-    job->fn = &fn;
+    const int64_t num_chunks = (range + grain - 1) / grain;
 
-    // Serial paths: one thread configured, a single chunk, nested call, or
-    // another top-level ParallelFor already owns the pool. Same chunking,
-    // same order — bitwise-identical to the parallel path.
-    bool serial = g_in_parallel_region || job->num_chunks == 1;
-    if (!serial) {
+    // Serial paths: a nested call, a single chunk, one thread configured,
+    // or another top-level ParallelFor already owns the pool. Same
+    // chunking, same order — bitwise-identical to the parallel path.
+    if (g_in_parallel_region || num_chunks == 1 ||
+        target_threads_.load(std::memory_order_relaxed) <= 1) {
+      RunInline(begin, end, grain, fn);
+      return;
+    }
+    std::shared_ptr<Job> job;
+    {
       std::unique_lock<std::mutex> lock(mutex_, std::try_to_lock);
-      if (!lock.owns_lock()) {
-        serial = true;
-      } else if (target_threads_ <= 1 || stop_epoch_) {
-        serial = true;
-      } else {
+      if (lock.owns_lock() &&
+          target_threads_.load(std::memory_order_relaxed) > 1 &&
+          !stop_epoch_) {
+        job = std::make_shared<Job>();
+        job->begin = begin;
+        job->end = end;
+        job->grain = grain;
+        job->num_chunks = num_chunks;
+        job->fn = &fn;
         EnsureWorkersLocked();
         current_job_ = job;
         ++job_sequence_;
         cv_.notify_all();
       }
     }
-    if (serial) {
-      job->RunChunks();
-      RethrowIfError(job.get());
+    if (!job) {
+      RunInline(begin, end, grain, fn);
       return;
     }
 
@@ -152,7 +170,7 @@ class ThreadPool {
       n = std::atoi(env);
     }
     if (n <= 0) n = static_cast<int>(std::thread::hardware_concurrency());
-    target_threads_ = std::max(1, n);
+    target_threads_.store(std::max(1, n), std::memory_order_relaxed);
   }
 
   static void RethrowIfError(Job* job) {
@@ -161,7 +179,7 @@ class ThreadPool {
   }
 
   void EnsureWorkersLocked() {
-    const int wanted = target_threads_ - 1;
+    const int wanted = target_threads_.load(std::memory_order_relaxed) - 1;
     while (static_cast<int>(workers_.size()) < wanted) {
       workers_.emplace_back([this] { WorkerLoop(); });
     }
@@ -188,7 +206,8 @@ class ThreadPool {
   std::vector<std::thread> workers_;
   std::shared_ptr<Job> current_job_;
   uint64_t job_sequence_ = 0;
-  int target_threads_ = 1;
+  /// Written under mutex_; read lock-free by the serial fast path.
+  std::atomic<int> target_threads_{1};
   bool stop_epoch_ = false;
 };
 

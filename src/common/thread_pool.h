@@ -31,7 +31,9 @@ void SetNumThreads(int num_threads);
 /// are distributed over the shared pool; the calling thread participates.
 /// Blocks until every chunk finished. The first exception thrown by a chunk
 /// is rethrown on the calling thread after all chunks complete. Nested
-/// calls (from inside a chunk body) run serially on the calling worker.
+/// calls (from inside a chunk body), single-chunk ranges and calls at one
+/// configured thread run inline on the calling thread, with no pool
+/// machinery; InParallelRegion() is restored afterwards.
 void ParallelFor(int64_t begin, int64_t end, int64_t grain,
                  const std::function<void(int64_t, int64_t)>& fn);
 

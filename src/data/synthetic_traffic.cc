@@ -9,6 +9,26 @@
 namespace d2stgnn::data {
 namespace {
 
+// Maximum propagation lag in steps (lag grows with road distance).
+constexpr int64_t kMaxLag = 3;
+// Length of a sensor-failure burst, in steps.
+constexpr int64_t kFailureLen = 8;
+// Peak flow scale (vehicles per 5 minutes) for flow datasets.
+constexpr float kFlowScale = 320.0f;
+// Relative day-to-day jitter of each node's peak amplitudes. Without it
+// traffic would be perfectly climatological and Historical Average would
+// be unbeatable; real traffic is not (paper Table 3: HA is the worst
+// baseline).
+constexpr float kDailyJitter = 0.30f;
+// Per-(node, step) probability that a congestion incident begins. An
+// incident adds kIncidentBoost to local demand for kIncidentLen steps
+// (~90 minutes) plus a random extra of up to as many, and diffuses to
+// neighbours: structure that is predictable from recent history but
+// invisible to climatology.
+constexpr float kIncidentProb = 4e-4f;
+constexpr int64_t kIncidentLen = 18;
+constexpr float kIncidentBoost = 1.2f;
+
 // Gaussian bump centered at `center` (in day fraction) with width `width`.
 float DayBump(float day_fraction, float center, float width) {
   float delta = day_fraction - center;
@@ -26,7 +46,6 @@ SyntheticTraffic GenerateSyntheticTraffic(
   D2_CHECK_GT(options.steps_per_day, 0);
   D2_CHECK_GE(options.diffusion_strength, 0.0f);
   D2_CHECK_LT(options.diffusion_strength, 1.0f);
-  D2_CHECK_GE(options.max_lag, 1);
 
   Rng rng(options.seed);
   SyntheticTraffic result;
@@ -84,9 +103,9 @@ SyntheticTraffic GenerateSyntheticTraffic(
         if (weight[e] > 0.0f && max_dist > 0.0f) {
           const float frac = dist[e] / max_dist;
           lag[e] = 1 + static_cast<int64_t>(
-                           frac * static_cast<float>(options.max_lag - 1) +
+                           frac * static_cast<float>(kMaxLag - 1) +
                            0.5f);
-          lag[e] = std::min(lag[e], options.max_lag);
+          lag[e] = std::min(lag[e], kMaxLag);
         }
       }
     }
@@ -106,7 +125,7 @@ SyntheticTraffic GenerateSyntheticTraffic(
   for (int64_t t = 0; t < steps; ++t) {
     if (t % options.steps_per_day == 0) {
       for (auto& f : day_factor) {
-        f = std::max(0.3f, 1.0f + rng.Normal(0.0f, options.daily_jitter));
+        f = std::max(0.3f, 1.0f + rng.Normal(0.0f, kDailyJitter));
       }
     }
     const float day_fraction = static_cast<float>(t % options.steps_per_day) /
@@ -127,12 +146,11 @@ SyntheticTraffic GenerateSyntheticTraffic(
       // AR(1) wander + occasional congestion incidents.
       ar_state[ui] = 0.99f * ar_state[ui] + rng.Normal(0.0f, 0.02f);
       if (incident_until[ui] < t &&
-          rng.Uniform() < options.incident_prob) {
-        incident_until[ui] = t + options.incident_len +
-                             rng.UniformInt(options.incident_len);
+          rng.Uniform() < kIncidentProb) {
+        incident_until[ui] = t + kIncidentLen + rng.UniformInt(kIncidentLen);
       }
       const float incident =
-          incident_until[ui] >= t ? options.incident_boost : 0.0f;
+          incident_until[ui] >= t ? kIncidentBoost : 0.0f;
       float inh = base_level[ui] +
                   weekday_factor * day_factor[ui] *
                       (am_amp[ui] * DayBump(day_fraction, am_center[ui], 0.055f) +
@@ -168,22 +186,22 @@ SyntheticTraffic GenerateSyntheticTraffic(
       const float demand = total[cell];
       float reading;
       if (options.flow) {
-        float f = options.flow_scale * capacity[ui] * demand;
-        f += rng.Normal(0.0f, options.noise_std * options.flow_scale * 0.5f);
+        float f = kFlowScale * capacity[ui] * demand;
+        f += rng.Normal(0.0f, options.noise_std * kFlowScale * 0.5f);
         reading = std::max(0.0f, std::round(f));
       } else {
         // Speed falls as demand approaches capacity (smooth saturating map).
         const float congestion =
             std::min(1.0f, demand / (1.1f * capacity[ui]));
-        float v = options.free_flow_speed *
+        float v = kFreeFlowSpeed *
                   (1.0f - 0.72f * congestion * congestion);
-        v += rng.Normal(0.0f, options.noise_std * options.free_flow_speed);
-        reading = std::clamp(v, 0.0f, options.free_flow_speed + 2.0f);
+        v += rng.Normal(0.0f, options.noise_std * kFreeFlowSpeed);
+        reading = std::clamp(v, 0.0f, kFreeFlowSpeed + 2.0f);
         // Sensor-failure bursts read exactly zero.
         if (failure_until[ui] >= t) {
           reading = 0.0f;
         } else if (rng.Uniform() < options.failure_prob) {
-          failure_until[ui] = t + options.failure_len;
+          failure_until[ui] = t + kFailureLen;
           reading = 0.0f;
         }
       }

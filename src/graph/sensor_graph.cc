@@ -11,6 +11,10 @@ namespace d2stgnn::graph {
 namespace {
 
 constexpr float kInf = std::numeric_limits<float>::infinity();
+// Road distance = Euclidean distance * U(1, 1 + kDetour).
+constexpr float kDetour = 0.4f;
+// Gaussian-kernel weights below this are dropped (DCRNN uses 0.1).
+constexpr float kKernelThreshold = 0.1f;
 
 }  // namespace
 
@@ -66,10 +70,10 @@ SensorNetwork BuildRandomSensorNetwork(const SensorNetworkOptions& options,
       const int64_t j = order[static_cast<size_t>(k)];
       const float euclid = std::hypot(net.x[static_cast<size_t>(j)] - xi,
                                       net.y[static_cast<size_t>(j)] - yi);
-      const float road_ij = euclid * (1.0f + rng.Uniform(0.0f, options.detour));
+      const float road_ij = euclid * (1.0f + rng.Uniform(0.0f, kDetour));
       float road_ji = road_ij;
       if (options.directed) {
-        road_ji = euclid * (1.0f + rng.Uniform(0.0f, options.detour));
+        road_ji = euclid * (1.0f + rng.Uniform(0.0f, kDetour));
       }
       auto& dij = dist[static_cast<size_t>(i * n + j)];
       auto& dji = dist[static_cast<size_t>(j * n + i)];
@@ -80,7 +84,7 @@ SensorNetwork BuildRandomSensorNetwork(const SensorNetworkOptions& options,
 
   net.road_distance = Tensor({n, n}, std::move(dist));
   net.adjacency =
-      ThresholdedGaussianAdjacency(net.road_distance, options.kernel_threshold);
+      ThresholdedGaussianAdjacency(net.road_distance, kKernelThreshold);
 
   // The kernel threshold can isolate sensors on long corridor segments;
   // keep each node's nearest outgoing road so every sensor participates in
@@ -108,10 +112,10 @@ SensorNetwork BuildRandomSensorNetwork(const SensorNetworkOptions& options,
         }
       }
       if (nearest >= 0) {
-        adj[static_cast<size_t>(i * n + nearest)] = options.kernel_threshold;
+        adj[static_cast<size_t>(i * n + nearest)] = kKernelThreshold;
         adj[static_cast<size_t>(nearest * n + i)] =
             std::max(adj[static_cast<size_t>(nearest * n + i)],
-                     options.kernel_threshold);
+                     kKernelThreshold);
       }
     }
   }

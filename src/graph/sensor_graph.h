@@ -26,21 +26,16 @@ struct SensorNetworkOptions {
   int64_t num_nodes = 32;
   /// Each sensor connects to its `neighbors` nearest sensors.
   int64_t neighbors = 4;
-  /// Road distance = Euclidean distance * detour drawn from
-  /// U(1, 1 + detour); mimics roads that are longer than straight lines.
-  float detour = 0.4f;
   /// If true, forward/backward road distances differ (one-way detours),
   /// yielding a directed graph like METR-LA's.
   bool directed = true;
-  /// Threshold for the Gaussian kernel: entries with weight < threshold are
-  /// dropped (DCRNN uses 0.1).
-  float kernel_threshold = 0.1f;
 };
 
 /// Builds a random geometric sensor network: sensors scattered in the unit
 /// square along a few synthetic highway corridors, k-nearest-neighbour road
-/// connectivity, and a thresholded-Gaussian adjacency. Deterministic in
-/// `rng`.
+/// connectivity with road distance = Euclidean distance * U(1, 1.4) (roads
+/// are longer than straight lines), and a thresholded-Gaussian adjacency at
+/// DCRNN's threshold 0.1. Deterministic in `rng`.
 SensorNetwork BuildRandomSensorNetwork(const SensorNetworkOptions& options,
                                        Rng& rng);
 

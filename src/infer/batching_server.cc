@@ -22,6 +22,7 @@ ModelFleet* RegisterOnlyModel(ModelFleet* fleet,
   model.max_batch_size = options.max_batch_size;
   model.max_wait_us = options.max_wait_us;
   model.warmup = options.warmup;
+  model.admission = options.admission;
   std::string error;
   D2_CHECK(fleet->AddModel(std::move(session), model, &error)) << error;
   return fleet;
@@ -30,7 +31,6 @@ ModelFleet* RegisterOnlyModel(ModelFleet* fleet,
 FleetOptions OneLaneOptions(const BatchingOptions& options) {
   FleetOptions fleet;
   fleet.max_queue_depth = options.max_queue_depth;
-  fleet.admission = options.admission;
   return fleet;
 }
 

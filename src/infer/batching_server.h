@@ -21,7 +21,7 @@
 //
 // A BatchingServer is a one-lane FleetServer (infer/fleet/fleet_server.h):
 // it registers its session as the only model of a private ModelFleet and
-// forwards every call. Admission (bounded queue, token bucket, EWMA shed),
+// forwards every call. Admission (bounded queue, token bucket),
 // deadlines, degrade tiers, hot swaps, shutdown and the stats are the
 // fleet's, so there is one dispatcher to reason about. Every future
 // resolves: with a prediction, or with ok=false and a typed RejectReason
@@ -46,7 +46,7 @@ struct BatchingOptions {
   /// construction (and on every SwapSession), so the first real requests
   /// already hit captured plans and the buffer pool.
   bool warmup = true;
-  /// Admission gate in front of the queue (rate limit, latency shed).
+  /// The lane's token bucket (FleetModelOptions::admission).
   AdmissionOptions admission;
 };
 

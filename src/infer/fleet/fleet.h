@@ -80,7 +80,7 @@ struct FleetModelOptions {
   /// Base coalescing window; capped at slo.target_p99_ms / 8 when the SLO
   /// sets an objective, and shrunk further under degrade tiers.
   int64_t max_wait_us = 2000;
-  /// Per-model admission gate (token bucket, EWMA shed). The *hard* queue
+  /// Per-model admission gate (token bucket). The *hard* queue
   /// bound is fleet-wide; this gate shapes one tenant's arrival rate.
   AdmissionOptions admission;
   /// Warm the session (capture plans) when the FleetServer starts.

@@ -29,28 +29,6 @@ std::future<Forecast> ResolvedRejection(RejectReason reason, std::string error,
   return promise.get_future();
 }
 
-// The error text of an admission-gate rejection, carrying what a client or
-// operator needs to act on it: depth and active batch for a full queue, the
-// rate for a rate limit, the latency against its budget for a shed.
-std::string AdmissionRejectText(const AdmissionDecision& decision,
-                                const AdmissionOptions& options,
-                                double ewma_request_us, int64_t depth,
-                                int64_t capacity, int64_t active_batch) {
-  std::ostringstream os;
-  if (decision.reason == RejectReason::kQueueFull) {
-    os << "queue full (depth " << depth << "/" << capacity
-       << ", active batch " << active_batch << ")";
-  } else if (decision.reason == RejectReason::kRateLimited) {
-    os << "rate limited (" << options.rate_rps << " rps, retry in "
-       << decision.retry_after_us << " us)";
-  } else {
-    os << "overloaded (ewma request latency "
-       << static_cast<int64_t>(ewma_request_us) << " us > shed budget "
-       << options.shed_latency_us << " us)";
-  }
-  return os.str();
-}
-
 Forecast DeadlineMiss() {
   Forecast miss;
   miss.error = "deadline exceeded in queue";
@@ -65,7 +43,7 @@ FleetServer::FleetServer(ModelFleet* fleet, const FleetOptions& options)
       fleet_(fleet),
       clock_(ClockOrReal(options.clock)),
       arbiter_(options.max_queue_depth, kArbitrationWatermark),
-      shared_admission_(options.admission, options.clock) {
+      shared_admission_(AdmissionOptions{}, options.clock) {
   D2_CHECK(fleet_ != nullptr);
   D2_CHECK_GT(fleet_->size(), 0u);
 
@@ -238,17 +216,17 @@ std::future<Forecast> FleetServer::Submit(const std::string& model_id,
           static_cast<double>(std::max<int64_t>(total_depth, 1)));
     }
 
-    // Shared admission: the hard bound on the total queue plus any
-    // fleet-wide rate limit / EWMA shed.
+    // Shared admission: the hard bound on the total queue.
     if (reject == RejectReason::kNone) {
       const AdmissionDecision decision =
           shared_admission_.Admit(total_depth, capacity);
       if (!decision.admitted) {
         reject = decision.reason;
         retry_after_us = decision.retry_after_us;
-        reject_error = AdmissionRejectText(
-            decision, options_.admission, shared_admission_.ewma_request_us(),
-            total_depth, capacity, EffectiveBatchCap(lane, tier));
+        std::ostringstream os;
+        os << "queue full (depth " << total_depth << "/" << capacity
+           << ", active batch " << EffectiveBatchCap(lane, tier) << ")";
+        reject_error = os.str();
       }
     }
 
@@ -273,18 +251,18 @@ std::future<Forecast> FleetServer::Submit(const std::string& model_id,
       }
     }
 
-    // Per-model gate: this tenant's token bucket / EWMA shed (the hard
-    // queue bound is fleet-wide, so capacity 0 here).
+    // Per-model gate: this tenant's token bucket (the hard queue bound is
+    // fleet-wide, so capacity 0 here).
     if (reject == RejectReason::kNone) {
       const AdmissionDecision decision = lane.admission->Admit(lane_depth, 0);
       if (!decision.admitted) {
         reject = decision.reason;
         retry_after_us = decision.retry_after_us;
-        reject_error = AdmissionRejectText(
-                           decision, lane.options.admission,
-                           lane.admission->ewma_request_us(), lane_depth, 0,
-                           EffectiveBatchCap(lane, tier)) +
-                       " for model '" + model_id + "'";
+        std::ostringstream os;
+        os << "rate limited (" << lane.options.admission.rate_rps
+           << " rps, retry in " << decision.retry_after_us
+           << " us) for model '" << model_id << "'";
+        reject_error = os.str();
       }
     }
 

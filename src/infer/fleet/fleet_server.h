@@ -35,11 +35,10 @@
 //
 //   shutdown → validation (kBadRequest) → shared OverloadGovernor tier
 //   (kShedding refuses low-priority requests and the lowest-priority SLO
-//   class) → shared AdmissionController (hard bound on the *total* queue,
-//   fleet-wide rate limit / EWMA shed) → FleetArbiter quota (kQuotaExceeded
-//   once the shared queue is contended and this model is over its weighted
-//   share) → per-model AdmissionController (tenant token bucket / EWMA
-//   shed) → deadline stamp → enqueue.
+//   class) → shared AdmissionController (hard bound on the *total* queue)
+//   → FleetArbiter quota (kQuotaExceeded once the shared queue is
+//   contended and this model is over its weighted share) → per-model
+//   AdmissionController (tenant token bucket) → deadline stamp → enqueue.
 //
 // Dispatch: expired deadlines are swept across all lanes first; a lane is
 // "ready" when its batch is full or its oldest request has aged past the
@@ -63,9 +62,6 @@ struct FleetOptions {
   /// Hard bound on the *sum* of all per-model queues (<= 0: unbounded,
   /// which also disables degrade tiers and quotas).
   int64_t max_queue_depth = 4096;
-  /// Shared admission gate across all models (the hard bound above plus an
-  /// optional fleet-wide rate limit / EWMA shed).
-  AdmissionOptions admission;
   /// Injected time source (null: RealClock()).
   Clock* clock = nullptr;
 };
@@ -87,7 +83,7 @@ struct FleetModelStats {
   int64_t rejected_bad_request = 0;
   int64_t rejected_queue_full = 0;
   int64_t rejected_rate_limited = 0;
-  int64_t rejected_overloaded = 0;    ///< EWMA shed + injected admit faults
+  int64_t rejected_overloaded = 0;    ///< injected "server.admit" faults
   int64_t rejected_low_priority = 0;  ///< kShedding tier refusals
   int64_t rejected_quota = 0;         ///< kQuotaExceeded (fleet arbitration)
   int64_t rejected_shutdown = 0;

@@ -53,14 +53,12 @@ AdmissionDecision AdmissionController::Admit(int64_t queue_depth,
                                              int64_t queue_capacity) {
   AdmissionDecision decision;
 
-  // Estimated time for the dispatcher to work off the current queue — the
-  // retry hint for depth-shaped rejections. Before any batch has been
-  // observed, fall back to a millisecond so hints are never zero.
-  const double per_request_us =
-      ewma_request_us_ > 0.0 ? ewma_request_us_ : 1000.0;
-
-  // 1. Hard queue bound.
+  // 1. Hard queue bound. The retry hint is the estimated time for the
+  // dispatcher to work off the current queue; before any batch has been
+  // observed it assumes a millisecond per request, so it is never zero.
   if (queue_capacity > 0 && queue_depth >= queue_capacity) {
+    const double per_request_us =
+        ewma_request_us_ > 0.0 ? ewma_request_us_ : 1000.0;
     decision.admitted = false;
     decision.reason = RejectReason::kQueueFull;
     decision.retry_after_us = static_cast<int64_t>(
@@ -91,18 +89,6 @@ AdmissionDecision AdmissionController::Admit(int64_t queue_depth,
       return decision;
     }
     tokens_ -= 1.0;
-  }
-
-  // 3. EWMA-latency shed: once the smoothed service time blows the budget,
-  // refuse new arrivals until dispatched batches pull it back down.
-  if (options_.shed_latency_us > 0 &&
-      ewma_request_us_ > static_cast<double>(options_.shed_latency_us)) {
-    decision.admitted = false;
-    decision.reason = RejectReason::kOverloaded;
-    decision.retry_after_us = static_cast<int64_t>(
-        ewma_request_us_ - static_cast<double>(options_.shed_latency_us)) +
-        static_cast<int64_t>(per_request_us);
-    return decision;
   }
 
   return decision;

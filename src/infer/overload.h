@@ -16,9 +16,9 @@
 //
 //   * AdmissionController — the gate in front of the bounded queue. Rejects
 //     with a *typed* reason (so clients can tell "back off and retry" from
-//     "give up") and a retry_after_us hint: the hard queue bound, a
-//     token-bucket rate limit, and an EWMA-latency shed that refuses new
-//     work once the observed per-request service time exceeds a budget.
+//     "give up") and a retry_after_us hint: the hard queue bound and a
+//     token-bucket rate limit. It also keeps an EWMA of the per-request
+//     service time, which shapes the drain-time retry hints.
 //
 //   * OverloadGovernor — graceful-degradation tiers driven by queue
 //     pressure. Escalation is immediate (one hot observation bumps the
@@ -41,7 +41,7 @@ enum class RejectReason {
   kBadRequest,        ///< malformed; retrying the same payload cannot help
   kQueueFull,         ///< bounded queue at capacity
   kRateLimited,       ///< token bucket empty
-  kOverloaded,        ///< EWMA service latency above the shed budget
+  kOverloaded,        ///< admission-path failure (the "server.admit" fault)
   kShedLowPriority,   ///< degrade tier kShedding refused low-priority work
   kQuotaExceeded,     ///< model over its fair share of a contended fleet
                       ///< queue (infer/fleet); other tenants stay healthy
@@ -64,15 +64,12 @@ bool IsRetryableReject(RejectReason reason);
 /// capacity that remains serves the high-priority stream.
 enum class RequestPriority { kHigh = 0, kLow = 1 };
 
-/// Admission-gate knobs. Zeros disable each mechanism, so a
-/// default-constructed controller only enforces the queue bound.
+/// Admission-gate knobs. A default-constructed controller only enforces
+/// the queue bound.
 struct AdmissionOptions {
   /// Token-bucket refill rate in requests/second (<= 0: no rate limit).
   /// The bucket holds max(rate_rps, 1) tokens.
   double rate_rps = 0.0;
-  /// Shed new arrivals once the EWMA per-request service time (alpha 0.2)
-  /// exceeds this (<= 0: no latency shed).
-  int64_t shed_latency_us = 0;
 };
 
 /// The outcome of one admission check.
@@ -98,7 +95,8 @@ class AdmissionController {
   /// capacity (`queue_capacity` <= 0 means unbounded).
   AdmissionDecision Admit(int64_t queue_depth, int64_t queue_capacity);
 
-  /// Feeds one dispatched batch into the EWMA service-time estimate.
+  /// Feeds one dispatched batch into the EWMA service-time estimate
+  /// (alpha 0.2).
   void RecordBatch(int64_t batch_latency_us, int64_t batch_size);
 
   /// Smoothed per-request service time (microseconds; 0 before any batch).

@@ -6,33 +6,38 @@
 #include "common/logging.h"
 
 namespace d2stgnn::optim {
+namespace {
 
-Adam::Adam(std::vector<Tensor> params, float learning_rate, float beta1,
-           float beta2, float epsilon, float weight_decay)
-    : Optimizer(std::move(params), learning_rate),
-      beta1_(beta1),
-      beta2_(beta2),
-      epsilon_(epsilon),
-      weight_decay_(weight_decay) {
-  D2_CHECK_GT(beta1, 0.0f);
-  D2_CHECK_LT(beta1, 1.0f);
-  D2_CHECK_GT(beta2, 0.0f);
-  D2_CHECK_LT(beta2, 1.0f);
-  D2_CHECK_GT(epsilon, 0.0f);
+constexpr float kBeta1 = 0.9f;
+constexpr float kBeta2 = 0.999f;
+constexpr float kEpsilon = 1e-8f;
+
+}  // namespace
+
+Adam::Adam(std::vector<Tensor> params, float learning_rate)
+    : params_(std::move(params)), learning_rate_(learning_rate) {
+  D2_CHECK_GT(learning_rate, 0.0f);
   m_.resize(params_.size());
   v_.resize(params_.size());
   for (size_t i = 0; i < params_.size(); ++i) {
-    m_[i].assign(params_[i].Data().size(), 0.0f);
-    v_[i].assign(params_[i].Data().size(), 0.0f);
+    const Tensor& p = params_[i];
+    D2_CHECK(p.defined());
+    D2_CHECK(p.RequiresGrad()) << "optimizer parameter must require grad";
+    m_[i].assign(p.Data().size(), 0.0f);
+    v_[i].assign(p.Data().size(), 0.0f);
   }
+}
+
+void Adam::ZeroGrad() {
+  for (Tensor& p : params_) p.ZeroGrad();
 }
 
 void Adam::Step() {
   ++step_count_;
   const float bias1 =
-      1.0f - std::pow(beta1_, static_cast<float>(step_count_));
+      1.0f - std::pow(kBeta1, static_cast<float>(step_count_));
   const float bias2 =
-      1.0f - std::pow(beta2_, static_cast<float>(step_count_));
+      1.0f - std::pow(kBeta2, static_cast<float>(step_count_));
   for (size_t i = 0; i < params_.size(); ++i) {
     Tensor& p = params_[i];
     const std::vector<float>& grad = p.GradData();
@@ -41,13 +46,12 @@ void Adam::Step() {
     std::vector<float>& m = m_[i];
     std::vector<float>& v = v_[i];
     for (size_t j = 0; j < data.size(); ++j) {
-      float g = grad[j];
-      if (weight_decay_ != 0.0f) g += weight_decay_ * data[j];
-      m[j] = beta1_ * m[j] + (1.0f - beta1_) * g;
-      v[j] = beta2_ * v[j] + (1.0f - beta2_) * g * g;
+      const float g = grad[j];
+      m[j] = kBeta1 * m[j] + (1.0f - kBeta1) * g;
+      v[j] = kBeta2 * v[j] + (1.0f - kBeta2) * g * g;
       const float m_hat = m[j] / bias1;
       const float v_hat = v[j] / bias2;
-      data[j] -= learning_rate_ * m_hat / (std::sqrt(v_hat) + epsilon_);
+      data[j] -= learning_rate_ * m_hat / (std::sqrt(v_hat) + kEpsilon);
     }
   }
 }
@@ -82,6 +86,43 @@ bool Adam::ImportState(const OptimizerState& state) {
   m_ = state.slots[0].second;
   v_ = state.slots[1].second;
   return true;
+}
+
+bool Adam::SlotMatchesParams(
+    const std::string& name,
+    const std::vector<std::vector<float>>& slot) const {
+  if (slot.size() != params_.size()) {
+    D2_LOG(ERROR) << "optimizer state slot '" << name << "' has "
+                  << slot.size() << " entries, optimizer has "
+                  << params_.size() << " parameters";
+    return false;
+  }
+  for (size_t i = 0; i < slot.size(); ++i) {
+    if (slot[i].size() != params_[i].Data().size()) {
+      D2_LOG(ERROR) << "optimizer state slot '" << name << "' entry " << i
+                    << " has " << slot[i].size() << " elements, parameter has "
+                    << params_[i].Data().size();
+      return false;
+    }
+  }
+  return true;
+}
+
+float ClipGradNorm(const std::vector<Tensor>& params, float max_norm) {
+  D2_CHECK_GT(max_norm, 0.0f);
+  double sum_sq = 0.0;
+  for (const Tensor& p : params) {
+    for (float g : p.GradData()) sum_sq += static_cast<double>(g) * g;
+  }
+  const float norm = static_cast<float>(std::sqrt(sum_sq));
+  if (norm > max_norm && norm > 0.0f) {
+    const float scale = max_norm / norm;
+    for (const Tensor& p : params) {
+      auto& grad = p.impl()->grad;
+      for (float& g : grad) g *= scale;
+    }
+  }
+  return norm;
 }
 
 }  // namespace d2stgnn::optim

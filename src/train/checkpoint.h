@@ -7,7 +7,7 @@
 
 #include "common/rng.h"
 #include "nn/module.h"
-#include "optim/optimizer.h"
+#include "optim/adam.h"
 #include "train/trainer.h"
 
 // Checkpoint v2: crash-safe, integrity-checked persistence of *full*

@@ -23,6 +23,13 @@
 namespace d2stgnn::train {
 namespace {
 
+// The fixed parts of the recipe (see TrainerOptions).
+constexpr float kNullValue = 0.0f;        // missing readings, masked
+constexpr float kClipNorm = 5.0f;         // global gradient-norm bound
+constexpr int64_t kKeepCheckpoints = 3;   // periodic files kept
+constexpr int64_t kMaxDivergenceRetries = 3;
+constexpr float kLrDecayOnDivergence = 0.5f;
+
 // Snapshot / restore of parameter data for early stopping and divergence
 // rollback.
 std::vector<std::vector<float>> SnapshotParams(const nn::Module& model) {
@@ -39,16 +46,6 @@ void RestoreParams(nn::Module& model,
     D2_CHECK_EQ(params[i].Data().size(), snapshot[i].size());
     params[i].Data() = snapshot[i];
   }
-}
-
-// True when every gradient is finite (divergence detection when gradient
-// clipping — whose norm doubles as the check — is disabled).
-bool GradsFinite(const std::vector<Tensor>& params) {
-  double sum_sq = 0.0;
-  for (const Tensor& p : params) {
-    for (float g : p.GradData()) sum_sq += static_cast<double>(g) * g;
-  }
-  return std::isfinite(sum_sq);
 }
 
 // Fault-injection support: overwrite one gradient value with NaN, as a
@@ -141,8 +138,7 @@ FitResult Trainer::Fit(data::WindowDataLoader* train_loader,
   std::optional<ScopedStopSignalHandlers> signal_guard;
   if (options_.handle_signals) signal_guard.emplace();
 
-  optim::Adam optimizer(model_->Parameters(), options_.learning_rate, 0.9f,
-                        0.999f, 1e-8f, options_.weight_decay);
+  optim::Adam optimizer(model_->Parameters(), options_.learning_rate);
   Rng shuffle_rng(options_.seed);
 
   FitResult result;
@@ -235,7 +231,7 @@ FitResult Trainer::Fit(data::WindowDataLoader* train_loader,
     return SaveTrainingCheckpoint(*model_, ckpt, path);
   };
 
-  int64_t divergence_retries_left = options_.max_divergence_retries;
+  int64_t divergence_retries_left = kMaxDivergenceRetries;
 
   for (int64_t epoch = start_epoch; epoch < options_.epochs; ++epoch) {
     const int64_t first_batch = epoch == start_epoch ? resume_batch : 0;
@@ -296,7 +292,7 @@ FitResult Trainer::Fit(data::WindowDataLoader* train_loader,
         }
 
         Tensor loss =
-            metrics::MaskedMaeLoss(prediction, target, options_.null_value);
+            metrics::MaskedMaeLoss(prediction, target, kNullValue);
         optimizer.ZeroGrad();
         loss.Backward();
         if (fault::AnyFaultArmed() &&
@@ -306,13 +302,8 @@ FitResult Trainer::Fit(data::WindowDataLoader* train_loader,
 
         // Divergence detection before the parameters are touched: a
         // non-finite loss or gradient norm never reaches Step().
-        bool grads_finite = true;
-        if (options_.clip_norm > 0.0f) {
-          grads_finite = std::isfinite(
-              optim::ClipGradNorm(optimizer.params(), options_.clip_norm));
-        } else {
-          grads_finite = GradsFinite(optimizer.params());
-        }
+        const bool grads_finite = std::isfinite(
+            optim::ClipGradNorm(optimizer.params(), kClipNorm));
         const float loss_value = loss.Item();
         if (!std::isfinite(loss_value) || !grads_finite) {
           if (divergence_retries_left > 0) {
@@ -321,7 +312,7 @@ FitResult Trainer::Fit(data::WindowDataLoader* train_loader,
             RestoreParams(*model_, rollback_params);
             optimizer.ImportState(rollback_optimizer);
             optimizer.set_learning_rate(optimizer.learning_rate() *
-                                        options_.lr_decay_on_divergence);
+                                        kLrDecayOnDivergence);
             shuffle_rng.SetState(pre_shuffle);
             updates = rollback_updates;
             D2_LOG(WARNING)
@@ -362,8 +353,7 @@ FitResult Trainer::Fit(data::WindowDataLoader* train_loader,
             if (save_checkpoint(path, pre_shuffle,
                                 make_progress(epoch, b + 1, loss_sum))) {
               result.interrupt_checkpoint = path;
-              PruneCheckpoints(options_.checkpoint_dir,
-                               options_.keep_checkpoints);
+              PruneCheckpoints(options_.checkpoint_dir, kKeepCheckpoints);
             }
           }
           if (options_.verbose || options_.handle_signals) {
@@ -439,8 +429,7 @@ FitResult Trainer::Fit(data::WindowDataLoader* train_loader,
             CheckpointPathForStep(options_.checkpoint_dir, updates);
         if (save_checkpoint(path, shuffle_rng.GetState(),
                             make_progress(epoch + 1, 0, 0.0))) {
-          PruneCheckpoints(options_.checkpoint_dir,
-                           options_.keep_checkpoints);
+          PruneCheckpoints(options_.checkpoint_dir, kKeepCheckpoints);
         }
       }
       if (improved) {
@@ -488,7 +477,7 @@ metrics::MetricSet Trainer::Evaluate(data::WindowDataLoader* loader) const {
         scaler_->InverseTransform(model_->Forward(batch));
     D2_CHECK(prediction.shape() == batch.y.shape());
     acc.Add(prediction.Data().data(), batch.y.Data().data(),
-            batch.y.numel(), options_.null_value);
+            batch.y.numel(), kNullValue);
   }
   model_->SetTraining(true);
   return acc.Finish();

@@ -12,12 +12,12 @@
 
 namespace d2stgnn::train {
 
-/// Knobs of the shared training loop (paper Sec. 5.4/6.1 defaults).
+/// Knobs of the shared training loop (paper Sec. 5.4/6.1 defaults). The
+/// rest of the recipe is fixed: masked MAE with 0 as the missing value,
+/// gradients clipped to global norm 5, and Adam at its standard betas.
 struct TrainerOptions {
   int64_t epochs = 20;
   float learning_rate = 1e-3f;  ///< Adam, as in the paper
-  float weight_decay = 0.0f;
-  float clip_norm = 5.0f;
   /// Curriculum learning (Sec. 5.4): supervise only the first `horizon`
   /// steps, adding one step every `curriculum_step` optimizer updates.
   /// 0 = auto: the full horizon is reached after ~40% of all updates.
@@ -26,8 +26,6 @@ struct TrainerOptions {
   /// Early stopping patience in epochs (0 disables); the best-validation
   /// parameters are restored at the end.
   int64_t patience = 6;
-  /// Ground-truth value marking missing data (masked from the loss).
-  float null_value = 0.0f;
   /// Seed for epoch shuffling.
   uint64_t seed = 7;
   /// Log a line per epoch.
@@ -36,13 +34,11 @@ struct TrainerOptions {
   // --- fault tolerance (see DESIGN.md §8) ---
   /// Directory for periodic full-state checkpoints ("" disables
   /// checkpointing). Created by the caller; files inside are managed by
-  /// the trainer (write + retention pruning).
+  /// the trainer: it writes them and keeps the newest 3 periodic
+  /// checkpoints plus the best-validation one.
   std::string checkpoint_dir;
   /// Epochs between periodic checkpoints when `checkpoint_dir` is set.
   int64_t checkpoint_every = 1;
-  /// Retention: keep the newest N periodic checkpoints plus the best-
-  /// validation checkpoint. <= 0 keeps everything.
-  int64_t keep_checkpoints = 3;
   /// Path of a full-state checkpoint to resume from ("" = fresh run).
   /// The resumed run reproduces the uninterrupted run bitwise (same
   /// options, data, and thread count — see the determinism contract in
@@ -53,13 +49,10 @@ struct TrainerOptions {
   /// checkpoint is written (when `checkpoint_dir` is set), and Fit
   /// returns a clean FitResult with StopReason::kInterrupted.
   bool handle_signals = false;
-  /// Divergence recovery: when a non-finite loss or gradient norm shows
-  /// up, roll back to the state at the start of the epoch, scale the
-  /// learning rate by `lr_decay_on_divergence`, and retry the epoch — at
-  /// most `max_divergence_retries` times across the whole run before Fit
-  /// gives up with StopReason::kDiverged.
-  int64_t max_divergence_retries = 3;
-  float lr_decay_on_divergence = 0.5f;
+  // Divergence recovery is always on: when a non-finite loss or gradient
+  // norm shows up, Fit rolls back to the state at the start of the epoch,
+  // halves the learning rate, and retries the epoch, at most 3 times
+  // across the whole run before it gives up with StopReason::kDiverged.
 };
 
 /// Per-epoch training record.

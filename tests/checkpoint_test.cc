@@ -294,9 +294,9 @@ TEST_F(CheckpointResumeTest, RetentionKeepsLastNPlusBest) {
   const std::string dir = MakeCleanDir("retention");
   train::TrainerOptions options = BaseOptions();
   options.checkpoint_dir = dir;
-  options.keep_checkpoints = 2;
   RunTraining(options, nullptr);
-  EXPECT_EQ(CountFilesWithPrefix(dir, "ckpt-"), 2);
+  // Six epochs, one checkpoint each; the trainer keeps the newest 3.
+  EXPECT_EQ(CountFilesWithPrefix(dir, "ckpt-"), 3);
   EXPECT_EQ(CountFilesWithPrefix(dir, "best.d2ck"), 1);
   // The survivors are the newest ones.
   const std::string latest = train::LatestCheckpoint(dir);

@@ -47,7 +47,7 @@ TEST(SyntheticTraffic, SpeedBoundedAndFlowIntegral) {
   const auto speed = data::GenerateSyntheticTraffic(options);
   for (float v : speed.dataset.values.Data()) {
     EXPECT_GE(v, 0.0f);
-    EXPECT_LE(v, options.free_flow_speed + 2.0f);
+    EXPECT_LE(v, data::kFreeFlowSpeed + 2.0f);
   }
   options.flow = true;
   const auto flow = data::GenerateSyntheticTraffic(options);

@@ -6,6 +6,7 @@
 #include "infer/batching_server.h"
 
 #include <chrono>
+#include <functional>
 #include <future>
 #include <memory>
 #include <string>
@@ -484,28 +485,60 @@ TEST_F(InferServerTest, InjectedDeadlineFaultExpiresTheRequest) {
 
 // Token bucket: a bucket's worth of admits (max(rate_rps, 1)) pass
 // immediately, the next is rate limited with a refill-shaped retry hint.
+// The bucket is the lane's FleetModelOptions::admission gate, set directly
+// on a FleetServer lane and through BatchingServer, which forwards its
+// rate limit to its one lane.
 TEST_F(InferServerTest, TokenBucketRateLimitsBeyondBurst) {
+  // A bucket of 2 tokens refilled one per 500 ms, far slower than the
+  // four submissions below run.
+  constexpr double kRateRps = 2.0;
+  const auto expect_two_limited =
+      [&](const std::function<std::future<infer::Forecast>(int)>& submit) {
+        std::vector<std::future<infer::Forecast>> futures;
+        for (int i = 0; i < 4; ++i) futures.push_back(submit(i));
+        int64_t limited = 0;
+        for (std::future<infer::Forecast>& f : futures) {
+          const infer::Forecast forecast = f.get();
+          if (forecast.ok) continue;
+          EXPECT_EQ(forecast.reason, infer::RejectReason::kRateLimited);
+          EXPECT_GT(forecast.retry_after_us, 0);
+          EXPECT_NE(forecast.error.find("rate limited (2 rps"),
+                    std::string::npos)
+              << forecast.error;
+          ++limited;
+        }
+        // The burst of 2 passed, the rest hit an empty bucket.
+        EXPECT_EQ(limited, 2);
+      };
+
+  infer::ModelFleet fleet;
+  infer::FleetModelOptions lane;
+  lane.model_id = "tenant";
+  lane.max_batch_size = 8;
+  lane.max_wait_us = 500;
+  lane.warmup = false;
+  lane.admission.rate_rps = kRateRps;
+  std::string error;
+  ASSERT_TRUE(fleet.AddModel(std::shared_ptr<infer::InferenceSession>(
+                                 session_.get(), [](infer::InferenceSession*) {}),
+                             lane, &error))
+      << error;
+  infer::FleetServer fleet_server(&fleet, infer::FleetOptions{});
+  expect_two_limited(
+      [&](int i) { return fleet_server.Submit("tenant", MakeRequest(i)); });
+  fleet_server.Shutdown();
+  const infer::FleetModelStats lane_stats =
+      fleet_server.stats().models.at("tenant");
+  EXPECT_EQ(lane_stats.rejected_rate_limited, 2);
+  EXPECT_EQ(lane_stats.rejected, 2);
+
   infer::BatchingOptions options;
   options.max_batch_size = 8;
   options.max_wait_us = 500;
   options.warmup = false;
-  // A bucket of 2 tokens refilled one per 500 ms, far slower than the
-  // four submissions below run.
-  options.admission.rate_rps = 2.0;
+  options.admission.rate_rps = kRateRps;
   infer::BatchingServer server(session_.get(), options);
-
-  std::vector<std::future<infer::Forecast>> futures;
-  for (int i = 0; i < 4; ++i) futures.push_back(server.Submit(MakeRequest(i)));
-  int64_t limited = 0;
-  for (std::future<infer::Forecast>& f : futures) {
-    const infer::Forecast forecast = f.get();
-    if (forecast.ok) continue;
-    EXPECT_EQ(forecast.reason, infer::RejectReason::kRateLimited);
-    EXPECT_GT(forecast.retry_after_us, 0);
-    ++limited;
-  }
-  EXPECT_EQ(limited, 2);  // burst of 2 passed, the rest hit an empty bucket
-
+  expect_two_limited([&](int i) { return server.Submit(MakeRequest(i)); });
   server.Shutdown();
   const infer::BatchingServerStats stats = server.stats();
   EXPECT_EQ(stats.rejected_rate_limited, 2);

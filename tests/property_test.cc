@@ -387,7 +387,7 @@ TEST_P(PresetProperty, ReadingsMatchFamily) {
     if (preset.options.flow) {
       EXPECT_FLOAT_EQ(v, std::round(v));
     } else {
-      EXPECT_LE(v, preset.options.free_flow_speed + 2.0f);
+      EXPECT_LE(v, data::kFreeFlowSpeed + 2.0f);
     }
   }
 }

@@ -119,6 +119,35 @@ TEST_F(ThreadPoolTest, ExceptionPropagatesToCaller) {
   }
 }
 
+// At one thread every chunk runs inline on the caller, in chunk order: a
+// throw skips the remaining chunks, propagates, and leaves the region flag
+// reset, and a nested call does not clear the flag of the chunk around it.
+TEST_F(ThreadPoolTest, InlinePathRestoresRegionFlag) {
+  SetNumThreads(1);
+  std::vector<int64_t> ran;
+  EXPECT_THROW(ParallelFor(0, 50, 10,
+                           [&](int64_t lo, int64_t) {
+                             EXPECT_TRUE(InParallelRegion());
+                             ran.push_back(lo);
+                             if (lo == 20) throw std::runtime_error("chunk");
+                           }),
+               std::runtime_error);
+  EXPECT_EQ(ran, (std::vector<int64_t>{0, 10, 20}));
+  EXPECT_FALSE(InParallelRegion());
+
+  int64_t covered = 0;
+  ParallelFor(0, 4, 1, [&](int64_t lo, int64_t hi) {
+    ParallelFor(0, 8, 2, [&](int64_t ilo, int64_t ihi) {
+      EXPECT_TRUE(InParallelRegion());
+      covered += ihi - ilo;
+    });
+    EXPECT_TRUE(InParallelRegion());
+    covered += hi - lo;
+  });
+  EXPECT_EQ(covered, 4 * 8 + 4);
+  EXPECT_FALSE(InParallelRegion());
+}
+
 TEST_F(ThreadPoolTest, PoolSurvivesRepeatedResizing) {
   for (int round = 0; round < 3; ++round) {
     for (int threads : {1, 2, 4, 3}) {
