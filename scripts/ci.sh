@@ -321,16 +321,16 @@ cmake --build build-ubsan -j "$(nproc)"
 ctest --test-dir build-ubsan --output-on-failure -j "$(nproc)" \
   --no-tests=error
 
-echo "=== ASan+UBSan build + fault-injection, op, capture, diffusion-block, optimizer, generator and admission suites ==="
+echo "=== ASan+UBSan build + fault-injection, op, capture, session, hot-reload, diffusion-block, optimizer, generator and admission suites ==="
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DD2STGNN_SANITIZE=address,undefined
 cmake --build build-asan -j "$(nproc)" \
   --target fault_injection_test checkpoint_test death_test io_test \
   kernel_backend_test tensor_test op_gradcheck_test \
   exec_plan_test property_test parallel_determinism_test core_blocks_test \
-  optim_test data_test overload_test
+  optim_test data_test overload_test infer_session_test hot_reload_test
 ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
-  -R 'FaultInjection|CheckpointFault|CheckpointResume|DivergenceRecovery|Checkpoint|CsvLoader|DeathTest|Backend|UlpDiff|ElementwiseOps|MatMulOp|GradCheck|OpGradCheck|ZooCapture|GraphCapture|ExecSession|MatMulProperty|MatMulGradReference|ParallelDeterminism|StridedWalk|TensorGradAdoption|DiffusionBlock|AdamTest|ClipGradNorm|SyntheticTraffic|AdmissionController' \
+  -R 'FaultInjection|CheckpointFault|CheckpointResume|DivergenceRecovery|Checkpoint|CsvLoader|DeathTest|Backend|UlpDiff|ElementwiseOps|MatMulOp|GradCheck|OpGradCheck|ZooCapture|GraphCapture|ExecSession|MatMulProperty|MatMulGradReference|ParallelDeterminism|StridedWalk|TensorGradAdoption|DiffusionBlock|AdamTest|ClipGradNorm|SyntheticTraffic|AdmissionController|InferSession|HotReload' \
   --no-tests=error
 
 echo "=== Plan verification: registry-wide verify_plan under ASan+UBSan ==="

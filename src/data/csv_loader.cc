@@ -14,6 +14,10 @@
 namespace d2stgnn::data {
 namespace {
 
+// Gaussian-kernel weights below this are dropped (DCRNN and the paper use
+// 0.1, as the synthetic generator does).
+constexpr float kKernelThreshold = 0.1f;
+
 // Splits a CSV line on commas (no quoting; traffic exports are plain).
 std::vector<std::string> SplitCsvLine(const std::string& line) {
   std::vector<std::string> cells;
@@ -157,7 +161,7 @@ bool LoadCsvDataset(const std::string& readings_path,
   out->network.y.assign(static_cast<size_t>(num_nodes), 0.0f);
   out->network.road_distance = Tensor({num_nodes, num_nodes}, std::move(dist));
   out->network.adjacency = graph::ThresholdedGaussianAdjacency(
-      out->network.road_distance, options.kernel_threshold);
+      out->network.road_distance, kKernelThreshold);
   D2_LOG(INFO) << "loaded " << out->name << ": " << num_steps << " steps x "
                << num_nodes << " sensors, " << edges << " road segments";
   return true;

@@ -16,9 +16,6 @@ struct CsvDatasetOptions {
   int64_t start_day_of_week = 0;
   /// True for flow datasets (PEMS04/08-style), false for speed.
   bool is_flow = false;
-  /// Threshold of the Gaussian kernel used to build the adjacency from the
-  /// distance file (0.1 in DCRNN and the paper).
-  float kernel_threshold = 0.1f;
 };
 
 /// Loads a traffic dataset from two CSV files, the format the public
@@ -29,9 +26,10 @@ struct CsvDatasetOptions {
 ///  * `distances_path` — directed road distances as `from,to,distance`
 ///    rows with 0-based sensor indices (header rows are skipped).
 ///
-/// The adjacency is built with the thresholded Gaussian kernel (paper Sec.
-/// 6.1). Returns false (after logging) on I/O or parse errors; the project
-/// does not use exceptions.
+/// The adjacency is built with the thresholded Gaussian kernel at DCRNN's
+/// threshold 0.1, the one the synthetic generator uses (paper Sec. 6.1).
+/// Returns false (after logging) on I/O or parse errors; the project does
+/// not use exceptions.
 bool LoadCsvDataset(const std::string& readings_path,
                     const std::string& distances_path,
                     const CsvDatasetOptions& options, TimeSeriesDataset* out);

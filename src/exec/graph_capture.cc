@@ -20,22 +20,24 @@ namespace internal {
 
 bool CaptureActive() { return g_active_capture != nullptr; }
 
-void RecordStep(const char* op, std::vector<Tensor> inputs,
+void RecordStep(const char* op, const std::vector<Tensor>& inputs,
                 const Tensor& output, std::function<void(const StepIo&)> run,
                 bool zero_output, const std::vector<int64_t>* indices) {
   GraphCapture* capture = g_active_capture;
   if (capture == nullptr) return;
   GraphCapture::Recorded recorded;
   recorded.op = op;
-  recorded.inputs = std::move(inputs);
-  recorded.output = output;
+  recorded.inputs.reserve(inputs.size());
+  for (const Tensor& in : inputs) {
+    recorded.inputs.push_back(capture->Resolve(in));
+  }
   recorded.run = std::move(run);
   recorded.zero_output = zero_output;
   if (indices != nullptr) {
     recorded.indices_addr = indices;
     recorded.baked_indices = *indices;  // dropped in Finish if bound
   }
-  capture->Record(std::move(recorded));
+  capture->Record(std::move(recorded), output);
 }
 
 }  // namespace internal
@@ -72,9 +74,31 @@ void GraphCapture::BindIndexInput(const std::string& name,
   index_bindings_.push_back(IndexBinding{name, &indices});
 }
 
-void GraphCapture::Record(Recorded recorded) {
-  D2_CHECK(recorded.output.defined());
+ValueRef GraphCapture::Resolve(const Tensor& t) {
+  const auto* impl = t.impl().get();
+  const auto prod = producer_.find(impl);
+  if (prod != producer_.end() && !prod->second.impl.expired()) {
+    return ValueRef{ValueRef::Kind::kSlot,
+                    static_cast<int32_t>(prod->second.step)};
+  }
+  for (size_t b = 0; b < float_bindings_.size(); ++b) {
+    if (float_bindings_[b].tensor.impl().get() == impl) {
+      return ValueRef{ValueRef::Kind::kInput, static_cast<int32_t>(b)};
+    }
+  }
+  const auto [it, inserted] = constant_of_.emplace(
+      impl, static_cast<int32_t>(constants_.size()));
+  if (inserted) constants_.push_back(t);
+  return ValueRef{ValueRef::Kind::kConstant, it->second};
+}
+
+void GraphCapture::Record(Recorded recorded, const Tensor& output) {
+  D2_CHECK(output.defined());
   D2_CHECK(recorded.run != nullptr);
+  Producer& prod = producer_[output.impl().get()];
+  D2_CHECK(prod.impl.expired()) << "two recorded steps share an output tensor";
+  prod = Producer{output.impl(), recorded_.size()};
+  recorded.numel = output.numel();
   recorded_.push_back(std::move(recorded));
 }
 
@@ -86,35 +110,27 @@ std::shared_ptr<const ExecutionPlan> GraphCapture::Finish(
 
   D2_CHECK(output.defined()) << "Finish: undefined output";
 
-  // Producer lookup by impl address. Addresses are unique across recorded
-  // steps because every Recorded holds its output handle alive.
-  std::unordered_map<const d2stgnn::internal::TensorImpl*, size_t> producer;
-  producer.reserve(recorded_.size());
-  for (size_t i = 0; i < recorded_.size(); ++i) {
-    const auto* impl = recorded_[i].output.impl().get();
-    D2_CHECK(producer.emplace(impl, i).second)
-        << "two recorded steps share an output tensor";
-  }
-
-  const auto output_it = producer.find(output.impl().get());
-  if (output_it == producer.end()) {
+  const auto output_it = producer_.find(output.impl().get());
+  if (output_it == producer_.end() || output_it->second.impl.expired()) {
     error_ = "output tensor was not produced by a recorded op";
     return nullptr;
   }
+  const size_t output_step = output_it->second.step;
+  producer_.clear();
 
   // Prune steps that do not feed the output (computed eagerly but dead for
   // replay purposes).
   std::vector<char> live(recorded_.size(), 0);
-  std::vector<size_t> stack{output_it->second};
-  live[output_it->second] = 1;
+  std::vector<size_t> stack{output_step};
+  live[output_step] = 1;
   while (!stack.empty()) {
     const size_t step = stack.back();
     stack.pop_back();
-    for (const Tensor& in : recorded_[step].inputs) {
-      const auto it = producer.find(in.impl().get());
-      if (it != producer.end() && !live[it->second]) {
-        live[it->second] = 1;
-        stack.push_back(it->second);
+    for (const ValueRef& in : recorded_[step].inputs) {
+      const auto producer = static_cast<size_t>(in.index);
+      if (in.kind == ValueRef::Kind::kSlot && !live[producer]) {
+        live[producer] = 1;
+        stack.push_back(producer);
       }
     }
   }
@@ -126,12 +142,11 @@ std::shared_ptr<const ExecutionPlan> GraphCapture::Finish(
   for (size_t i = 0; i < recorded_.size(); ++i) {
     if (!live[i]) continue;
     int32_t lvl = 1;
-    for (const Tensor& in : recorded_[i].inputs) {
-      const auto it = producer.find(in.impl().get());
-      if (it != producer.end()) {
-        D2_CHECK_LT(it->second, i) << "consumer recorded before producer";
-        lvl = std::max(lvl, level[it->second] + 1);
-      }
+    for (const ValueRef& in : recorded_[i].inputs) {
+      if (in.kind != ValueRef::Kind::kSlot) continue;
+      const auto producer = static_cast<size_t>(in.index);
+      D2_CHECK_LT(producer, i) << "consumer recorded before producer";
+      lvl = std::max(lvl, level[producer] + 1);
     }
     level[i] = lvl;
     max_level = std::max(max_level, lvl);
@@ -164,28 +179,28 @@ std::shared_ptr<const ExecutionPlan> GraphCapture::Finish(
         PlanIndexInput{b.name, static_cast<int64_t>(b.indices->size())});
   }
 
-  std::unordered_map<const d2stgnn::internal::TensorImpl*, int32_t>
-      constant_of;
-  auto resolve = [&](const Tensor& t) -> ValueRef {
-    const auto* impl = t.impl().get();
-    const auto prod = producer.find(impl);
-    if (prod != producer.end()) {
-      return ValueRef{ValueRef::Kind::kSlot, slot_of.at(prod->second)};
+  // Constants are numbered in execution order, as each is first read by a
+  // live step; those only dead steps read are dropped.
+  std::vector<int32_t> constant_id(constants_.size(), -1);
+  auto resolve = [&](ValueRef ref) -> ValueRef {
+    const auto i = static_cast<size_t>(ref.index);
+    switch (ref.kind) {
+      case ValueRef::Kind::kSlot:
+        ref.index = slot_of.at(i);
+        break;
+      case ValueRef::Kind::kConstant:
+        if (constant_id[i] < 0) {
+          constant_id[i] = static_cast<int32_t>(plan->constants_.size());
+          const Tensor& t = constants_[i];
+          plan->constants_.push_back(
+              PlanConstant{t, t.Data().data(), t.numel()});
+        }
+        ref.index = constant_id[i];
+        break;
+      case ValueRef::Kind::kInput:
+        break;
     }
-    for (size_t b = 0; b < float_bindings_.size(); ++b) {
-      if (float_bindings_[b].tensor.impl().get() == impl) {
-        return ValueRef{ValueRef::Kind::kInput, static_cast<int32_t>(b)};
-      }
-    }
-    const auto it = constant_of.find(impl);
-    if (it != constant_of.end()) {
-      return ValueRef{ValueRef::Kind::kConstant, it->second};
-    }
-    const int32_t id = static_cast<int32_t>(plan->constants_.size());
-    plan->constants_.push_back(
-        PlanConstant{t, t.Data().data(), t.numel()});
-    constant_of.emplace(impl, id);
-    return ValueRef{ValueRef::Kind::kConstant, id};
+    return ref;
   };
 
   for (size_t pos = 0; pos < order.size(); ++pos) {
@@ -197,7 +212,7 @@ std::shared_ptr<const ExecutionPlan> GraphCapture::Finish(
     step.zero_output = rec.zero_output;
     step.run = std::move(rec.run);
     step.inputs.reserve(rec.inputs.size());
-    for (const Tensor& in : rec.inputs) step.inputs.push_back(resolve(in));
+    for (const ValueRef& in : rec.inputs) step.inputs.push_back(resolve(in));
     if (rec.indices_addr != nullptr) {
       for (size_t b = 0; b < index_bindings_.size(); ++b) {
         if (index_bindings_[b].indices == rec.indices_addr) {
@@ -212,7 +227,7 @@ std::shared_ptr<const ExecutionPlan> GraphCapture::Finish(
     plan->steps_.push_back(std::move(step));
 
     SlotInfo& slot = plan->slots_[pos];
-    slot.numel = rec.output.numel();
+    slot.numel = rec.numel;
     slot.def_level = level[order[pos]];
     slot.last_use_level = slot.def_level;
   }
@@ -226,7 +241,7 @@ std::shared_ptr<const ExecutionPlan> GraphCapture::Finish(
       slot.last_use_level = std::max(slot.last_use_level, step.level);
     }
   }
-  plan->output_slot_ = slot_of.at(output_it->second);
+  plan->output_slot_ = slot_of.at(output_step);
   plan->slots_[static_cast<size_t>(plan->output_slot_)].last_use_level =
       max_level;
   plan->output_shape_ = output.shape();
@@ -261,7 +276,10 @@ std::shared_ptr<const ExecutionPlan> GraphCapture::Finish(
     }
   }
 
-  recorded_.clear();  // release pinned tensors; constants stay via plan
+  // Release the pinned tensors; the plan holds the constants it reads.
+  recorded_.clear();
+  constants_.clear();
+  constant_of_.clear();
   return plan;
 }
 

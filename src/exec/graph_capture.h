@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "exec/plan.h"
@@ -26,11 +27,14 @@
 //   Tensor out = model.Forward(batch);          // eager, but recorded
 //   auto plan = capture.Finish(out);            // null + error() on failure
 //
-// Any tensor an op reads that is neither a bound input nor produced by a
-// recorded op is captured as a plan constant (weights, scaler statistics).
-// Steps that do not contribute to the output are pruned, levels are
-// assigned for the parallel schedule, and the memory planner lays every
-// intermediate into one slab.
+// Each input an op reads is resolved when the op is recorded: to the output
+// of an earlier recorded step, to a bound input, or, when it is neither, to
+// a plan constant (weights, scaler statistics). A record keeps only that
+// resolution and its output's size, so the forward's intermediates die as
+// the eager pass drops them; only constants and bound inputs stay pinned
+// until Finish. Steps that do not contribute to the output are pruned,
+// levels are assigned for the parallel schedule, and the memory planner
+// lays every intermediate into one slab.
 
 namespace d2stgnn::exec {
 
@@ -41,14 +45,15 @@ namespace internal {
 bool CaptureActive();
 
 /// Records a dispatched op. `inputs` are the tensors whose buffers the
-/// closure reads (in StepIo::inputs order), `output` the tensor it writes,
-/// `run` the shape-specialized closure that computed `output`.
+/// closure reads (in StepIo::inputs order), resolved here and not kept;
+/// `output` the tensor it writes, `run` the shape-specialized closure that
+/// computed `output`.
 /// `zero_output` marks kernels that accumulate (+=) into their output.
 /// `indices`, when set, is the int64 index vector the closure reads through
 /// StepIo::indices (EmbeddingLookup): replay passes the bound vector when
 /// `indices` matches a BindIndexInput address, otherwise a snapshot taken
 /// here. No-op when capture is inactive.
-void RecordStep(const char* op, std::vector<Tensor> inputs,
+void RecordStep(const char* op, const std::vector<Tensor>& inputs,
                 const Tensor& output, std::function<void(const StepIo&)> run,
                 bool zero_output = false,
                 const std::vector<int64_t>* indices = nullptr);
@@ -88,10 +93,12 @@ class GraphCapture {
   static bool Active();
 
  private:
+  // `inputs` are resolved at record time: kSlot indexes recorded_, kInput
+  // float_bindings_, kConstant constants_ (renumbered in Finish).
   struct Recorded {
     std::string op;
-    std::vector<Tensor> inputs;  // pins impl identity until Finish
-    Tensor output;
+    std::vector<ValueRef> inputs;
+    int64_t numel = 0;  // of the output
     std::function<void(const StepIo&)> run;
     bool zero_output = false;
     const std::vector<int64_t>* indices_addr = nullptr;  // null: not indexed
@@ -107,15 +114,29 @@ class GraphCapture {
     const std::vector<int64_t>* indices = nullptr;
   };
 
-  void Record(Recorded recorded);
+  // A recorded step's output, keyed by impl address. The weak pointer
+  // does not pin the buffer; an expired entry is a dead intermediate whose
+  // address a later tensor may reuse, so it never counts as a producer.
+  struct Producer {
+    std::weak_ptr<d2stgnn::internal::TensorImpl> impl;
+    size_t step = 0;
+  };
+
+  ValueRef Resolve(const Tensor& t);
+  void Record(Recorded recorded, const Tensor& output);
 
   std::vector<Recorded> recorded_;
+  std::unordered_map<const d2stgnn::internal::TensorImpl*, Producer>
+      producer_;
+  std::vector<Tensor> constants_;  // pinned, in first-read order
+  std::unordered_map<const d2stgnn::internal::TensorImpl*, int32_t>
+      constant_of_;
   std::vector<FloatBinding> float_bindings_;
   std::vector<IndexBinding> index_bindings_;
   std::string error_;
   bool finished_ = false;
 
-  friend void internal::RecordStep(const char*, std::vector<Tensor>,
+  friend void internal::RecordStep(const char*, const std::vector<Tensor>&,
                                    const Tensor&,
                                    std::function<void(const StepIo&)>, bool,
                                    const std::vector<int64_t>*);

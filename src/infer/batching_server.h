@@ -42,9 +42,10 @@ struct BatchingOptions {
   /// Submit rejects once this many requests are queued (<= 0: unbounded;
   /// this also disables the queue-pressure degrade tiers).
   int64_t max_queue_depth = 4096;
-  /// Run session warm-up forwards at batch sizes 1 and max_batch_size on
-  /// construction (and on every SwapSession), so the first real requests
-  /// already hit captured plans and the buffer pool.
+  /// Run session warm-up forwards at WarmupBatchSizes(max_batch_size) — the
+  /// powers of two below it, then the max — on construction (and on every
+  /// SwapSession), so the first real requests already hit captured plans
+  /// and the buffer pool.
   bool warmup = true;
   /// The lane's token bucket (FleetModelOptions::admission).
   AdmissionOptions admission;

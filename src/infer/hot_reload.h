@@ -40,8 +40,9 @@ using ModelFactory =
     std::function<std::unique_ptr<train::ForecastingModel>()>;
 
 /// Staging always warms the shadow session at WarmupBatchSizes(the host's
-/// max_batch_size()) and, when it uses plans, requires each of those sizes
-/// to have a captured, verifier-clean plan before the swap.
+/// max_batch_size()) — every power of two below it, then the max — and,
+/// when it uses plans, requires each of those sizes to have a captured,
+/// verifier-clean plan before the swap.
 struct HotReloadOptions {
   std::string directory;          ///< watched checkpoint directory
   /// Watcher thread poll period. Configurable end to end: the fleet spec's

@@ -205,10 +205,16 @@ ForecastRequest InferenceSession::BlankRequest() const {
 bool InferenceSession::CapturePlanLocked(int64_t batch_size) {
   const std::vector<ForecastRequest> requests(static_cast<size_t>(batch_size),
                                               BlankRequest());
+  // Only the assembled input comes from the session arena (it returns to
+  // the pool for this size's replays). The capture's forward runs outside
+  // it: that forward runs once per plan, so pooling its buffers would only
+  // park them for eager forwards the plan replaces.
+  const data::Batch batch = [&] {
+    std::optional<ArenaGuard> arena_scope;
+    if (arena_ != nullptr) arena_scope.emplace(arena_);
+    return AssembleBatch(requests);
+  }();
   NoGradGuard no_grad;
-  std::optional<ArenaGuard> arena_scope;
-  if (arena_ != nullptr) arena_scope.emplace(arena_);
-  const data::Batch batch = AssembleBatch(requests);
   exec::GraphCapture capture;
   capture.BindInput("x", batch.x);
   capture.BindIndexInput("tod", batch.time_of_day);
@@ -319,8 +325,9 @@ void InferenceSession::Warmup(int64_t batch_size, int64_t runs) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     DropForeignPlansLocked();
-    if (options_.use_plans && plans_.find(batch_size) == plans_.end()) {
-      CapturePlanLocked(batch_size);  // eager forward also warms the pool
+    if (options_.use_plans && plans_.find(batch_size) == plans_.end() &&
+        CapturePlanLocked(batch_size)) {
+      --runs;  // the capture's own forward was the first warm-up forward
     }
   }
   const std::vector<ForecastRequest> requests(

@@ -156,10 +156,13 @@ class InferenceSession {
   /// "" when `request` is well-formed, else the reason it is not.
   std::string ValidateRequest(const ForecastRequest& request) const;
 
-  /// Primes the session for batches of `batch_size`: captures an execution
-  /// plan at that size (when use_plans is on) and runs `runs` synthetic
-  /// forwards so the first real request replays a warm plan / hits the
-  /// buffer pool. Distinct batch sizes are planned and pooled independently.
+  /// Primes the session for batches of `batch_size` with `runs` synthetic
+  /// forwards, so the first real request replays a plan and finds its
+  /// assembled input buffer pooled. When use_plans is on and no plan covers
+  /// the size yet, the first of those forwards is the capture's own (run
+  /// outside the session arena, so it parks nothing there but its input);
+  /// the rest replay the plan. Distinct batch sizes are planned and pooled
+  /// independently; servers warm the WarmupBatchSizes ladder.
   void Warmup(int64_t batch_size, int64_t runs = 1);
 
   /// Allocation counters of the session arena (all zeros when use_arena is

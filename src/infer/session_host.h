@@ -1,6 +1,7 @@
 #ifndef D2STGNN_INFER_SESSION_HOST_H_
 #define D2STGNN_INFER_SESSION_HOST_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -27,13 +28,19 @@ class SessionHost {
   virtual int64_t max_batch_size() const = 0;
 };
 
-/// The batch sizes a lane is warmed at before it serves: 1 and, when it is
-/// larger, the lane's max batch. FleetServer warms new lanes at these sizes
-/// and CheckpointReloader warms (and requires plans at) them for a staged
-/// session.
+/// The batch sizes a lane is warmed at before it serves: every power of two
+/// below the lane's max batch, then the max itself (8 gives {1, 2, 4, 8},
+/// 6 gives {1, 2, 4, 6}, 1 gives {1}). A formed batch pads up to the
+/// nearest of these, so padding stays under half the replayed rows.
+/// FleetServer warms new lanes at these sizes and CheckpointReloader warms
+/// (and requires plans at) them for a staged session.
 inline std::vector<int64_t> WarmupBatchSizes(int64_t max_batch_size) {
-  if (max_batch_size > 1) return {1, max_batch_size};
-  return {1};
+  std::vector<int64_t> sizes;
+  for (int64_t size = 1; size < max_batch_size; size *= 2) {
+    sizes.push_back(size);
+  }
+  sizes.push_back(std::max<int64_t>(max_batch_size, 1));
+  return sizes;
 }
 
 }  // namespace d2stgnn::infer

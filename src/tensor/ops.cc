@@ -63,7 +63,7 @@ Tensor Dispatch(const char* name, const Shape& shape,
   Tensor result = MakeOpResult(name, shape, std::move(out), std::move(inputs),
                                std::move(backward));
   if (capture) {
-    exec::internal::RecordStep(name, std::move(recorded_inputs), result,
+    exec::internal::RecordStep(name, recorded_inputs, result,
                                std::move(run), zero_output, indices);
   }
   return result;

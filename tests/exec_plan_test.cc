@@ -451,6 +451,37 @@ TEST(GraphCaptureTest, OutputNotProducedByARecordedOpFails) {
   EXPECT_FALSE(capture.error().empty());
 }
 
+// A capture resolves each input when the op is recorded and keeps no
+// handle to the op's tensors: an intermediate the forward drops dies before
+// Finish, yet the plan still replays the whole chain.
+TEST(GraphCaptureTest, DroppedIntermediatesAreNotPinned) {
+  NoGradGuard no_grad;
+  Rng rng(3);
+  const Tensor x = Tensor::Randn({4, 4}, rng);
+  const Tensor w = Tensor::Randn({4, 4}, rng);
+
+  exec::GraphCapture capture;
+  capture.BindInput("x", x);
+  Tensor h = Tanh(MatMul(x, w));
+  const std::weak_ptr<internal::TensorImpl> dropped = h.impl();
+  Tensor out = Sigmoid(h);
+  h = Tensor();
+  EXPECT_TRUE(dropped.expired()) << "the capture pinned an intermediate";
+  auto plan = capture.Finish(out);
+  ASSERT_NE(plan, nullptr) << capture.error();
+  ASSERT_EQ(plan->steps().size(), 3u);
+  EXPECT_EQ(plan->constants().size(), 1u);  // w
+
+  const Tensor fresh = Tensor::Randn({4, 4}, rng);
+  const Tensor want = Sigmoid(Tanh(MatMul(fresh, w)));
+  exec::PlanExecutor executor(plan);
+  ASSERT_EQ(executor.Run({{fresh.Data().data(), fresh.numel()}}, {},
+                         exec::ReplayMode::kSerial),
+            exec::ReplayStatus::kOk);
+  EXPECT_TRUE(std::equal(want.Data().begin(), want.Data().end(),
+                         executor.output()));
+}
+
 // ---------------------------------------------------------------------------
 // Session-level plan serving on the paper's model.
 
@@ -799,6 +830,48 @@ TEST_F(ExecSessionTest, PlanReplayTakesNoPerOpBuffers) {
       << "a replayed request takes only its input buffer from the arena";
   EXPECT_GT(eager_taken, 100 * plan_taken)
       << "the eager forward takes one buffer per op output";
+}
+
+// Capturing the paper's model holds only what its plan keeps. Under a fresh
+// arena an eager forward takes about one fresh buffer per simultaneously
+// live tensor, since dead intermediates return to the pool; a capture may
+// add at most one per plan constant. A capture that pinned its
+// intermediates would take one per recorded step.
+TEST_F(ExecSessionTest, CaptureTakesNoMoreFreshBuffersThanAnEagerForward) {
+  infer::SessionOptions options = Options();
+  options.use_plans = false;
+  options.use_arena = false;
+  auto assembler =
+      infer::InferenceSession::Wrap(NewModel(7), scaler_, options);
+  ASSERT_NE(assembler, nullptr);
+  const data::Batch batch = assembler->AssembleBatch(Requests(4));
+  auto model = NewModel(7);
+  NoGradGuard no_grad;
+
+  auto eager_arena = std::make_shared<BufferArena>();
+  {
+    ArenaGuard guard(eager_arena);
+    (void)model->Forward(batch);
+  }
+  auto capture_arena = std::make_shared<BufferArena>();
+  std::shared_ptr<const exec::ExecutionPlan> plan;
+  {
+    ArenaGuard guard(capture_arena);
+    exec::GraphCapture capture;
+    capture.BindInput("x", batch.x);
+    capture.BindIndexInput("tod", batch.time_of_day);
+    capture.BindIndexInput("dow", batch.day_of_week);
+    const Tensor out = model->Forward(batch);
+    plan = capture.Finish(out);
+    ASSERT_NE(plan, nullptr) << capture.error();
+  }
+  const int64_t eager_fresh = eager_arena->stats().fresh_allocations;
+  const int64_t capture_fresh = capture_arena->stats().fresh_allocations;
+  EXPECT_GT(static_cast<int64_t>(plan->steps().size()), 4 * eager_fresh)
+      << "the model is too small to tell pinning from pooling";
+  EXPECT_LE(capture_fresh,
+            eager_fresh + static_cast<int64_t>(plan->constants().size()))
+      << plan->steps().size() << " recorded steps";
 }
 
 TEST_F(ExecSessionTest, InvalidatePlansDropsEveryPlan) {

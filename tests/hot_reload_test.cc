@@ -13,6 +13,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gmock/gmock.h>
@@ -197,6 +198,45 @@ TEST_F(HotReloadTest, NewCheckpointSwapsInBitwise) {
 
   // Same checkpoint next poll: nothing to do.
   EXPECT_EQ(s.reloader->PollOnce().outcome, infer::ReloadOutcome::kNoChange);
+}
+
+// A host that keeps whatever session the reloader swaps in, so the staged
+// session itself can be inspected.
+class RecordingHost : public infer::SessionHost {
+ public:
+  explicit RecordingHost(int64_t max_batch) : max_batch_(max_batch) {}
+  void SwapSession(std::shared_ptr<infer::InferenceSession> next) override {
+    swapped_ = std::move(next);
+  }
+  int64_t max_batch_size() const override { return max_batch_; }
+  const std::shared_ptr<infer::InferenceSession>& swapped() const {
+    return swapped_;
+  }
+
+ private:
+  int64_t max_batch_;
+  std::shared_ptr<infer::InferenceSession> swapped_;
+};
+
+// Staging warms the shadow session at every ladder size — the powers of two
+// below the host's max batch, then the max — so a swapped-in session never
+// pads a formed batch further than the next ladder size.
+TEST_F(HotReloadTest, StagedSessionHoldsAPlanAtEveryLadderSize) {
+  WriteCheckpoint(11, 1);
+  for (const auto& [max_batch, ladder] :
+       {std::pair<int64_t, std::vector<int64_t>>{8, {1, 2, 4, 8}},
+        std::pair<int64_t, std::vector<int64_t>>{6, {1, 2, 4, 6}}}) {
+    RecordingHost host(max_batch);
+    infer::HotReloadOptions reload_options;
+    reload_options.directory = watch_dir_;
+    infer::CheckpointReloader reloader(
+        &host, [this] { return NewTinyModel(99); }, scaler_, Options(),
+        reload_options);
+    ASSERT_EQ(reloader.PollOnce().outcome, infer::ReloadOutcome::kSwapped);
+    ASSERT_NE(host.swapped(), nullptr);
+    EXPECT_EQ(host.swapped()->planned_batch_sizes(), ladder)
+        << "max batch " << max_batch;
+  }
 }
 
 TEST_F(HotReloadTest, CorruptCheckpointIsRejectedAndOldSessionServes) {

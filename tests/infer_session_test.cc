@@ -18,6 +18,7 @@
 #include "core/d2stgnn.h"
 #include "data/sliding_window.h"
 #include "data/synthetic_traffic.h"
+#include "infer/session_host.h"
 #include "nn/linear.h"
 #include "train/checkpoint.h"
 #include "train/trainer.h"
@@ -355,6 +356,41 @@ TEST_F(InferSessionTest, EagerForwardIsAllocationFreeAfterWarmup) {
   EXPECT_GT(after.pool_hits, before.pool_hits);
 }
 
+// Plan capture runs outside the session arena: after warming the serving
+// ladder, the arena pools only the assembled input windows of the warm-up
+// forwards, and no capture intermediate is parked there.
+TEST_F(InferSessionTest, LadderWarmupParksOnlyAssembledInputs) {
+  core::D2StgnnConfig config;
+  config.num_nodes = kNodes;
+  config.input_len = kInputLen;
+  config.output_len = 3;
+  config.hidden_dim = 8;
+  config.embed_dim = 4;
+  config.num_layers = 1;
+  config.num_heads = 2;
+  config.steps_per_day = traffic_.dataset.steps_per_day;
+  Rng rng(7);
+  auto model = std::make_unique<core::D2Stgnn>(
+      config, traffic_.dataset.network.adjacency, rng);
+  auto session =
+      infer::InferenceSession::Wrap(std::move(model), scaler_, Options());
+  ASSERT_NE(session, nullptr);
+
+  const std::vector<int64_t> ladder = infer::WarmupBatchSizes(8);
+  int64_t input_floats = 0;
+  for (const int64_t size : ladder) {
+    session->Warmup(size);
+    const std::vector<infer::ForecastRequest> requests(
+        static_cast<size_t>(size), MakeRequest(0));
+    input_floats += session->AssembleBatch(requests).x.numel();
+  }
+  EXPECT_EQ(session->planned_batch_sizes(), ladder);
+  const BufferArenaStats stats = session->arena_stats();
+  EXPECT_GT(stats.pooled_floats, 0);
+  EXPECT_LE(stats.pooled_floats, input_floats)
+      << "a capture intermediate was parked in the session arena";
+}
+
 // The arena is an optimization, never a semantics change: pooled and
 // unpooled sessions around the same weights forecast identically.
 TEST_F(InferSessionTest, ArenaDoesNotChangeForecasts) {
@@ -473,8 +509,9 @@ TEST_F(InferSessionTest, FallbackAccountingAcrossVerifyRejectEagerRepair) {
   EXPECT_EQ(stats.plan_replays, 0);
 
   // 3. Re-warming repairs the cache: the one-shot fault is spent, the
-  // fresh capture verifies clean, and the warm-up forward replays it.
-  session->Warmup(2);
+  // fresh capture verifies clean, and the second warm-up forward replays it
+  // (the capture's own forward is the first).
+  session->Warmup(2, /*runs=*/2);
   stats = session->session_stats();
   EXPECT_EQ(stats.plans_built, 1);
   EXPECT_EQ(stats.plans_verified, 2);

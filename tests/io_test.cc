@@ -62,18 +62,19 @@ TEST(CsvLoader, SkipsHeaderRows) {
     std::ofstream r(readings);
     r << "s0,s1\n1.0,2.0\n3.0,4.0\n5.0,6.0\n";
     std::ofstream d(distances);
-    d << "from,to,distance\n0,1,1.5\n1,0,1.5\n";
+    d << "from,to,distance\n0,1,1.0\n1,0,10.0\n";
   }
-  data::CsvDatasetOptions options;
-  // With only one distinct distance the Gaussian kernel weight is exp(-4)
-  // regardless of scale; lower the threshold so the edge survives.
-  options.kernel_threshold = 0.01f;
   data::TimeSeriesDataset loaded;
-  ASSERT_TRUE(data::LoadCsvDataset(readings, distances, options, &loaded));
+  ASSERT_TRUE(data::LoadCsvDataset(readings, distances,
+                                    data::CsvDatasetOptions(), &loaded));
   EXPECT_EQ(loaded.num_steps(), 3);
   EXPECT_EQ(loaded.num_nodes(), 2);
   EXPECT_FLOAT_EQ(loaded.values.At({1, 1}), 4.0f);
-  EXPECT_GT(loaded.network.adjacency.At({0, 1}), 0.0f);
+  // Finite distances {0, 0, 1, 10} give sigma^2 ~ 17.7: the nearer edge
+  // weighs exp(-1 / 17.7) ~ 0.95 and clears the 0.1 kernel threshold; the
+  // farther one weighs exp(-100 / 17.7) ~ 0.004 and is dropped.
+  EXPECT_GT(loaded.network.adjacency.At({0, 1}), 0.9f);
+  EXPECT_EQ(loaded.network.adjacency.At({1, 0}), 0.0f);
 }
 
 TEST(CsvLoader, RejectsRaggedRows) {
