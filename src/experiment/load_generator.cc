@@ -15,9 +15,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// Forwards timed back to back by CalibrateSaturation.
-constexpr int64_t kCalibrationIters = 5;
-
 double MsBetween(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double, std::milli>(to - from).count();
 }
@@ -146,64 +143,6 @@ LoadResult LoadGenerator::OpenLoop(const OpenLoopOptions& options) const {
                           channel->samples.end());
   }
   return result;
-}
-
-LoadResult LoadGenerator::ClosedLoop(int64_t producers,
-                                     int64_t requests_per_producer) const {
-  LoadResult result;
-  // Producer p fills slots [p * n, (p + 1) * n): no two threads share one.
-  result.samples.resize(static_cast<size_t>(
-      std::max<int64_t>(producers, 0) * requests_per_producer));
-  std::vector<std::thread> threads;
-  const Clock::time_point start = Clock::now();
-  for (int64_t p = 0; p < producers; ++p) {
-    threads.emplace_back([&, this, p] {
-      for (int64_t i = 0; i < requests_per_producer; ++i) {
-        const int64_t seq = p * requests_per_producer + i;
-        LoadSample& sample = result.samples[static_cast<size_t>(seq)];
-        sample.seq = seq;
-        const Clock::time_point sent = Clock::now();
-        const infer::Forecast forecast = submit_(LoadRequest{0, seq}).get();
-        sample.ok = forecast.ok;
-        sample.reason = forecast.reason;
-        sample.latency_ms = MsBetween(sent, Clock::now());
-      }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  result.elapsed_s = MsBetween(start, Clock::now()) / 1000.0;
-  return result;
-}
-
-int64_t Saturation::DeadlineUs(int64_t deadline_ms) const {
-  return deadline_ms > 0
-             ? deadline_ms * 1000
-             : std::max<int64_t>(5000, static_cast<int64_t>(5 * batch_us));
-}
-
-bool CalibrateSaturation(infer::InferenceSession* session,
-                         const std::vector<infer::ForecastRequest>& ring,
-                         int64_t batch_size, Saturation* out,
-                         std::string* error) {
-  session->Warmup(batch_size, /*runs=*/2);
-  std::vector<infer::ForecastRequest> batch;
-  for (int64_t i = 0; i < batch_size; ++i) {
-    batch.push_back(ring[static_cast<size_t>(i) % ring.size()]);
-  }
-  const Clock::time_point start = Clock::now();
-  for (int64_t i = 0; i < kCalibrationIters; ++i) {
-    for (const infer::Forecast& f : session->PredictRequests(batch)) {
-      if (!f.ok) {
-        *error = "calibration forward failed: " + f.error;
-        return false;
-      }
-    }
-  }
-  const double seconds =
-      std::max(MsBetween(start, Clock::now()) / 1000.0, 1e-9);
-  out->rps = static_cast<double>(kCalibrationIters * batch_size) / seconds;
-  out->batch_us = seconds * 1e6 / static_cast<double>(kCalibrationIters);
-  return true;
 }
 
 }  // namespace d2stgnn::experiment

@@ -4,28 +4,24 @@
 #include <cstdint>
 #include <functional>
 #include <future>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "infer/overload.h"
 #include "infer/session.h"
 
-// The one load protocol behind the serving numbers (DESIGN.md §9).
-//
-// Open loop: each lane (a tenant, or the one queue of a single-model
+// The open-loop load protocol of the serving example and the fleet chaos
+// test (DESIGN.md §9): each lane (a tenant, or the one queue of a single-model
 // server) gets a fixed send schedule, kept whether or not earlier requests
 // have finished — that is what makes shedding observable. Each producer
 // thread hands its futures to a paired harvester that resolves and stamps
 // them. Latency runs from the *scheduled* send time, so a producer that
 // falls behind cannot hide it; its lateness is also reported as lag.
-//
-// Closed loop: N producers each submit, wait, and submit again.
 
 namespace d2stgnn::experiment {
 
 /// What the submit callback is asked to send. `seq` is dense per lane, in
-/// send order (closed loop: producer * requests_per_producer + i).
+/// send order.
 struct LoadRequest {
   int64_t lane = 0;
   int64_t seq = 0;
@@ -39,7 +35,7 @@ struct LoadSample {
   bool ok = false;
   infer::RejectReason reason = infer::RejectReason::kNone;
   double latency_ms = 0.0;  ///< scheduled send -> resolved
-  double lag_ms = 0.0;      ///< actual send - scheduled send (closed: 0)
+  double lag_ms = 0.0;      ///< actual send - scheduled send
 };
 
 struct LoadResult {
@@ -74,32 +70,9 @@ class LoadGenerator {
   /// Sends each lane's schedule and returns once every future resolved.
   LoadResult OpenLoop(const OpenLoopOptions& options) const;
 
-  /// `producers` threads each send `requests_per_producer` requests on
-  /// lane 0, one at a time.
-  LoadResult ClosedLoop(int64_t producers,
-                        int64_t requests_per_producer) const;
-
  private:
   SubmitFn submit_;
 };
-
-/// The saturated serving rate of a session (back-to-back forwards of one
-/// full batch, after warm-up): overload scenarios scale their offered load
-/// by it, so the same spec saturates any host (or sanitizer).
-struct Saturation {
-  double rps = 0.0;       ///< requests per second at `batch_size`
-  double batch_us = 0.0;  ///< mean latency of one batch forward
-
-  /// `deadline_ms` when positive, else five batch latencies (>= 5 ms).
-  int64_t DeadlineUs(int64_t deadline_ms) const;
-};
-
-/// Measures `session` at `batch_size` over windows drawn from `ring`.
-/// False (with `*error`) when a forward fails.
-bool CalibrateSaturation(infer::InferenceSession* session,
-                         const std::vector<infer::ForecastRequest>& ring,
-                         int64_t batch_size, Saturation* out,
-                         std::string* error);
 
 }  // namespace d2stgnn::experiment
 

@@ -198,39 +198,6 @@ bool ApplyTrainerScenario(const std::string& name,
   return false;
 }
 
-const std::vector<ServingScenario>& ServingScenarios() {
-  static const std::vector<ServingScenario> kScenarios = {
-      {"session-eager",
-       "InferenceSession::PredictRequests, eager dispatch, threads x batch"},
-      {"session-plan",
-       "InferenceSession::PredictRequests, plan replay, threads x batch"},
-      {"server",
-       "the serving core (a one-lane FleetServer behind BatchingServer) "
-       "under the LoadGenerator's closed-loop producers"},
-      {"parity",
-       "plan vs eager A/B on single requests with a bitwise-equality check"},
-      {"overload",
-       "the one-tenant fleet drill: open-loop producers past saturation, "
-       "deadlines, degrade tiers, checkpoint hot-swap, scripted chaos "
-       "faults"},
-      {"fleet",
-       "multi-model FleetServer under skewed per-tenant load: SLO classes, "
-       "weighted-fair arbitration, per-model quotas, mid-run hot reload"},
-  };
-  return kScenarios;
-}
-
-bool ResolveServingScenario(const std::string& name, std::string* error) {
-  std::vector<std::string> known;
-  for (const ServingScenario& s : ServingScenarios()) {
-    if (s.name == name) return true;
-    known.push_back(s.name);
-  }
-  *error = "unknown serving scenario '" + name +
-           "' (known: " + JoinNames(known) + ")";
-  return false;
-}
-
 const std::vector<BackendEntry>& AllBackends() {
   static const std::vector<BackendEntry> kBackends = [] {
     std::vector<BackendEntry> entries = {

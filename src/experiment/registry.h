@@ -14,9 +14,9 @@
 
 // The registry of named experiment axes a spec can reference: datasets,
 // models (statistical baselines, the deep registry, and the Table-5 ablation
-// variants), trainer scenarios, and serving scenarios. `run_experiment
-// --list` dumps all four; Resolve* is how a spec's names are validated
-// before anything expensive runs.
+// variants), trainer scenarios, and kernel backends. `run_experiment --list`
+// dumps all four; Resolve* is how a spec's names are validated before
+// anything expensive runs.
 
 namespace d2stgnn::experiment {
 
@@ -71,17 +71,6 @@ const std::vector<TrainerScenario>& TrainerScenarios();
 /// Applies scenario `name` on top of `options`. False on an unknown name.
 bool ApplyTrainerScenario(const std::string& name,
                           train::TrainerOptions* options, std::string* error);
-
-/// Named serving shapes the serving runner knows how to drive.
-struct ServingScenario {
-  std::string name;
-  std::string description;
-};
-
-const std::vector<ServingScenario>& ServingScenarios();
-
-/// False (with an error listing the known scenarios) on an unknown name.
-bool ResolveServingScenario(const std::string& name, std::string* error);
 
 /// One kernel-backend axis entry: "auto" plus every backend this host can
 /// actually run (tensor/kernels/registry.h).

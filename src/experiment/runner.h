@@ -8,10 +8,11 @@
 
 // The experiment runner: expands a declarative Spec into its matrix of
 // measurement cells and drives the existing stacks — Trainer + Evaluator for
-// `kind = training`, InferenceSession, the serving core and the LoadGenerator
-// for `kind = serving`, the synthetic generator for `kind = dataset` —
-// routing every result through MetricsSink (table + BENCH_*.json) and, when
-// a baseline is configured, through the RegressionGate.
+// `kind = training` (Tables 3-5), the synthetic generator for
+// `kind = dataset` (Table 2) — routing every result through MetricsSink
+// (table + BENCH_*.json) and, when a baseline is configured, through the
+// RegressionGate. Serving timings are perfbench's (perfbench/run.py);
+// serving correctness is the gtests'.
 
 namespace d2stgnn::experiment {
 
@@ -40,7 +41,7 @@ struct RunResult {
 };
 
 /// Expands the spec's matrix without running anything: one line per cell
-/// ("dataset=METR-LA model=D2STGNN", "scenario=parity threads=4", ...).
+/// ("dataset=METR-LA model=D2STGNN", "dataset=PEMS08", ...).
 /// Validates every axis name against the registry. False on any error.
 bool ExpandMatrix(const Spec& spec, std::vector<std::string>* cells,
                   std::string* error);

@@ -152,7 +152,7 @@ const exec::PlanExecutor* InferenceSession::ForwardLocked(
         &batch.time_of_day, &batch.day_of_week};
     std::string error;
     switch (executor.Run(inputs, index_inputs,
-                         exec::ReplayMode::kLevelParallel, &error)) {
+                         exec::ReplayMode::kSerial, &error)) {
       case exec::ReplayStatus::kOk:
         ++stats_.plan_replays;
         return &executor;

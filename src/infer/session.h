@@ -83,11 +83,11 @@ struct SessionOptions {
   /// Off = plain no-grad forwards; useful for A/B-ing the arena.
   bool use_arena = true;
   /// Capture an ExecutionPlan per warmed-up batch size and replay it for
-  /// matching requests, independent plan steps concurrently (level
-  /// schedule). A batch smaller than a captured plan is padded with blank
-  /// requests up to the nearest plan size and replayed (valid because model
-  /// forwards are batch-independent — see the parity tests); the padding
-  /// rows are discarded. Off = always eager (useful for A/B parity runs).
+  /// matching requests, one step after another (serial replay). A batch
+  /// smaller than a captured plan is padded with blank requests up to the
+  /// nearest plan size and replayed (valid because model forwards are
+  /// batch-independent — see the parity tests); the padding rows are
+  /// discarded. Off = always eager (useful for A/B parity runs).
   bool use_plans = true;
   /// Statically verify every captured plan (exec/plan_verifier.h) before it
   /// may serve: a plan with verification errors is rejected and its batch

@@ -38,21 +38,6 @@
 #error "tests/CMakeLists.txt must define D2STGNN_SOURCE_DIR"
 #endif
 
-// The latency-floor test only runs on un-sanitized optimized builds —
-// sanitizers and -O0 distort the eager/replay cost ratio arbitrarily.
-// Any -DD2STGNN_SANITIZE=... build defines D2STGNN_SANITIZED_BUILD via
-// tests/CMakeLists.txt (UBSan has no portable feature macro, so compiler
-// detection alone cannot cover it); the compiler checks below are a
-// belt-and-braces fallback for builds that pass -fsanitize= directly.
-#if defined(__has_feature)
-#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
-#define D2STGNN_SANITIZED_BUILD 1
-#endif
-#endif
-#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
-#define D2STGNN_SANITIZED_BUILD 1
-#endif
-
 namespace d2stgnn {
 namespace {
 

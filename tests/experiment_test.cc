@@ -217,9 +217,6 @@ TEST(RegistryTest, UnknownNamesFailWithKnownNamesListed) {
   Spec spec;
   EXPECT_FALSE(ResolveDataset("NO-SUCH", 0.05f, spec, &preset, &error));
   EXPECT_NE(error.find("METR-LA"), std::string::npos) << error;
-
-  EXPECT_FALSE(ResolveServingScenario("NO-SUCH", &error));
-  EXPECT_NE(error.find("session-plan"), std::string::npos) << error;
 }
 
 TEST(RegistryTest, SyntheticDatasetReadsGeometryFromSpec) {
@@ -404,141 +401,26 @@ TEST(RunnerTest, TrainingMatrixIsDatasetsTimesModels) {
   EXPECT_EQ(cells.back(), "dataset=PEMS08 model=D2STGNN");
 }
 
-TEST(RunnerTest, ServingMatrixCountsSessionAndServerCellsDifferently) {
+// Serving is perfbench's to time and the gtests' to check, so a serving
+// spec is refused up front with the kinds that do run.
+TEST(RunnerTest, ServingKindFailsNamingTheKnownKinds) {
   const Spec spec = ParseSpec(
-      "[experiment]\nname = m\nkind = serving\n"
-      "[serving]\nscenarios = session-plan, server\n"
-      "threads = 1, 2\nbatch_sizes = 1, 4, 8\n");
+      "[experiment]\nname = s\nkind = serving\n"
+      "[serving]\nscenarios = parity\n");
   std::vector<std::string> cells;
   std::string error;
-  ASSERT_TRUE(ExpandMatrix(spec, &cells, &error)) << error;
-  // session-plan: 2 threads x 3 batches; server: 2 threads.
-  EXPECT_EQ(cells.size(), 8u);
-}
+  EXPECT_FALSE(ExpandMatrix(spec, &cells, &error));
+  EXPECT_TRUE(cells.empty());
+  EXPECT_NE(error.find("'serving'"), std::string::npos) << error;
+  EXPECT_NE(error.find("training"), std::string::npos) << error;
+  EXPECT_NE(error.find("dataset"), std::string::npos) << error;
 
-TEST(RunnerTest, OverloadScenarioExpandsToThreadsOnlyCells) {
-  const Spec spec = ParseSpec(
-      "[experiment]\nname = m\nkind = serving\n"
-      "[serving]\nscenarios = session-plan, overload\n"
-      "threads = 1, 2\nbatch_sizes = 1, 4\n");
-  std::vector<std::string> cells;
-  std::string error;
-  ASSERT_TRUE(ExpandMatrix(spec, &cells, &error)) << error;
-  // session-plan: 2 threads x 2 batches; overload: 2 threads.
-  EXPECT_EQ(cells.size(), 6u);
-  EXPECT_EQ(cells.back(), "scenario=overload threads=2");
-}
-
-TEST(RunnerTest, FleetScenarioExpandsPerThreadWithTenantCount) {
-  const Spec spec = ParseSpec(
-      "[experiment]\nname = m\nkind = serving\n"
-      "[serving]\nscenarios = fleet\nthreads = 1, 2\n"
-      "[fleet]\nmodels = metr-la:gold, pems-bay:silver, city-syn:bronze\n"
-      "hot_model = city-syn\n");
-  std::vector<std::string> cells;
-  std::string error;
-  ASSERT_TRUE(ExpandMatrix(spec, &cells, &error)) << error;
-  ASSERT_EQ(cells.size(), 2u);
-  EXPECT_EQ(cells.back(), "scenario=fleet threads=2 models=3");
-}
-
-TEST(RunnerTest, FleetExpansionRejectsBadTenantLists) {
-  std::vector<std::string> cells;
-  std::string error;
-  // Unknown SLO class names fail at expansion (so --dry-run catches them)
-  // with the known tiers spelled out.
-  EXPECT_FALSE(ExpandMatrix(
-      ParseSpec("[experiment]\nname = m\nkind = serving\n"
-                "[serving]\nscenarios = fleet\nthreads = 1\n"
-                "[fleet]\nmodels = metr-la:platinum\n"),
-      &cells, &error));
-  EXPECT_NE(error.find("platinum"), std::string::npos) << error;
-  EXPECT_NE(error.find("gold"), std::string::npos) << error;
-
-  // Duplicate tenant ids are refused (they would share one routing key).
-  EXPECT_FALSE(ExpandMatrix(
-      ParseSpec("[experiment]\nname = m\nkind = serving\n"
-                "[serving]\nscenarios = fleet\nthreads = 1\n"
-                "[fleet]\nmodels = metr-la:gold, metr-la:bronze\n"),
-      &cells, &error));
-  EXPECT_NE(error.find("twice"), std::string::npos) << error;
-
-  // hot_model / reload_model must name a registered tenant.
-  EXPECT_FALSE(ExpandMatrix(
-      ParseSpec("[experiment]\nname = m\nkind = serving\n"
-                "[serving]\nscenarios = fleet\nthreads = 1\n"
-                "[fleet]\nmodels = metr-la:gold\nhot_model = nope\n"),
-      &cells, &error));
-  EXPECT_NE(error.find("nope"), std::string::npos) << error;
-}
-
-TEST(RunnerTest, OverloadAndChaosKeysAreConsumedByDryRun) {
-  const Spec spec = ParseSpec(
-      "[experiment]\nname = t\nkind = serving\n"
-      "[serving]\nscenarios = overload\nthreads = 1\n"
-      "max_queue_depth = 16\n"
-      "[overload]\nfactor = 2.0\nwindows = 3\nwindow_ms = 100\n"
-      "deadline_ms = 5\nlow_priority_every = 4\nhot_swap = 1\n"
-      "[chaos]\nfaults = server.admit@2, infer.hot_reload@0\n");
   RunOptions options;
   options.dry_run = true;
   const RunResult result = RunSpec(spec, options);
-  EXPECT_TRUE(result.ok) << result.error;
-  EXPECT_EQ(result.cells, 1);
-
-  // A typo inside [overload] is refused like any other unknown key.
-  const Spec typo = ParseSpec(
-      "[experiment]\nname = t\nkind = serving\n"
-      "[serving]\nscenarios = overload\nthreads = 1\n"
-      "[overload]\nfactar = 2.0\n");
-  const RunResult bad = RunSpec(typo, options);
-  EXPECT_FALSE(bad.ok);
-  EXPECT_NE(bad.error.find("factar"), std::string::npos) << bad.error;
-}
-
-// Values that expand but cannot run (a series too short for the request
-// ring, an empty or negative trajectory) are refused at expansion, so
-// --dry-run names the key instead of the run crashing.
-TEST(RunnerTest, DryRunRefusesServingValuesThatCannotRun) {
-  struct Case {
-    const char* sections;  ///< appended to a valid overload + fleet spec
-    const char* key;       ///< what the error must name ("": accepted)
-  };
-  const Case cases[] = {
-      {"[workload]\nrequests = 0\n", "[workload] requests"},
-      {"[workload]\nrequests = -3\n", "[workload] requests"},
-      // 100 steps hold 100 - 12 + 1 = 89 input windows.
-      {"[workload]\nnum_steps = 100\nrequests = 90\n", "[workload] requests"},
-      {"[workload]\nnum_steps = 100\nrequests = 89\n", ""},
-      {"[model]\ninput_len = 24\n[workload]\nnum_steps = 100\n"
-       "requests = 78\n",
-       "[workload] requests"},
-      {"[overload]\nwindows = -1\n", "[overload] windows"},
-      {"[overload]\nwindows = 0\n", "[overload] windows"},
-      {"[overload]\nwindow_ms = 0\n", "[overload] window_ms"},
-      {"[fleet]\nwindows = 0\n", "[fleet] windows"},
-      {"[fleet]\nwindow_ms = -250\n", "[fleet] window_ms"},
-      {"[overload]\nwindows = 1\nwindow_ms = 1\n"
-       "[fleet]\nwindows = 1\nwindow_ms = 1\n",
-       ""},
-  };
-  RunOptions options;
-  options.dry_run = true;
-  for (const Case& c : cases) {
-    const RunResult result = RunSpec(
-        ParseSpec(std::string("[experiment]\nname = t\nkind = serving\n"
-                              "[serving]\nscenarios = overload, fleet\n"
-                              "threads = 1\n") +
-                  c.sections),
-        options);
-    if (std::string(c.key).empty()) {
-      EXPECT_TRUE(result.ok) << c.sections << result.error;
-    } else {
-      EXPECT_FALSE(result.ok) << c.sections;
-      EXPECT_NE(result.error.find(c.key), std::string::npos)
-          << c.sections << result.error;
-    }
-  }
+  EXPECT_FALSE(result.ok);
+  EXPECT_FALSE(result.gate_violation);
+  EXPECT_EQ(result.error, error);
 }
 
 // Every checked-in spec expands, and consumes every key it sets.

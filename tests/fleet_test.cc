@@ -2,8 +2,10 @@
 // weighted-fair dispatch policy (pure, clockless), the ModelFleet registry,
 // and the FleetServer end to end — per-model bitwise routing, typed quota
 // rejections under contention, SLO-class shedding at the worst tier, two
-// models hot-reloading concurrently under traffic, and stats consistency
-// under racing submitters (the TSan targets of scripts/ci.sh).
+// models hot-reloading concurrently under traffic, stats consistency under
+// racing submitters, and the chaos drill (open-loop traffic past two SLO
+// classes with every serving fault point armed and a mid-run hot reload) —
+// the TSan targets of scripts/ci.sh.
 
 #include "infer/fleet/fleet.h"
 
@@ -12,10 +14,13 @@
 #include <filesystem>
 #include <functional>
 #include <future>
+#include <iterator>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gmock/gmock.h>
@@ -24,6 +29,7 @@
 #include "common/fault_injection.h"
 #include "data/sliding_window.h"
 #include "data/synthetic_traffic.h"
+#include "experiment/load_generator.h"
 #include "infer/batching_server.h"
 #include "infer/fleet/fleet_server.h"
 #include "infer/retry.h"
@@ -565,6 +571,121 @@ TEST_F(FleetServerTest, SubmitWithRetryRidesOutQuotaRejection) {
     EXPECT_TRUE(f.get().ok);
   }
   server.Shutdown();
+}
+
+// The chaos drill: a gold and a bronze tenant behind one FleetServer take
+// open-loop traffic (bronze at three times gold's rate) where every request
+// carries a deadline and every fourth is low priority, while all four
+// serving fault points fire and gold hot-reloads mid-run through a staging
+// fault it must heal from. Whatever the schedule, every future resolves
+// exactly once, work completes, and the math never changes: gold serves
+// the staged twin bitwise, bronze its boot weights with no swap. A hang
+// (a stuck dispatcher, a lost promise, a reloader that cannot join) is
+// caught by the ctest TIMEOUT on this binary (tests/CMakeLists.txt).
+TEST_F(FleetServerTest, ChaosDrillResolvesEveryFutureOnceAndKeepsLanesBitwise) {
+  infer::ModelFleet fleet;
+  AddModel(&fleet, "gold", 5, /*priority=*/0, /*weight=*/4.0);
+  AddModel(&fleet, "bronze", 11, /*priority=*/2, /*weight=*/1.0);
+  const std::vector<std::string> lanes = {"gold", "bronze"};
+  infer::FleetOptions options;
+  options.max_queue_depth = 16;
+  infer::FleetServer server(&fleet, options);
+
+  infer::HotReloadOptions reload;
+  reload.directory = watch_dir_ + "/gold";
+  reload.poll_interval_ms = 10;
+  std::filesystem::create_directories(reload.directory);
+  std::string error;
+  ASSERT_TRUE(fleet.AttachReloader("gold", server.host("gold"),
+                                   [this] { return NewTinyModel(5); },
+                                   scaler_, Options(), reload, &error))
+      << error;
+  fleet.StartReloaders();
+
+  // One-shot kErrno scripts: "point", then how many calls pass first.
+  const std::pair<const char*, int64_t> faults[] = {
+      {"server.admit", 2},
+      {"server.deadline", 2},
+      {"server.degrade", 10},
+      {"infer.hot_reload", 0}};
+  for (const auto& [point, offset] : faults) {
+    fault::FaultScript script;
+    script.kind = fault::FaultKind::kErrno;
+    script.trigger_offset = offset;
+    fault::ArmFaultPoint(point, script);
+  }
+  const int64_t armed = static_cast<int64_t>(std::size(faults));
+
+  std::atomic<int64_t> submitted{0};
+  bool dropped = false;
+  experiment::OpenLoopOptions load;
+  load.lane_rps = {100.0, 300.0};
+  load.producers_per_lane = 2;
+  load.seconds = 0.6;
+  load.windows = 3;
+  load.on_tick = [&](double elapsed_s) {
+    if (dropped || elapsed_s < 0.2) return;
+    ASSERT_TRUE(train::SaveCheckpoint(
+        *NewTinyModel(21), train::CheckpointPathForStep(reload.directory, 1)));
+    dropped = true;
+  };
+  const experiment::LoadResult result =
+      experiment::LoadGenerator([&](const experiment::LoadRequest& r) {
+        submitted.fetch_add(1);
+        infer::ForecastRequest request = MakeRequest(r.seq % 16);
+        request.deadline_us = 20000;
+        if (r.seq % 4 == 3) request.priority = infer::RequestPriority::kLow;
+        return server.Submit(lanes[static_cast<size_t>(r.lane)],
+                             std::move(request));
+      }).OpenLoop(load);
+  ASSERT_TRUE(dropped);
+
+  // Every send was harvested once (one sample per submit, no (lane, seq)
+  // twice), and every window completed work.
+  EXPECT_EQ(static_cast<int64_t>(result.samples.size()), submitted.load());
+  std::set<std::pair<int64_t, int64_t>> seen;
+  std::vector<int64_t> completed(static_cast<size_t>(load.windows), 0);
+  for (const experiment::LoadSample& sample : result.samples) {
+    EXPECT_TRUE(seen.emplace(sample.lane, sample.seq).second)
+        << "lane " << sample.lane << " seq " << sample.seq;
+    if (sample.ok) ++completed[static_cast<size_t>(sample.window)];
+  }
+  for (size_t w = 0; w < completed.size(); ++w) {
+    EXPECT_GT(completed[w], 0) << "window " << w;
+  }
+
+  // The reload retries through its staging fault; it must land before the
+  // probes.
+  const infer::CheckpointReloader& reloader = *fleet.reloader("gold");
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (reloader.stats().swaps == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(reloader.stats().swaps, 1);
+
+  // Generous retries ride out the shedding tier's hysteretic recovery.
+  infer::RetryPolicy policy;
+  policy.max_attempts = 64;
+  policy.initial_backoff_us = 2000;
+  policy.max_backoff_us = 50000;
+  policy.jitter_seed = 7;
+  const infer::RetryResult gold =
+      infer::SubmitWithRetry(&server, "gold", MakeRequest(3), policy);
+  const infer::RetryResult bronze =
+      infer::SubmitWithRetry(&server, "bronze", MakeRequest(3), policy);
+  fleet.StopReloaders();
+  server.Shutdown();
+  EXPECT_GE(fault::FaultFireCount(), armed);
+
+  ASSERT_TRUE(gold.forecast.ok) << gold.forecast.error;
+  ASSERT_TRUE(bronze.forecast.ok) << bronze.forecast.error;
+  EXPECT_EQ(gold.forecast.values, Reference(21, 3));
+  EXPECT_EQ(bronze.forecast.values, Reference(11, 3));
+  const infer::FleetStats stats = server.stats();
+  EXPECT_EQ(stats.models.at("gold").session_swaps, 1);
+  EXPECT_EQ(stats.models.at("bronze").session_swaps, 0);
 }
 
 }  // namespace

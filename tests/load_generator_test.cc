@@ -139,32 +139,5 @@ TEST(LoadGeneratorTest, LatencyRunsFromTheScheduledSendTime) {
   EXPECT_GT(result.samples.back().lag_ms, 50.0);
 }
 
-TEST(LoadGeneratorTest, ClosedLoopIssuesProducersTimesRequests) {
-  std::atomic<int64_t> submitted{0};
-  LoadGenerator generator([&](const LoadRequest& request) {
-    submitted.fetch_add(1);
-    return Resolved(request.seq == 4 ? infer::RejectReason::kRateLimited
-                                     : infer::RejectReason::kNone);
-  });
-  const LoadResult result = generator.ClosedLoop(/*producers=*/3,
-                                                 /*requests_per_producer=*/7);
-  EXPECT_EQ(submitted.load(), 21);
-  EXPECT_EQ(SeqsByLane(result, 1)[0], Iota(21));
-  for (const LoadSample& sample : result.samples) {
-    EXPECT_EQ(sample.lag_ms, 0.0);
-    EXPECT_EQ(sample.ok, sample.seq != 4);
-  }
-  EXPECT_EQ(result.OkLatenciesMs().size(), 20u);
-}
-
-TEST(LoadGeneratorTest, SaturationDeadlineDefaultsToFiveBatches) {
-  experiment::Saturation saturation;
-  saturation.batch_us = 3000.0;
-  EXPECT_EQ(saturation.DeadlineUs(0), 15000);
-  EXPECT_EQ(saturation.DeadlineUs(7), 7000);
-  saturation.batch_us = 10.0;
-  EXPECT_EQ(saturation.DeadlineUs(0), 5000);  // floor
-}
-
 }  // namespace
 }  // namespace d2stgnn

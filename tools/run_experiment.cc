@@ -1,12 +1,12 @@
 // The one experiment CLI: expands declarative spec files (specs/*.spec) into
-// their measurement matrices and drives the training, serving, and dataset
-// stacks through the experiment runner, printing the result table and writing
+// their measurement matrices and drives the training and dataset stacks
+// through the experiment runner, printing the result table and writing
 // schema-versioned BENCH_*.json. When the spec (or --baseline) names a
 // baseline JSON, the regression gate compares the fresh numbers against its
 // bounds and a violation exits with code 2 and a readable diff.
 //
 //   run_experiment specs/table3_main.spec
-//   run_experiment --dry-run specs/serving_sweep.spec
+//   run_experiment --dry-run specs/table5_ablation.spec
 //   run_experiment --set trainer.epochs=2 specs/smoke_training.spec
 //   run_experiment --list
 //
@@ -21,7 +21,6 @@
 #include "experiment/registry.h"
 #include "experiment/runner.h"
 #include "experiment/spec.h"
-#include "infer/fleet/fleet.h"
 #include "tensor/kernels/registry.h"
 
 namespace d2stgnn::experiment {
@@ -41,19 +40,9 @@ void PrintRegistry() {
   for (const TrainerScenario& s : TrainerScenarios()) {
     std::printf("  %-16s %s\n", s.name.c_str(), s.description.c_str());
   }
-  std::printf("\nserving scenarios:\n");
-  for (const ServingScenario& s : ServingScenarios()) {
-    std::printf("  %-16s %s\n", s.name.c_str(), s.description.c_str());
-  }
-  std::printf("\nkernel backends ([serving] backends = ..., --backend):\n");
+  std::printf("\nkernel backends (--backend):\n");
   for (const BackendEntry& b : AllBackends()) {
     std::printf("  %-16s %s\n", b.name.c_str(), b.description.c_str());
-  }
-  std::printf("\nfleet SLO classes ([fleet] models = <id>:<class>, ...):\n");
-  for (const infer::SloClass& slo : infer::BuiltinSloClasses()) {
-    std::printf("  %-16s priority %lld, target p99 %lldms, weight %.0f\n",
-                slo.name.c_str(), static_cast<long long>(slo.priority),
-                static_cast<long long>(slo.target_p99_ms), slo.weight);
   }
 }
 
