@@ -23,9 +23,10 @@
 #      Release run happened in stage 1, where
 #      ExecSessionTest.PlanReplayTakesNoPerOpBuffers checks by counting
 #      arena buffers, not by timing, that a replay skips the per-op
-#      eager work), then bench_micro_kernels regenerates the canonical
-#      repo-root BENCH_kernels.json, shape-validated. Serving timings are
-#      the benchmark's (perfbench/run.py), not CI's.
+#      eager work), then bench_micro_kernels writes a BENCH_kernels.json
+#      under build/bench-out, shape-validated; the tracked repo-root
+#      snapshot is left alone. Serving timings are the benchmark's
+#      (perfbench/run.py), not CI's.
 #   5. Experiments        — the declarative harness end to end: the smoke
 #      training spec runs gated against its checked-in baseline, --list
 #      enumerates the registry, and a run against an impossible baseline
@@ -55,6 +56,9 @@
 #  10. Lint               — clang-tidy in parallel over src/, tests/, and
 #      tools/ (skipped with a notice when clang-tidy is not installed).
 #
+# In a git checkout, CI must leave `git status --porcelain` as it found it:
+# every output goes under an ignored build directory.
+#
 # Both ctest invocations pass --no-tests=error so a filter that matches zero
 # tests (e.g. after a rename) fails CI instead of silently passing.
 #
@@ -62,6 +66,12 @@
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+in_git=0
+if git rev-parse --is-inside-work-tree > /dev/null 2>&1; then
+  in_git=1
+  tree_before="$(git status --porcelain)"
+fi
 
 echo "=== Release build (+Werror) + full test suite ==="
 cmake -B build -S . -DCMAKE_BUILD_TYPE=Release -DD2STGNN_WERROR=ON
@@ -96,15 +106,16 @@ ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \
   -R 'InferServer|InferSession|RejectReason|Admission|Overload|Backoff|HotReload|Fleet|ChaosDrill|LoadGenerator' \
   --no-tests=error
 
-echo "=== Plan replay: exec suite under TSan + canonical kernel bench JSON ==="
+echo "=== Plan replay: exec suite under TSan + kernel bench JSON (validated copy) ==="
 cmake --build build-tsan -j "$(nproc)" --target exec_plan_test
 ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \
   -R 'MemoryPlanner|ZooCapture|GraphCapture|ExecSession' --no-tests=error
 cmake --build build -j "$(nproc)" --target bench_micro_kernels
 # Skip the google-benchmark section (nothing matches); the hand-timed sweep
-# that feeds BENCH_kernels.json still runs.
-build/bench/bench_micro_kernels --benchmark_filter='^$' > /dev/null
-python3 - BENCH_kernels.json <<'EOF'
+# that feeds BENCH_kernels.json still runs, into the build tree.
+D2STGNN_BENCH_OUT_DIR=build/bench-out \
+  build/bench/bench_micro_kernels --benchmark_filter='^$' > /dev/null
+python3 - build/bench-out/BENCH_kernels.json <<'EOF'
 import json, sys
 kernel_doc = json.load(open(sys.argv[1]))
 assert kernel_doc["schema_version"] == 1
@@ -224,5 +235,11 @@ echo "corrupt checkpoint rejected as expected"
 
 echo "=== Lint (clang-tidy) ==="
 scripts/lint.sh build
+
+if [[ "$in_git" -eq 1 && "$(git status --porcelain)" != "$tree_before" ]]; then
+  echo "FAIL: CI changed the working tree:" >&2
+  git status --porcelain >&2
+  exit 1
+fi
 
 echo "CI OK"

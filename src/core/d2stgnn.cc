@@ -28,14 +28,14 @@ DecoupledLayerConfig LayerConfigFrom(const D2StgnnConfig& c) {
   return lc;
 }
 
-// The localized transitions (Eq. 4) of the first k_s powers of `p`.
-std::vector<Tensor> LocalizedPowers(const Tensor& p, int64_t k_s,
-                                    int64_t k_t) {
-  std::vector<Tensor> localized;
+// The first k_s powers of `p` with self-loops masked: the block that Eq. 4
+// repeats k_t times.
+std::vector<Tensor> MaskedPowers(const Tensor& p, int64_t k_s) {
+  std::vector<Tensor> masked;
   for (const Tensor& power : graph::TransitionPowers(p, k_s)) {
-    localized.push_back(graph::LocalizedTransition(power, k_t));
+    masked.push_back(graph::MaskSelfLoops(power));
   }
-  return localized;
+  return masked;
 }
 
 }  // namespace
@@ -63,13 +63,13 @@ D2Stgnn::D2Stgnn(const D2StgnnConfig& config, const Tensor& adjacency,
   RegisterChild(&out_fc1_);
   RegisterChild(&out_fc2_);
 
-  // Static transitions and their localized powers (constants).
+  // Static transitions and their masked powers (constants).
   {
     NoGradGuard no_grad;
     p_forward_ = graph::ForwardTransition(adjacency);
     p_backward_ = graph::BackwardTransition(adjacency);
     for (const Tensor& p : {p_forward_, p_backward_}) {
-      static_localized_.push_back(LocalizedPowers(p, config.k_s, config.k_t));
+      static_masked_powers_.push_back(MaskedPowers(p, config.k_s));
     }
   }
 
@@ -110,7 +110,7 @@ Tensor D2Stgnn::Forward(const data::Batch& batch) {
   const Tensor e_u = node_source_.table();
   const Tensor e_d = node_target_.table();
 
-  // Assemble the localized supports shared by every layer (Algorithm 1,
+  // Assemble the masked supports shared by every layer (Algorithm 1,
   // lines 1-2): road-network transitions (dynamic when enabled) plus the
   // self-adaptive transition.
   std::vector<std::vector<Tensor>> supports;
@@ -123,14 +123,13 @@ Tensor D2Stgnn::Forward(const data::Batch& batch) {
     const auto [p_f_dy, p_b_dy] = dynamic_graph_->Forward(
         x, day_last, week_last, e_u, e_d, p_forward_, p_backward_);
     for (const Tensor& p : {p_f_dy, p_b_dy}) {
-      supports.push_back(LocalizedPowers(p, config_.k_s, config_.k_t));
+      supports.push_back(MaskedPowers(p, config_.k_s));
     }
   } else {
-    supports = static_localized_;
+    supports = static_masked_powers_;
   }
   if (config_.use_adaptive) {
-    supports.push_back(
-        LocalizedPowers(AdaptiveTransition(), config_.k_s, config_.k_t));
+    supports.push_back(MaskedPowers(AdaptiveTransition(), config_.k_s));
   }
 
   // Stack the decoupled layers, summing forecast hidden states (Eq. 15).

@@ -67,9 +67,9 @@ class D2Stgnn : public train::ForecastingModel {
   D2StgnnConfig config_;
   Tensor p_forward_;   // static P_f, [N, N]
   Tensor p_backward_;  // static P_b, [N, N]
-  /// Precomputed localized powers of the static transitions (used when the
+  /// Precomputed masked powers of the static transitions (used when the
   /// dynamic graph is disabled), indexed [support][k-1].
-  std::vector<std::vector<Tensor>> static_localized_;
+  std::vector<std::vector<Tensor>> static_masked_powers_;
 
   nn::Linear input_proj_;
   nn::Embedding node_source_;  // E^u

@@ -54,8 +54,9 @@ class DecoupledLayer : public nn::Module {
   /// Runs the layer.
   /// `x`: [B, T, N, d] layer input; `t_day`/`t_week`: [B, T, de] time-slot
   /// embeddings; `e_u`/`e_d`: [N, de] node embeddings;
-  /// `localized_supports[s][k-1]`: localized transition matrices shared by
-  /// every layer of the model.
+  /// `localized_supports[s][k-1]`: masked transition powers shared by every
+  /// layer of the model (Eq. 4's localized form is accepted too; see
+  /// `DiffusionBlock::Forward`).
   LayerOutput Forward(
       const Tensor& x, const Tensor& t_day, const Tensor& t_week,
       const Tensor& e_u, const Tensor& e_d,

@@ -57,35 +57,40 @@ BlockOutput DiffusionBlock::Forward(
   D2_CHECK_LE(localized_supports.size(),
               conv_weight_.size() / static_cast<size_t>(k_s_));
 
-  // Eq. 5 and X^lc for every step at once, [B, T, kt*N, d]: step t stacks
-  // frames [t-kt+1 .. t] on the node axis, earliest first (matching the k_t
-  // blocks of the localized transition). The sequence is zero-padded in
-  // front so every step owns a full k_t window. Block j2 of every step is
-  // one Slice of the padded sequence, padded index t + j2 (original
-  // t - kt + 1 + j2), passed through sigma(X W_j) with j = kt - 1 - j2 the
-  // offset back from the target step; each transform runs only on the T
-  // frames its block keeps.
+  // Every k_t block of Eq. 4's localized transition is the same masked
+  // power M = P^k ⊙ (1 - I_N), so P^lc X^lc = M · S with S_t the sum of the
+  // k_t transformed frames sigma(X_{t-kt+1+j2} W_{kt-1-j2}) (Eq. 5). S is
+  // built once for the whole window, [B, T, N, d]: the sequence is
+  // zero-padded in front so every step owns a full k_t window, and frame j2
+  // of every step is one Slice of the padded sequence (padded index t + j2),
+  // transformed only on the T frames it keeps and added in ascending j2.
   const Tensor padded = PadFront(x, 1, k_t_ - 1);  // [B, T+kt-1, N, d]
-  std::vector<Tensor> blocks;
-  blocks.reserve(static_cast<size_t>(k_t_));
+  Tensor summed;
   for (int64_t j2 = 0; j2 < k_t_; ++j2) {
     const nn::Linear& frame_fc =
         *frame_fc_[static_cast<size_t>(k_t_ - 1 - j2)];
-    blocks.push_back(Relu(frame_fc.Forward(Slice(padded, 1, j2, j2 + steps))));
+    const Tensor frame =
+        Relu(frame_fc.Forward(Slice(padded, 1, j2, j2 + steps)));
+    summed = summed.defined() ? Add(summed, frame) : frame;
   }
-  const Tensor x_lc = Concat(blocks, 2);
 
-  // Eqs. 6 & 8 over the whole window: H = sum_s sum_k (P^lc_s)^k X^lc W_{s,k}.
-  // A [N, kt*N] support broadcasts over batch and steps, a batched
-  // [B, N, kt*N] one over steps.
+  // Eqs. 6 & 8 over the whole window: H = sum_s sum_k M_{s,k} S W_{s,k}.
+  // A [N, N] support broadcasts over batch and steps, a batched [B, N, N]
+  // one over steps.
   Tensor hidden;  // [B, T, N, d]
   for (size_t s = 0; s < localized_supports.size(); ++s) {
     D2_CHECK_EQ(static_cast<int64_t>(localized_supports[s].size()), k_s_);
     for (int64_t k = 0; k < k_s_; ++k) {
       Tensor p = localized_supports[s][static_cast<size_t>(k)];
+      const int64_t width = p.size(-1);
+      D2_CHECK(width == nodes || width == k_t_ * nodes)
+          << "support " << s << " order " << k + 1 << " has width " << width
+          << ", want " << nodes << " (masked power) or " << k_t_ * nodes
+          << " (Eq. 4)";
+      if (width != nodes) p = Slice(p, -1, 0, nodes);
       if (p.dim() == 3) p = Unsqueeze(p, 1);
       const Tensor conv = MatMul(
-          MatMul(p, x_lc),
+          MatMul(p, summed),
           conv_weight_[s * static_cast<size_t>(k_s_) + static_cast<size_t>(k)]);
       hidden = hidden.defined() ? Add(hidden, conv) : conv;
     }

@@ -27,8 +27,10 @@ struct BlockOutput {
 /// X^lc_t stacks the last k_t frames — each frame passed through its own
 /// non-linear transform W_{k'} (Eq. 5) — and is convolved with the k_s
 /// powers of every localized transition matrix, each (support, order) pair
-/// owning its output weight (Eq. 8). The convolution runs once over the
-/// whole window: one MatMul pair per (support, order).
+/// owning its output weight (Eq. 8). Eq. 4's k_t blocks are one masked
+/// power repeated, so the block convolves that [N, N] power with the sum of
+/// the k_t transformed frames: one MatMul pair per (support, order) over
+/// the whole window, each reducing over N rather than k_t·N.
 class DiffusionBlock : public nn::Module {
  public:
   /// `num_supports` is the number of transition matrices (2 static/dynamic
@@ -42,10 +44,12 @@ class DiffusionBlock : public nn::Module {
 
   /// Runs the localized convolution.
   /// `x`: [B, T, N, d] diffusion-signal input;
-  /// `localized_supports[s][k-1]`: the k-order localized transition of
-  /// support s, [N, k_t*N] (static) or [B, N, k_t*N] (dynamic). The number
-  /// of supports may be less than `num_supports` (e.g. w/o apt) — extra
-  /// weights simply stay unused.
+  /// `localized_supports[s][k-1]`: the k-order masked power
+  /// P_s^k ⊙ (1 - I_N) of support s, [N, N] (static) or [B, N, N]
+  /// (dynamic). Eq. 4's localized form, [N, k_t*N] or [B, N, k_t*N], is
+  /// accepted too and read through its first block; any other width fails
+  /// a check. The number of supports may be less than `num_supports` (e.g.
+  /// w/o apt) — extra weights simply stay unused.
   BlockOutput Forward(
       const Tensor& x,
       const std::vector<std::vector<Tensor>>& localized_supports) const;

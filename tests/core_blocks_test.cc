@@ -1,5 +1,6 @@
 #include "core/decoupled_layer.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -22,6 +23,26 @@ constexpr int64_t kNodes = 5;
 constexpr int64_t kDim = 8;
 constexpr int64_t kEmbed = 4;
 
+// The first k_s powers of `p` with self-loops masked, as D2Stgnn hands them
+// to its layers.
+std::vector<Tensor> MaskedPowers(const Tensor& p, int64_t k_s) {
+  std::vector<Tensor> masked;
+  for (const Tensor& power : graph::TransitionPowers(p, k_s)) {
+    masked.push_back(graph::MaskSelfLoops(power));
+  }
+  return masked;
+}
+
+// Eq. 4's localized transitions of the same powers, [.., N, k_t*N].
+std::vector<Tensor> LocalizedPowers(const Tensor& p, int64_t k_s,
+                                    int64_t k_t) {
+  std::vector<Tensor> localized;
+  for (const Tensor& power : graph::TransitionPowers(p, k_s)) {
+    localized.push_back(graph::LocalizedTransition(power, k_t));
+  }
+  return localized;
+}
+
 struct Fixture {
   Rng rng{17};
   Tensor x = Tensor::Randn({kBatch, kSteps, kNodes, kDim}, rng);
@@ -39,11 +60,7 @@ struct Fixture {
     const auto net = graph::BuildRandomSensorNetwork(options, rng);
     p = graph::ForwardTransition(net.adjacency);
     for (int support = 0; support < 2; ++support) {
-      std::vector<Tensor> localized;
-      for (const Tensor& power : graph::TransitionPowers(p, 2)) {
-        localized.push_back(graph::LocalizedTransition(power, 2));
-      }
-      supports.push_back(std::move(localized));
+      supports.push_back(MaskedPowers(p, 2));
     }
   }
 };
@@ -110,7 +127,7 @@ TEST(DiffusionBlockTest, SelfSignalDoesNotDiffuse) {
   Fixture f;
   DiffusionBlock block(kDim, 1, 1, 1, 2, true, f.rng);
   std::vector<std::vector<Tensor>> identity_support = {
-      {graph::LocalizedTransition(Tensor::Eye(kNodes), 1)}};
+      {graph::MaskSelfLoops(Tensor::Eye(kNodes))}};
   NoGradGuard no_grad;
   const BlockOutput out = block.Forward(f.x, identity_support);
   for (float v : out.hidden_sequence.Data()) EXPECT_FLOAT_EQ(v, 0.0f);
@@ -127,24 +144,29 @@ TEST(DiffusionBlockTest, AcceptsBatchedDynamicSupports) {
   Fixture f;
   DiffusionBlock block(kDim, 2, 2, 1, 4, true, f.rng);
   Tensor dynamic = BroadcastTo(Unsqueeze(f.p, 0), {kBatch, kNodes, kNodes});
-  std::vector<std::vector<Tensor>> supports;
-  std::vector<Tensor> localized;
-  for (const Tensor& power : graph::TransitionPowers(dynamic, 2)) {
-    localized.push_back(graph::LocalizedTransition(power, 2));
-  }
-  supports.push_back(std::move(localized));
-  const BlockOutput out = block.Forward(f.x, supports);
+  const BlockOutput out = block.Forward(f.x, {MaskedPowers(dynamic, 2)});
   EXPECT_EQ(out.hidden_sequence.shape(),
             (Shape{kBatch, kSteps, kNodes, kDim}));
 }
 
+// How a per-step reference forms each step's spatial product.
+enum class ConvForm {
+  // M_{s,k} · sum_j sigma(X_{t-kt+1+j} W): the block's own summation order.
+  kMaskedPower,
+  // Eq. 4 as written: the [N, k_t*N] localized matrix against X^lc_t, the
+  // k_t transformed frames stacked on the node axis.
+  kLocalized,
+};
+
 // The diffusion block's forward with the convolution run step by step, one
-// MatMul pair per (step, support, order), from `block`'s own parameters:
-// the bitwise reference for the whole-window form.
+// MatMul pair per (step, support, order), from `block`'s own parameters.
+// `supports` holds masked powers. With kMaskedPower it is the bitwise
+// reference for the whole-window form; with kLocalized it is Eq. 4 verbatim,
+// equal up to summation order.
 BlockOutput PerStepDiffusionReference(
     const DiffusionBlock& block, int64_t k_s, int64_t num_supports,
     int64_t horizon, bool autoregressive, const Tensor& x,
-    const std::vector<std::vector<Tensor>>& supports) {
+    const std::vector<std::vector<Tensor>>& supports, ConvForm form) {
   const std::vector<Tensor> params = block.Parameters();
   const int64_t k_t = block.k_t();
   const int64_t batch = x.size(0);
@@ -174,14 +196,24 @@ BlockOutput PerStepDiffusionReference(
                 t + j2 + 1),
           {batch, nodes, dim}));
     }
-    const Tensor x_lc = Concat(rows, 1);
+    Tensor features;
+    if (form == ConvForm::kLocalized) {
+      features = Concat(rows, 1);  // X^lc_t, [B, k_t*N, d]
+    } else {
+      for (const Tensor& row : rows) {
+        features = features.defined() ? Add(features, row) : row;
+      }
+    }
     Tensor h_t;
     for (size_t s = 0; s < supports.size(); ++s) {
       for (int64_t k = 0; k < k_s; ++k) {
         Tensor p = supports[s][static_cast<size_t>(k)];
+        if (form == ConvForm::kLocalized) {
+          p = graph::LocalizedTransition(p, k_t);
+        }
         if (p.dim() == 2) p = Unsqueeze(p, 0);
         const Tensor conv = MatMul(
-            MatMul(p, x_lc),
+            MatMul(p, features),
             params[s * static_cast<size_t>(k_s) + static_cast<size_t>(k)]);
         h_t = h_t.defined() ? Add(h_t, conv) : conv;
       }
@@ -225,28 +257,40 @@ void ExpectBitwiseEqual(const Tensor& a, const Tensor& b) {
             0);
 }
 
+void ExpectNear(const Tensor& a, const Tensor& b, float tolerance) {
+  ASSERT_EQ(a.shape(), b.shape());
+  float worst = 0.0f;
+  for (int64_t i = 0; i < a.numel(); ++i) {
+    worst = std::max(worst, std::fabs(a.At(i) - b.At(i)));
+  }
+  EXPECT_LE(worst, tolerance);
+}
+
+// Per-sample transitions for the batched cases: row-stochastic [B, N, N].
+Tensor RandomDynamicTransition(Rng& rng) {
+  return Softmax(Tensor::Randn({kBatch, kNodes, kNodes}, rng), -1);
+}
+
+// Forward and backward supports of `p` as masked powers: the model's form.
+std::vector<std::vector<Tensor>> BothDirections(const Tensor& p,
+                                                int64_t k_s) {
+  const bool batched = p.dim() == 3;
+  return {MaskedPowers(p, k_s),
+          MaskedPowers(batched ? Transpose(p, 1, 2) : Transpose(p, 0, 1),
+                       k_s)};
+}
+
 TEST(DiffusionBlockTest, WholeWindowMatchesPerStepLoopBitwise) {
   constexpr int64_t kOrders = 2;
   constexpr int64_t kHorizon = 3;
   Fixture f;
   Rng rng(29);
-  // Per-sample transitions for the batched case: row-stochastic [B, N, N].
-  const Tensor dynamic =
-      Softmax(Tensor::Randn({kBatch, kNodes, kNodes}, rng), -1);
+  const Tensor dynamic = RandomDynamicTransition(rng);
   const Tensor x_short = Slice(f.x, 1, 0, 2);  // shorter than k_t = 3
   NoGradGuard no_grad;
   for (const bool batched : {false, true}) {
+    const auto supports = BothDirections(batched ? dynamic : f.p, kOrders);
     for (const int64_t k_t : {1, 2, 3}) {
-      std::vector<std::vector<Tensor>> supports;
-      for (const Tensor& p : {batched ? dynamic : f.p,
-                              batched ? Transpose(dynamic, 1, 2)
-                                      : Transpose(f.p, 0, 1)}) {
-        std::vector<Tensor> localized;
-        for (const Tensor& power : graph::TransitionPowers(p, kOrders)) {
-          localized.push_back(graph::LocalizedTransition(power, k_t));
-        }
-        supports.push_back(std::move(localized));
-      }
       for (const bool autoregressive : {true, false}) {
         DiffusionBlock block(kDim, kOrders, k_t, /*num_supports=*/2,
                              kHorizon, autoregressive, rng);
@@ -257,7 +301,8 @@ TEST(DiffusionBlockTest, WholeWindowMatchesPerStepLoopBitwise) {
                        << " steps=" << x.size(1));
           const BlockOutput got = block.Forward(x, supports);
           const BlockOutput want = PerStepDiffusionReference(
-              block, kOrders, 2, kHorizon, autoregressive, x, supports);
+              block, kOrders, 2, kHorizon, autoregressive, x, supports,
+              ConvForm::kMaskedPower);
           ExpectBitwiseEqual(got.hidden_sequence, want.hidden_sequence);
           ExpectBitwiseEqual(got.hidden_forecast, want.hidden_forecast);
           ExpectBitwiseEqual(got.backcast, want.backcast);
@@ -265,6 +310,77 @@ TEST(DiffusionBlockTest, WholeWindowMatchesPerStepLoopBitwise) {
       }
     }
   }
+}
+
+TEST(DiffusionBlockTest, MatchesLiteralEq4PerStepLoopWithinTolerance) {
+  // The block sums the k_t frames before one [N, N] product; Eq. 4 as
+  // written reduces over all k_t*N stacked rows. Same math, other order.
+  constexpr int64_t kOrders = 2;
+  constexpr int64_t kHorizon = 3;
+  Fixture f;
+  Rng rng(31);
+  const Tensor dynamic = RandomDynamicTransition(rng);
+  const Tensor x_short = Slice(f.x, 1, 0, 2);
+  NoGradGuard no_grad;
+  for (const bool batched : {false, true}) {
+    const auto supports = BothDirections(batched ? dynamic : f.p, kOrders);
+    for (const int64_t k_t : {1, 2, 3}) {
+      for (const bool autoregressive : {true, false}) {
+        DiffusionBlock block(kDim, kOrders, k_t, /*num_supports=*/2,
+                             kHorizon, autoregressive, rng);
+        for (const Tensor& x : {f.x, x_short}) {
+          SCOPED_TRACE(testing::Message()
+                       << "batched=" << batched << " k_t=" << k_t
+                       << " autoregressive=" << autoregressive
+                       << " steps=" << x.size(1));
+          const BlockOutput got = block.Forward(x, supports);
+          const BlockOutput want = PerStepDiffusionReference(
+              block, kOrders, 2, kHorizon, autoregressive, x, supports,
+              ConvForm::kLocalized);
+          ExpectNear(got.hidden_sequence, want.hidden_sequence, 1e-5f);
+          ExpectNear(got.hidden_forecast, want.hidden_forecast, 1e-5f);
+          ExpectNear(got.backcast, want.backcast, 1e-5f);
+        }
+      }
+    }
+  }
+}
+
+TEST(DiffusionBlockTest, LocalizedAndMaskedPowerSupportsAreBitwiseEqual) {
+  // Eq. 4's [.., N, k_t*N] form is read through its first block, which is
+  // the masked power itself.
+  constexpr int64_t kOrders = 2;
+  Fixture f;
+  Rng rng(37);
+  const Tensor dynamic = RandomDynamicTransition(rng);
+  NoGradGuard no_grad;
+  for (const bool batched : {false, true}) {
+    const Tensor p = batched ? dynamic : f.p;
+    for (const int64_t k_t : {1, 2, 3}) {
+      SCOPED_TRACE(testing::Message() << "batched=" << batched
+                                      << " k_t=" << k_t);
+      DiffusionBlock block(kDim, kOrders, k_t, /*num_supports=*/1,
+                           /*forecast_horizon=*/3, /*autoregressive=*/true,
+                           rng);
+      const BlockOutput masked = block.Forward(f.x, {MaskedPowers(p, kOrders)});
+      const BlockOutput localized =
+          block.Forward(f.x, {LocalizedPowers(p, kOrders, k_t)});
+      ExpectBitwiseEqual(masked.hidden_sequence, localized.hidden_sequence);
+      ExpectBitwiseEqual(masked.hidden_forecast, localized.hidden_forecast);
+      ExpectBitwiseEqual(masked.backcast, localized.backcast);
+    }
+  }
+}
+
+TEST(DiffusionBlockDeathTest, RejectsSupportOfAnotherWidth) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Fixture f;
+  DiffusionBlock block(kDim, /*k_s=*/1, /*k_t=*/3, /*num_supports=*/1,
+                       /*forecast_horizon=*/2, /*autoregressive=*/true,
+                       f.rng);
+  // Neither N nor k_t*N wide: Eq. 4 built for k_t = 2.
+  const Tensor wrong = graph::LocalizedTransition(f.p, 2);
+  EXPECT_DEATH(block.Forward(f.x, {{wrong}}), "has width 10, want 5");
 }
 
 TEST(InherentBlockTest, OutputShapesAllVariants) {
@@ -415,9 +531,10 @@ TEST(DecoupledLayerTest, SwitchVariantRuns) {
 
 TEST(DiffusionBlockTest, GradCheckThroughConvolution) {
   // End-to-end finite-difference check through the localized convolution,
-  // with a static support and a batched one that requires grad: the batched
-  // support's gradient sums all T steps of each sample in one MatMul
-  // backward.
+  // with a static masked power, a batched masked power that requires grad
+  // (the dynamic-graph path: its gradient sums all T steps of each sample
+  // in one MatMul backward) and a batched Eq. 4 support built from a leaf
+  // that requires grad (read through its first block).
   Rng rng(23);
   Tensor x = Tensor::Randn({2, 3, 4, 4}, rng).SetRequiresGrad(true);
   graph::SensorNetworkOptions options;
@@ -425,13 +542,17 @@ TEST(DiffusionBlockTest, GradCheckThroughConvolution) {
   options.neighbors = 2;
   const auto net = graph::BuildRandomSensorNetwork(options, rng);
   const Tensor p = graph::ForwardTransition(net.adjacency);
-  Tensor dynamic = graph::LocalizedTransition(
-      Softmax(Tensor::Randn({2, 4, 4}, rng), -1), 2);
+  Tensor dynamic =
+      graph::MaskSelfLoops(Softmax(Tensor::Randn({2, 4, 4}, rng), -1));
   dynamic.SetRequiresGrad(true);
-  std::vector<std::vector<Tensor>> supports = {
-      {graph::LocalizedTransition(p, 2)}, {dynamic}};
-  DiffusionBlock block(4, 1, 2, 2, 2, true, rng);
+  Tensor localized_leaf = Softmax(Tensor::Randn({2, 4, 4}, rng), -1);
+  localized_leaf.SetRequiresGrad(true);
+  DiffusionBlock block(4, 1, 2, 3, 2, true, rng);
   auto loss = [&] {
+    const std::vector<std::vector<Tensor>> supports = {
+        {graph::MaskSelfLoops(p)},
+        {dynamic},
+        {graph::LocalizedTransition(localized_leaf, 2)}};
     const BlockOutput out = block.Forward(x, supports);
     return Add(Sum(Abs(out.hidden_forecast)), Sum(Abs(out.backcast)));
   };
@@ -441,6 +562,8 @@ TEST(DiffusionBlockTest, GradCheckThroughConvolution) {
   // enough activations across ReLU/Abs kinks to swamp the central
   // difference; 1e-3 stays on one linear piece.
   result = CheckGradients(loss, {dynamic}, rng, 1e-3f, 3e-2f, 16);
+  EXPECT_TRUE(result.ok) << result.max_relative_error;
+  result = CheckGradients(loss, {localized_leaf}, rng, 1e-3f, 3e-2f, 16);
   EXPECT_TRUE(result.ok) << result.max_relative_error;
 }
 
